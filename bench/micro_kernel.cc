@@ -2,12 +2,11 @@
 //
 // Three benches, each isolating one layer of the engine's hot path:
 //
-//  1. event_churn — the simulator kernel alone, exercised with the engine's
-//     dominant event pattern under blocking CC: schedule a completion plus a
-//     far-future guard timeout, fire the completion, cancel the guard. The
-//     cancel-heavy mix is what separates the pooled-arena kernel from a naive
-//     one: cancelled far-future guards must not accumulate as live heap
-//     tombstones (see docs/PERFORMANCE.md).
+//  1. event_churn — the simulator kernel alone, exercised with a worst-case
+//     cancel mix: schedule a completion plus a far-future timeout, fire the
+//     completion, cancel the timeout. The cancel-heavy mix is what separates
+//     the pooled-arena kernel from a naive one: cancelled far-future events
+//     must not accumulate as live heap tombstones (see docs/PERFORMANCE.md).
 //  2. lock_grant_release — LockManager request/upgrade/release cycles with
 //     no simulator in the loop (the lock-table cost of one transaction).
 //  3. cc_decision — every concurrency control algorithm driven directly
@@ -69,11 +68,11 @@ struct ChurnResult {
   uint64_t checksum = 0;           ///< Deterministic payload checksum.
 };
 
-/// The engine's blocking-CC timeout pattern: every lock grant schedules a
-/// completion AND a deadlock-guard timeout ~3 orders of magnitude further
-/// out, then cancels the guard when the completion fires first (it almost
-/// always does). A kernel that leaks cancelled entries pays deep heap walks
-/// over ~1000 dead guards; the arena kernel compacts and stays flat.
+/// A worst-case cancel pattern: every iteration schedules a completion AND a
+/// timeout ~3 orders of magnitude further out, then cancels the timeout when
+/// the completion fires first. (The engine itself cancels far less often —
+/// only on restart.) A kernel that leaks cancelled entries pays deep heap
+/// walks over ~1000 dead timeouts; the arena kernel compacts and stays flat.
 ChurnResult RunEventChurn(int iters) {
   ChurnResult result;
   // One warmup pass (arena/heap growth), one measured pass.

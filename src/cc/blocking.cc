@@ -35,7 +35,8 @@ CCDecision BlockingCC::HandleRequest(TxnId txn, ObjectId obj, LockMode mode) {
       [this](TxnId t) { return locks_.NumHeld(t); },
   };
   if (deadlock_searches_ != nullptr) deadlock_searches_->Inc();
-  DeadlockResolution resolution = detector_.Resolve(txn, doomed_, context);
+  const DeadlockResolution& resolution =
+      detector_.Resolve(txn, doomed_, context);
   stats_.deadlocks_detected += resolution.cycles_found;
   if (cycle_length_hist_ != nullptr) {
     for (int length : resolution.cycle_lengths) {

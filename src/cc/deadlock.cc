@@ -15,6 +15,13 @@ constexpr int kMaxVictimAlternatives = 6;
 
 std::vector<TxnId> DeadlockDetector::FindCycle(
     TxnId start, const SmallIdSet& excluded) const {
+  std::vector<TxnId> cycle;
+  FindCycle(start, excluded, &cycle);
+  return cycle;
+}
+
+bool DeadlockDetector::FindCycle(TxnId start, const SmallIdSet& excluded,
+                                 std::vector<TxnId>* cycle) const {
   // Iterative DFS over the waits-for relation looking for a path back to
   // `start`. Path state lets us return the cycle members themselves. Frames
   // (and their blocker buffers) are pooled by depth, so a search that finds
@@ -32,6 +39,7 @@ std::vector<TxnId> DeadlockDetector::FindCycle(
         frame.blockers.end());
   };
 
+  cycle->clear();
   visited_.clear();
   visited_.insert(start);
   push(start);
@@ -45,14 +53,12 @@ std::vector<TxnId> DeadlockDetector::FindCycle(
     TxnId next = frame.blockers[frame.next++];
     if (next == start) {
       // Found a cycle: the current DFS path is the cycle body.
-      std::vector<TxnId> cycle;
-      cycle.reserve(depth);
-      for (size_t i = 0; i < depth; ++i) cycle.push_back(frames_[i].txn);
-      return cycle;
+      for (size_t i = 0; i < depth; ++i) cycle->push_back(frames_[i].txn);
+      return true;
     }
     if (visited_.insert(next)) push(next);
   }
-  return {};
+  return false;
 }
 
 TxnId DeadlockDetector::PickVictim(const std::vector<TxnId>& cycle,
@@ -105,18 +111,20 @@ TxnId DeadlockDetector::PickVictim(const std::vector<TxnId>& cycle,
   return victim;
 }
 
-DeadlockResolution DeadlockDetector::Resolve(
+const DeadlockResolution& DeadlockDetector::Resolve(
     TxnId requester, const SmallIdSet& doomed,
     const VictimContext& context) const {
-  DeadlockResolution resolution;
+  DeadlockResolution& resolution = resolution_;
+  resolution.requester_is_victim = false;
+  resolution.victims.clear();
+  resolution.cycles_found = 0;
+  resolution.cycle_lengths.clear();
   excluded_scratch_ = doomed;  // Capacity-reusing copy-assign.
 
-  while (true) {
-    std::vector<TxnId> cycle = FindCycle(requester, excluded_scratch_);
-    if (cycle.empty()) break;
+  while (FindCycle(requester, excluded_scratch_, &cycle_)) {
     ++resolution.cycles_found;
-    resolution.cycle_lengths.push_back(static_cast<int>(cycle.size()));
-    TxnId victim = PickVictim(cycle, context);
+    resolution.cycle_lengths.push_back(static_cast<int>(cycle_.size()));
+    TxnId victim = PickVictim(cycle_, context);
     if (victim == requester) {
       resolution.requester_is_victim = true;
       break;  // Restarting the requester clears every cycle through it.

@@ -49,8 +49,9 @@ struct DeadlockResolution {
 
 /// Detector over a LockManager's waits-for relation. Logically stateless:
 /// the mutable members are pooled scratch (DFS frames, visited/excluded
-/// sets) reused across searches so the no-cycle fast path — the common case,
-/// run on every block — allocates nothing.
+/// sets, the cycle and the resolution) reused across searches, so detection
+/// allocates nothing once the pools have grown to working size — with or
+/// without a cycle.
 class DeadlockDetector {
  public:
   DeadlockDetector(const LockManager* locks, VictimPolicy policy)
@@ -61,8 +62,9 @@ class DeadlockDetector {
   /// but not yet aborted by the engine) are treated as absent, since their
   /// locks are about to be released. If the requester is ever selected, the
   /// search stops: restarting the requester removes all cycles through it.
-  DeadlockResolution Resolve(TxnId requester, const SmallIdSet& doomed,
-                             const VictimContext& context) const;
+  /// The result lives in the detector and is valid until the next Resolve.
+  const DeadlockResolution& Resolve(TxnId requester, const SmallIdSet& doomed,
+                                    const VictimContext& context) const;
 
   /// Finds one cycle through `start` (ignoring `excluded` transactions);
   /// returns the cycle's members, or empty if none. Exposed for tests.
@@ -77,6 +79,9 @@ class DeadlockDetector {
     size_t next = 0;
   };
 
+  /// FindCycle into `*cycle` (cleared first); returns whether one was found.
+  bool FindCycle(TxnId start, const SmallIdSet& excluded,
+                 std::vector<TxnId>* cycle) const;
   TxnId PickVictim(const std::vector<TxnId>& cycle,
                    const VictimContext& context) const;
 
@@ -85,6 +90,8 @@ class DeadlockDetector {
   mutable std::vector<Frame> frames_;  ///< Pooled DFS stack.
   mutable SmallIdSet visited_;
   mutable SmallIdSet excluded_scratch_;  ///< doomed ∪ victims-so-far.
+  mutable std::vector<TxnId> cycle_;
+  mutable DeadlockResolution resolution_;
 };
 
 }  // namespace ccsim

@@ -28,19 +28,60 @@ void LockManager::Reserve(size_t num_objects, size_t num_txns) {
 }
 
 bool LockManager::CompatibleWithHolders(const Entry& entry, TxnId txn,
-                                        LockMode mode, bool upgrade) {
+                                        LockMode mode, bool upgrade) const {
   if (upgrade) {
     // An upgrade is grantable iff the requester is the only holder.
-    for (const Holder& h : entry.holders) {
-      if (h.txn != txn) return false;
-    }
-    return true;
+    return ForEachHolder(entry, [txn](const Holder& h) { return h.txn == txn; });
   }
-  for (const Holder& h : entry.holders) {
+  return ForEachHolder(entry, [txn, mode](const Holder& h) {
     CCSIM_CHECK_NE(h.txn, txn) << "non-upgrade request by a holder";
-    if (ModeConflicts(h.mode, mode)) return false;
+    return !ModeConflicts(h.mode, mode);
+  });
+}
+
+int32_t LockManager::FindHolder(const Entry& entry, TxnId txn) const {
+  int32_t cur = entry.holder_head;
+  while (cur >= 0 && holder_nodes_[static_cast<size_t>(cur)].h.txn != txn) {
+    cur = holder_nodes_[static_cast<size_t>(cur)].next;
   }
-  return true;
+  return cur;
+}
+
+void LockManager::AddHolder(Entry& entry, const Holder& holder) {
+  int32_t node;
+  if (free_holder_ >= 0) {
+    node = free_holder_;
+    free_holder_ = holder_nodes_[static_cast<size_t>(node)].next;
+  } else {
+    node = static_cast<int32_t>(holder_nodes_.size());
+    holder_nodes_.emplace_back();
+  }
+  holder_nodes_[static_cast<size_t>(node)] = HolderNode{holder, -1};
+  if (entry.holder_tail >= 0) {
+    holder_nodes_[static_cast<size_t>(entry.holder_tail)].next = node;
+  } else {
+    entry.holder_head = node;
+  }
+  entry.holder_tail = node;
+}
+
+void LockManager::RemoveHolder(Entry& entry, TxnId txn) {
+  int32_t prev = -1;
+  int32_t cur = entry.holder_head;
+  while (cur >= 0 && holder_nodes_[static_cast<size_t>(cur)].h.txn != txn) {
+    prev = cur;
+    cur = holder_nodes_[static_cast<size_t>(cur)].next;
+  }
+  CCSIM_CHECK_GE(cur, 0) << "txn " << txn << " not among the holders";
+  const int32_t next = holder_nodes_[static_cast<size_t>(cur)].next;
+  if (prev >= 0) {
+    holder_nodes_[static_cast<size_t>(prev)].next = next;
+  } else {
+    entry.holder_head = next;
+  }
+  if (entry.holder_tail == cur) entry.holder_tail = prev;
+  holder_nodes_[static_cast<size_t>(cur)].next = free_holder_;
+  free_holder_ = cur;
 }
 
 LockManager::TxnRec& LockManager::RecOf(TxnId txn) {
@@ -113,7 +154,7 @@ void LockManager::UnlinkWaiter(Entry& entry, TxnId txn) {
 }
 
 void LockManager::SyncOccupancy(Entry& entry) {
-  const bool now = !entry.holders.empty() || entry.queue_head >= 0;
+  const bool now = entry.holder_head >= 0 || entry.queue_head >= 0;
   if (now != entry.occupied) {
     entry.occupied = now;
     if (now) {
@@ -131,15 +172,9 @@ LockRequestOutcome LockManager::Request(TxnId txn, ObjectId obj, LockMode mode,
   Entry& entry = table_.Touch(obj);
 
   // Locate an existing holder record for idempotent re-requests and upgrades.
-  Holder* mine = nullptr;
-  for (Holder& h : entry.holders) {
-    if (h.txn == txn) {
-      mine = &h;
-      break;
-    }
-  }
-
-  if (mine != nullptr) {
+  const int32_t held = FindHolder(entry, txn);
+  if (held >= 0) {
+    Holder* mine = &holder_nodes_[static_cast<size_t>(held)].h;
     if (mode == LockMode::kShared || mine->mode == LockMode::kExclusive) {
       ++stats_.immediate_grants;  // Already sufficient.
       return LockRequestOutcome::kGranted;
@@ -168,7 +203,7 @@ LockRequestOutcome LockManager::Request(TxnId txn, ObjectId obj, LockMode mode,
   // Fresh request: no queue jumping.
   if (entry.queue_head < 0 &&
       CompatibleWithHolders(entry, txn, mode, /*upgrade=*/false)) {
-    entry.holders.push_back(Holder{txn, mode});
+    AddHolder(entry, Holder{txn, mode});
     RecOf(txn).held.push_back(obj);
     SyncOccupancy(entry);
     ++stats_.immediate_grants;
@@ -198,9 +233,9 @@ void LockManager::ProcessQueue(ObjectId obj, Entry& entry,
                                  /*upgrade=*/true)) {
         return;
       }
-      for (Holder& h : entry.holders) {
-        if (h.txn == w.txn) h.mode = LockMode::kExclusive;
-      }
+      const int32_t held = FindHolder(entry, w.txn);
+      CCSIM_CHECK_GE(held, 0) << "upgrader " << w.txn << " holds no lock";
+      holder_nodes_[static_cast<size_t>(held)].h.mode = LockMode::kExclusive;
       if (auditor_ != nullptr) {
         auditor_->OnLockAcquired(w.txn, obj, /*exclusive=*/true);
       }
@@ -208,7 +243,7 @@ void LockManager::ProcessQueue(ObjectId obj, Entry& entry,
       if (!CompatibleWithHolders(entry, w.txn, w.mode, /*upgrade=*/false)) {
         return;
       }
-      entry.holders.push_back(Holder{w.txn, w.mode});
+      AddHolder(entry, Holder{w.txn, w.mode});
       txns_.At(w.txn).held.push_back(obj);
       if (auditor_ != nullptr) {
         auditor_->OnLockAcquired(w.txn, obj, w.mode == LockMode::kExclusive);
@@ -252,10 +287,7 @@ const std::vector<TxnId>& LockManager::ReleaseAll(TxnId txn) {
   for (ObjectId obj : rec->held) {
     Entry* entry = table_.Find(obj);
     CCSIM_CHECK(entry != nullptr);
-    auto pos = std::find_if(entry->holders.begin(), entry->holders.end(),
-                            [txn](const Holder& h) { return h.txn == txn; });
-    CCSIM_CHECK(pos != entry->holders.end());
-    entry->holders.erase(pos);
+    RemoveHolder(*entry, txn);
     if (!had_pending || obj != pending_obj) affected_scratch_.push_back(obj);
   }
   txns_.Erase(txn);
@@ -302,12 +334,12 @@ void LockManager::AppendBlockersOf(TxnId txn, std::vector<TxnId>* out) const {
   CCSIM_CHECK_GE(cur, 0);
   // Conflicting holders block us.
   const Waiter& mine = nodes_[static_cast<size_t>(cur)].w;
-  for (const Holder& h : entry->holders) {
-    if (h.txn == txn) continue;
-    if (mine.upgrade || ModeConflicts(h.mode, mine.mode)) {
+  ForEachHolder(*entry, [&](const Holder& h) {
+    if (h.txn != txn && (mine.upgrade || ModeConflicts(h.mode, mine.mode))) {
       out->push_back(h.txn);
     }
-  }
+    return true;
+  });
   // De-duplicate (a txn could be both holder and earlier waiter on upgrades).
   std::sort(out->begin(), out->end());
   out->erase(std::unique(out->begin(), out->end()), out->end());
@@ -317,20 +349,21 @@ std::vector<TxnId> LockManager::HoldersOf(ObjectId obj) const {
   std::vector<TxnId> holders;
   const Entry* entry = table_.Find(obj);
   if (entry == nullptr) return holders;
-  holders.reserve(entry->holders.size());
-  for (const Holder& h : entry->holders) holders.push_back(h.txn);
+  ForEachHolder(*entry, [&holders](const Holder& h) {
+    holders.push_back(h.txn);
+    return true;
+  });
   return holders;
 }
 
 bool LockManager::HoldsAtLeast(TxnId txn, ObjectId obj, LockMode mode) const {
   const Entry* entry = table_.Find(obj);
   if (entry == nullptr) return false;
-  for (const Holder& h : entry->holders) {
-    if (h.txn == txn) {
-      return mode == LockMode::kShared || h.mode == LockMode::kExclusive;
-    }
-  }
-  return false;
+  const int32_t held = FindHolder(*entry, txn);
+  return held >= 0 &&
+         (mode == LockMode::kShared ||
+          holder_nodes_[static_cast<size_t>(held)].h.mode ==
+              LockMode::kExclusive);
 }
 
 size_t LockManager::NumHeld(TxnId txn) const {
@@ -349,7 +382,7 @@ void LockManager::AuditCheck(Auditor* auditor, const SmallIdSet& doomed) const {
   // is that the occupancy flag and counter agree with the contents.
   size_t occupied_seen = 0;
   table_.ForEachTouched([&](ObjectId obj, const Entry& entry) {
-    const bool nonempty = !entry.holders.empty() || entry.queue_head >= 0;
+    const bool nonempty = entry.holder_head >= 0 || entry.queue_head >= 0;
     if (entry.occupied) ++occupied_seen;
     if (entry.occupied != nonempty) {
       std::ostringstream detail;
@@ -358,7 +391,9 @@ void LockManager::AuditCheck(Auditor* auditor, const SmallIdSet& doomed) const {
     }
     SmallIdSet seen_holders;
     int exclusive_holders = 0;
-    for (const Holder& h : entry.holders) {
+    int holders = 0;
+    ForEachHolder(entry, [&](const Holder& h) {
+      ++holders;
       if (!seen_holders.insert(h.txn)) {
         std::ostringstream detail;
         detail << "txn appears twice among holders of object " << obj;
@@ -373,12 +408,14 @@ void LockManager::AuditCheck(Auditor* auditor, const SmallIdSet& doomed) const {
         detail << "holder of object " << obj << " missing from held index";
         report(h.txn, detail.str());
       }
-    }
-    if (exclusive_holders > 0 && entry.holders.size() > 1) {
+      return true;
+    });
+    if (exclusive_holders > 0 && holders > 1) {
       std::ostringstream detail;
       detail << "object " << obj << " has an exclusive holder alongside "
-             << entry.holders.size() - 1 << " other holder(s)";
-      report(entry.holders.front().txn, detail.str());
+             << holders - 1 << " other holder(s)";
+      report(holder_nodes_[static_cast<size_t>(entry.holder_head)].h.txn,
+             detail.str());
     }
     for (int32_t cur = entry.queue_head; cur >= 0;
          cur = nodes_[static_cast<size_t>(cur)].next) {
@@ -429,7 +466,7 @@ void LockManager::AuditCheck(Auditor* auditor, const SmallIdSet& doomed) const {
       const Entry* entry = table_.Find(obj);
       bool found = false;
       if (entry != nullptr) {
-        for (const Holder& h : entry->holders) found |= h.txn == txn;
+        found = FindHolder(*entry, txn) >= 0;
       }
       if (!found) {
         std::ostringstream detail;

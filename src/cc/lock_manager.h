@@ -18,9 +18,10 @@
 //
 // Storage layout (docs/PERFORMANCE.md "Dense CC state"): the lock table is a
 // GranuleTable directly indexed by ObjectId; per-transaction state lives in a
-// TxnSlotMap of reusable slots; and wait queues are intrusive FIFO lists
-// threaded through a pooled, free-listed node vector — no per-object deque,
-// no hashing, and no allocation in steady state once the pools are warm.
+// TxnSlotMap of reusable slots; and both the holder lists and the wait queues
+// are intrusive lists threaded through pooled, free-listed node vectors — no
+// per-object vector or deque, no hashing, and no allocation in steady state
+// once the pools cover the peak number of locks held and requests queued.
 #ifndef CCSIM_CC_LOCK_MANAGER_H_
 #define CCSIM_CC_LOCK_MANAGER_H_
 
@@ -148,17 +149,18 @@ class LockManager {
     Waiter w;
     int32_t next = -1;
   };
+  /// Pooled holder node; `next` indexes holder_nodes_ (-1 terminates).
+  struct HolderNode {
+    Holder h;
+    int32_t next = -1;
+  };
   struct Entry {
-    std::vector<Holder> holders;
+    /// holder_nodes_ index of the first holder in acquisition order, or -1.
+    int32_t holder_head = -1;
+    int32_t holder_tail = -1;
     int32_t queue_head = -1;  ///< nodes_ index of the front waiter, or -1.
     int32_t queue_tail = -1;
     bool occupied = false;  ///< Counted in occupied_count_.
-    /// Slot reuse across GranuleTable epochs keeps holder capacity.
-    void Recycle() {
-      holders.clear();
-      queue_head = queue_tail = -1;
-      occupied = false;
-    }
   };
   /// Per-transaction state: held objects in acquisition order (a txn holds
   /// each object at most once, so a flat vector beats a hash set) plus the
@@ -174,8 +176,25 @@ class LockManager {
 
   /// True if a (possibly upgrade) exclusive/shared request by `txn` is
   /// compatible with the current holders of `entry`.
-  static bool CompatibleWithHolders(const Entry& entry, TxnId txn,
-                                    LockMode mode, bool upgrade);
+  bool CompatibleWithHolders(const Entry& entry, TxnId txn, LockMode mode,
+                             bool upgrade) const;
+
+  /// Visits `entry`'s holders in acquisition order as fn(const Holder&);
+  /// stops early (returning false) when fn returns false.
+  template <typename Fn>
+  bool ForEachHolder(const Entry& entry, Fn&& fn) const {
+    for (int32_t cur = entry.holder_head; cur >= 0;
+         cur = holder_nodes_[static_cast<size_t>(cur)].next) {
+      if (!fn(holder_nodes_[static_cast<size_t>(cur)].h)) return false;
+    }
+    return true;
+  }
+  /// holder_nodes_ index of `txn`'s holder record on `entry`, or -1.
+  int32_t FindHolder(const Entry& entry, TxnId txn) const;
+  /// Appends a holder at the back of `entry`'s list.
+  void AddHolder(Entry& entry, const Holder& holder);
+  /// Unlinks `txn`'s holder record from `entry` (it must be present).
+  void RemoveHolder(Entry& entry, TxnId txn);
 
   /// The txn's record, created on demand.
   TxnRec& RecOf(TxnId txn);
@@ -204,6 +223,9 @@ class LockManager {
   TxnSlotMap<TxnRec> txns_;
   std::vector<WaiterNode> nodes_;  ///< Waiter-node pool shared by all queues.
   int32_t free_node_ = -1;         ///< Head of the pool's free list.
+  /// Holder-node pool shared by all holder lists, and its free list.
+  std::vector<HolderNode> holder_nodes_;
+  int32_t free_holder_ = -1;
   size_t waiting_count_ = 0;
   size_t occupied_count_ = 0;
   std::vector<TxnId> granted_scratch_;    ///< ReleaseAll result buffer.

@@ -36,6 +36,11 @@ CCDecision OptimisticCC::WriteRequest(TxnId txn, ObjectId obj) {
   // locking the engine declares the write *instead of* the read), so a write
   // declaration implies readset membership for validation purposes.
   InsertUnique(state.reads, obj);
+  // The write set is a subset of the read set: give it the read buffer's
+  // capacity, so a recycled slot stops growing as soon as its reads do.
+  if (state.writes.capacity() < state.reads.capacity()) {
+    state.writes.reserve(state.reads.capacity());
+  }
   InsertUnique(state.writes, obj);
   return CCDecision::kGranted;
 }

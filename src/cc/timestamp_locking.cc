@@ -78,7 +78,8 @@ CCDecision TimestampLockingCC::HandleRequest(TxnId txn, ObjectId obj,
       [this](TxnId t) { return locks_.NumHeld(t); },
   };
   if (deadlock_searches_ != nullptr) deadlock_searches_->Inc();
-  DeadlockResolution resolution = detector_.Resolve(txn, doomed_, context);
+  const DeadlockResolution& resolution =
+      detector_.Resolve(txn, doomed_, context);
   stats_.deadlocks_detected += resolution.cycles_found;
   for (TxnId victim : resolution.victims) {
     ++stats_.deadlock_victims;

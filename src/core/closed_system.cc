@@ -39,8 +39,7 @@ ClosedSystem::ClosedSystem(Simulator* sim, const EngineConfig& config)
       mpl_(config.workload.mpl),
       workload_(config.workload, NthStream(config.seed, 0),
                 NthStream(config.seed, 1)),
-      resources_(sim, config.resources,
-                 NthStream(config.seed, 2)),
+      resources_(sim, config.resources, NthStream(config.seed, 2), this),
       cc_(config.cc_factory
               ? config.cc_factory(config)
               : MakeConcurrencyControl(config.algorithm,
@@ -251,8 +250,8 @@ void ClosedSystem::SubmitFromTerminal(int terminal) {
   Txn& txn = txns_.Insert(id);
   txn.id = id;
   txn.terminal = terminal;
-  txn.spec = workload_.NextTransaction();
-  txn.write_set = txn.spec.WriteSet();
+  workload_.NextTransaction(&txn.spec);
+  txn.spec.WriteSet(&txn.write_set);
   txn.first_submit = sim_->Now();
   txn.state = TxnState::kReady;
   if (obs_on_) txn.ready_since = sim_->Now();
@@ -278,7 +277,7 @@ void ClosedSystem::TryActivate() {
           MaybeChoose("ready.pick", signatures, static_cast<int>(count)));
     }
     TxnId id = ready_queue_[pick];
-    ready_queue_.erase(ready_queue_.begin() + static_cast<ptrdiff_t>(pick));
+    ready_queue_.erase(pick);
     Activate(id);
   }
 }
@@ -320,25 +319,24 @@ void ClosedSystem::Activate(TxnId id) {
   }
   cc_->OnBegin(id, txn.first_submit, txn.incarnation_start);
   if (cc_->needs_predeclaration()) {
-    std::vector<ObjectId> read_granules, write_granules;
-    for (ObjectId obj : txn.spec.reads) {
-      ObjectId granule = GranuleOf(obj);
-      if (std::find(read_granules.begin(), read_granules.end(), granule) ==
-          read_granules.end()) {
-        read_granules.push_back(granule);
+    auto granules_of = [this](const std::vector<ObjectId>& objects,
+                              std::vector<ObjectId>* granules) {
+      granules->clear();
+      for (ObjectId obj : objects) {
+        ObjectId granule = GranuleOf(obj);
+        if (std::find(granules->begin(), granules->end(), granule) ==
+            granules->end()) {
+          granules->push_back(granule);
+        }
       }
-    }
-    for (ObjectId obj : txn.write_set) {
-      ObjectId granule = GranuleOf(obj);
-      if (std::find(write_granules.begin(), write_granules.end(), granule) ==
-          write_granules.end()) {
-        write_granules.push_back(granule);
-      }
-    }
-    CCDecision decision = cc_->Predeclare(id, read_granules, write_granules);
+    };
+    granules_of(txn.spec.reads, &predeclare_reads_);
+    granules_of(txn.write_set, &predeclare_writes_);
+    CCDecision decision =
+        cc_->Predeclare(id, predeclare_reads_, predeclare_writes_);
     AuditFold(AuditOp::kPredeclare, id, static_cast<int64_t>(decision),
-              static_cast<int64_t>(read_granules.size() +
-                                   write_granules.size()));
+              static_cast<int64_t>(predeclare_reads_.size() +
+                                   predeclare_writes_.size()));
     CountDecision(decision);
     switch (decision) {
       case CCDecision::kGranted:
@@ -370,28 +368,17 @@ void ClosedSystem::NextStep(TxnId id) {
     Restart(id, RestartCause::kWound);
     return;
   }
-  if (txn.read_index < txn.spec.num_reads()) {
-    if (GranuleAlreadyCovered(txn)) {
-      StartAccess(id);
-    } else {
-      IssueCcRequest(id);
-    }
-    return;
-  }
   if (NeedsInternalThink(txn)) {
     StartInternalThink(id);
     return;
   }
-  if (txn.write_index < static_cast<int>(txn.write_set.size())) {
-    if (GranuleAlreadyCovered(txn)) {
-      StartAccess(id);
-    } else {
-      IssueCcRequest(id);
-    }
+  if (GranuleAlreadyCovered(txn)) {
+    StartAccess(id);
     return;
   }
-  // Commit point: validation request.
-  IssueCcRequest(id);
+  // The next read or write request, or at the commit point the validation
+  // request; each pays cc_cpu first.
+  Serve(ServiceKind::kCcCpu, id, txn.incarnation, config_.workload.cc_cpu);
 }
 
 bool ClosedSystem::NeedsInternalThink(const Txn& txn) const {
@@ -417,25 +404,6 @@ bool ClosedSystem::GranuleAlreadyCovered(const Txn& txn) const {
     return txn.write_granules.count(granule) > 0;
   }
   return false;  // The validation request is always issued.
-}
-
-void ClosedSystem::IssueCcRequest(TxnId id) {
-  Txn& txn = GetTxn(id);
-  SimTime cc_cpu = config_.workload.cc_cpu;
-  if (cc_cpu > 0) {
-    int incarnation = txn.incarnation;
-    SimTime req_at = sim_->Now();
-    resources_.RequestCpu(cc_cpu, ServicePriority::kConcurrencyControl,
-                          [this, id, incarnation, cc_cpu, req_at] {
-                            CCSIM_CHECK(IsCurrent(id, incarnation));
-                            GetTxn(id).cpu_used += cc_cpu;
-                            ChargePhase(GetTxn(id), &Txn::ph_cpu, cc_cpu,
-                                        req_at);
-                            HandleCcRequest(id);
-                          });
-    return;
-  }
-  HandleCcRequest(id);
 }
 
 void ClosedSystem::HandleCcRequest(TxnId id) {
@@ -534,77 +502,102 @@ void ClosedSystem::StartAccess(TxnId id) {
   Txn& txn = GetTxn(id);
   CCSIM_CHECK(txn.state == TxnState::kRunning);
   const WorkloadParams& w = config_.workload;
-  int incarnation = txn.incarnation;
-
   if (txn.read_index < txn.spec.num_reads()) {
-    // Read: obj_io on a random disk, then obj_cpu. Completions capture five
-    // scalars at most (never the whole WorkloadParams) so they stay inside
-    // the ServiceCompletion inline buffer — zero heap allocations per access.
-    // Buffer-pool model: a read may hit the buffer and skip the disk.
+    // Read: obj_io on a random disk, then obj_cpu. Buffer-pool model: a
+    // read may hit the buffer and skip the disk.
     bool buffer_hit = w.buffer_hit_prob > 0.0 &&
                       buffer_rng_.Bernoulli(w.buffer_hit_prob);
-    if (w.obj_io > 0 && !buffer_hit) {
-      SimTime obj_io = w.obj_io;
-      SimTime req_at = sim_->Now();
-      resources_.RequestDisk(obj_io, [this, id, incarnation, obj_io, req_at] {
-        CCSIM_CHECK(IsCurrent(id, incarnation));
-        GetTxn(id).disk_used += obj_io;
-        ChargePhase(GetTxn(id), &Txn::ph_disk, obj_io, req_at);
-        StartReadCpu(id, incarnation);
-      });
-    } else {
-      StartReadCpu(id, incarnation);
-    }
+    Serve(ServiceKind::kReadDisk, id, txn.incarnation,
+          buffer_hit ? 0 : w.obj_io);
     return;
   }
-
   // Write request: obj_cpu only; the physical write is deferred to commit.
-  if (w.obj_cpu > 0) {
-    SimTime obj_cpu = w.obj_cpu;
-    SimTime req_at = sim_->Now();
-    resources_.RequestCpu(obj_cpu, ServicePriority::kNormal,
-                          [this, id, incarnation, obj_cpu, req_at] {
-                            CCSIM_CHECK(IsCurrent(id, incarnation));
-                            GetTxn(id).cpu_used += obj_cpu;
-                            ChargePhase(GetTxn(id), &Txn::ph_cpu, obj_cpu,
-                                        req_at);
-                            AfterWriteAccess(id, incarnation);
-                          });
-  } else {
-    AfterWriteAccess(id, incarnation);
+  Serve(ServiceKind::kWriteCpu, id, txn.incarnation, w.obj_cpu);
+}
+
+void ClosedSystem::Serve(ServiceKind kind, TxnId txn, int incarnation,
+                         SimTime service) {
+  const ServiceRequest request{static_cast<uint8_t>(kind), incarnation, txn,
+                               service, sim_->Now()};
+  if (service <= 0) {
+    OnServiceDone(request);
+    return;
+  }
+  switch (kind) {
+    case ServiceKind::kCcCpu:
+      resources_.RequestCpu(ServicePriority::kConcurrencyControl, request);
+      return;
+    case ServiceKind::kReadCpu:
+    case ServiceKind::kWriteCpu:
+      resources_.RequestCpu(ServicePriority::kNormal, request);
+      return;
+    case ServiceKind::kReadDisk:
+    case ServiceKind::kUpdateDisk:
+      resources_.RequestDisk(request);
+      return;
+    case ServiceKind::kLog:
+    case ServiceKind::kGroupLog:
+      resources_.RequestLog(request);
+      return;
   }
 }
 
-void ClosedSystem::StartReadCpu(TxnId id, int incarnation) {
-  CCSIM_CHECK(IsCurrent(id, incarnation));
-  SimTime obj_cpu = config_.workload.obj_cpu;
-  if (obj_cpu > 0) {
-    SimTime req_at = sim_->Now();
-    resources_.RequestCpu(obj_cpu, ServicePriority::kNormal,
-                          [this, id, incarnation, obj_cpu, req_at] {
-                            CCSIM_CHECK(IsCurrent(id, incarnation));
-                            GetTxn(id).cpu_used += obj_cpu;
-                            ChargePhase(GetTxn(id), &Txn::ph_cpu, obj_cpu,
-                                        req_at);
-                            AfterReadAccess(id, incarnation);
-                          });
-  } else {
-    AfterReadAccess(id, incarnation);
+void ClosedSystem::OnServiceDone(const ServiceRequest& request) {
+  const auto kind = static_cast<ServiceKind>(request.kind);
+  if (kind == ServiceKind::kGroupLog) {
+    const auto slot = static_cast<size_t>(request.txn);
+    for (size_t i = 0; i < group_batches_[slot].size(); ++i) {
+      const auto [id, incarnation] = group_batches_[slot][i];
+      // A batch member may have been wounded and restarted while waiting;
+      // its incarnation guard skips it (the doomed path aborts elsewhere).
+      if (IsCurrent(id, incarnation)) NextUpdate(id);
+    }
+    group_batches_[slot].clear();
+    free_group_batches_.push_back(slot);
+    return;
   }
-}
-
-void ClosedSystem::AfterReadAccess(TxnId id, int incarnation) {
-  CCSIM_CHECK(IsCurrent(id, incarnation));
-  // The logical read was already recorded at its cc grant (HandleCcRequest).
-  ++GetTxn(id).read_index;
-  NextStep(id);
-}
-
-void ClosedSystem::AfterWriteAccess(TxnId id, int incarnation) {
-  CCSIM_CHECK(IsCurrent(id, incarnation));
-  Txn& txn = GetTxn(id);
-  ++txn.write_index;
-  NextStep(id);
+  const TxnId id = request.txn;
+  Txn* txn = txns_.Find(id);
+  CCSIM_CHECK(txn != nullptr && txn->incarnation == request.incarnation);
+  const SimTime service = request.service;
+  switch (kind) {
+    case ServiceKind::kCcCpu:
+      txn->cpu_used += service;
+      ChargePhase(*txn, &Txn::ph_cpu, service, request.requested_at);
+      HandleCcRequest(id);
+      return;
+    case ServiceKind::kReadDisk:
+      txn->disk_used += service;
+      ChargePhase(*txn, &Txn::ph_disk, service, request.requested_at);
+      Serve(ServiceKind::kReadCpu, id, txn->incarnation,
+            config_.workload.obj_cpu);
+      return;
+    case ServiceKind::kReadCpu:
+      txn->cpu_used += service;
+      ChargePhase(*txn, &Txn::ph_cpu, service, request.requested_at);
+      // The logical read was already recorded at its cc grant.
+      ++txn->read_index;
+      NextStep(id);
+      return;
+    case ServiceKind::kWriteCpu:
+      txn->cpu_used += service;
+      ChargePhase(*txn, &Txn::ph_cpu, service, request.requested_at);
+      ++txn->write_index;
+      NextStep(id);
+      return;
+    case ServiceKind::kLog:
+      ChargePhase(*txn, &Txn::ph_disk, service, request.requested_at);
+      NextUpdate(id);
+      return;
+    case ServiceKind::kUpdateDisk:
+      txn->disk_used += service;
+      ChargePhase(*txn, &Txn::ph_disk, service, request.requested_at);
+      ++txn->update_index;
+      NextUpdate(id);
+      return;
+    case ServiceKind::kGroupLog:
+      return;  // Handled above.
+  }
 }
 
 void ClosedSystem::StartInternalThink(TxnId id) {
@@ -632,24 +625,17 @@ void ClosedSystem::BeginUpdates(TxnId id) {
   // dedicated log disk before applying their deferred updates.
   const WorkloadParams& w = config_.workload;
   if (w.log_io > 0 && !txn.write_set.empty()) {
-    int incarnation = txn.incarnation;
     if (config_.group_commit_window > 0) {
       // Group commit: join the current batch; the first joiner arms the
       // window timer that flushes everyone with one log write.
-      group_commit_queue_.emplace_back(id, incarnation);
+      group_commit_queue_.emplace_back(id, txn.incarnation);
       if (group_commit_queue_.size() == 1) {
         pending_group_flush_ = sim_->Schedule(
             config_.group_commit_window, [this] { FlushGroupCommit(); });
       }
       return;
     }
-    SimTime log_io = w.log_io;
-    SimTime req_at = sim_->Now();
-    resources_.RequestLog(log_io, [this, id, incarnation, log_io, req_at] {
-      CCSIM_CHECK(IsCurrent(id, incarnation));
-      ChargePhase(GetTxn(id), &Txn::ph_disk, log_io, req_at);
-      NextUpdate(id);
-    });
+    Serve(ServiceKind::kLog, id, txn.incarnation, w.log_io);
     return;
   }
   NextUpdate(id);
@@ -657,18 +643,19 @@ void ClosedSystem::BeginUpdates(TxnId id) {
 
 void ClosedSystem::FlushGroupCommit() {
   pending_group_flush_ = kInvalidEventId;
-  std::vector<std::pair<TxnId, int>> batch = std::move(group_commit_queue_);
-  group_commit_queue_.clear();
-  if (batch.empty()) return;
-  resources_.RequestLog(config_.workload.log_io,
-                        [this, batch = std::move(batch)] {
-    for (const auto& [id, incarnation] : batch) {
-      // A batch member may have been wounded and restarted while waiting;
-      // its incarnation guard skips it (the doomed path aborts elsewhere).
-      if (!IsCurrent(id, incarnation)) continue;
-      NextUpdate(id);
-    }
-  });
+  if (group_commit_queue_.empty()) return;
+  // The batch moves into a recycled slot (capacity and all) that the log
+  // request names in place of a transaction id.
+  size_t slot = group_batches_.size();
+  if (free_group_batches_.empty()) {
+    group_batches_.emplace_back();
+  } else {
+    slot = free_group_batches_.back();
+    free_group_batches_.pop_back();
+  }
+  group_batches_[slot].swap(group_commit_queue_);
+  Serve(ServiceKind::kGroupLog, static_cast<TxnId>(slot), 0,
+        config_.workload.log_io);
 }
 
 void ClosedSystem::NextUpdate(TxnId id) {
@@ -682,23 +669,8 @@ void ClosedSystem::NextUpdate(TxnId id) {
     Complete(id);
     return;
   }
-  const WorkloadParams& w = config_.workload;
-  int incarnation = txn.incarnation;
-  if (w.obj_io > 0) {
-    SimTime obj_io = w.obj_io;
-    SimTime req_at = sim_->Now();
-    resources_.RequestDisk(obj_io, [this, id, incarnation, obj_io, req_at] {
-      CCSIM_CHECK(IsCurrent(id, incarnation));
-      Txn& t = GetTxn(id);
-      t.disk_used += obj_io;
-      ChargePhase(t, &Txn::ph_disk, obj_io, req_at);
-      ++t.update_index;
-      NextUpdate(id);
-    });
-  } else {
-    ++txn.update_index;
-    NextUpdate(id);
-  }
+  Serve(ServiceKind::kUpdateDisk, id, txn.incarnation,
+        config_.workload.obj_io);
 }
 
 void ClosedSystem::Complete(TxnId id) {

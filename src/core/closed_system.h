@@ -14,7 +14,6 @@
 #ifndef CCSIM_CORE_CLOSED_SYSTEM_H_
 #define CCSIM_CORE_CLOSED_SYSTEM_H_
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -130,8 +129,10 @@ struct EngineConfig {
 };
 
 /// The simulation engine. Owns the workload, resources, and the concurrency
-/// control algorithm; drives every transaction through its lifecycle.
-class ClosedSystem {
+/// control algorithm; drives every transaction through its lifecycle. It is
+/// the resource pools' ServiceSink: every service step completes through
+/// OnServiceDone.
+class ClosedSystem : private ServiceSink {
  public:
   ClosedSystem(Simulator* sim, const EngineConfig& config);
 
@@ -267,7 +268,9 @@ class ClosedSystem {
     void Recycle() {
       id = kInvalidTxn;
       terminal = -1;
-      spec = TxnSpec{};
+      spec.reads.clear();
+      spec.writes.clear();
+      spec.class_index = 0;
       write_set.clear();
       first_submit = 0;
       incarnation_start = 0;
@@ -314,15 +317,8 @@ class ClosedSystem {
   void TryActivate();
   void Activate(TxnId id);
   void NextStep(TxnId id);
-  void IssueCcRequest(TxnId id);
   void HandleCcRequest(TxnId id);
   void StartAccess(TxnId id);
-  /// CPU half of a read access (after the disk I/O, or directly on a buffer
-  /// hit). Split out so resource completions capture five scalars at most
-  /// and stay inside the ServiceCompletion inline buffer (res/server_pool.h).
-  void StartReadCpu(TxnId id, int incarnation);
-  void AfterReadAccess(TxnId id, int incarnation);
-  void AfterWriteAccess(TxnId id, int incarnation);
   void StartInternalThink(TxnId id);
   void BeginUpdates(TxnId id);
   void FlushGroupCommit();
@@ -330,6 +326,22 @@ class ClosedSystem {
   void Complete(TxnId id);
   void Restart(TxnId id, RestartCause cause);
   void Deactivate();
+
+  // Resource service. Each step of a transaction that costs service is one
+  // ServiceRequest tagged with its kind; OnServiceDone dispatches on it.
+  enum class ServiceKind : uint8_t {
+    kCcCpu,       ///< cc_cpu ahead of a cc request.
+    kReadDisk,    ///< obj_io of a read (skipped on a buffer hit).
+    kReadCpu,     ///< obj_cpu of a read.
+    kWriteCpu,    ///< obj_cpu of a write request (the update is buffered).
+    kLog,         ///< The commit log record (log_io).
+    kUpdateDisk,  ///< obj_io of one deferred update.
+    kGroupLog,    ///< One group-commit flush; `txn` is a group_batches_ slot.
+  };
+  /// Requests `service` µs for the step `kind` of (txn, incarnation), or —
+  /// for a zero-cost step — completes it on the spot.
+  void Serve(ServiceKind kind, TxnId txn, int incarnation, SimTime service);
+  void OnServiceDone(const ServiceRequest& request) override;
 
   // Concurrency control callbacks.
   void OnGranted(TxnId id);
@@ -402,7 +414,7 @@ class ClosedSystem {
   /// (kClosed) is alive, so the slot map recycles a bounded set of slots —
   /// and each Txn's buffers with them.
   TxnSlotMap<Txn> txns_;
-  std::deque<TxnId> ready_queue_;
+  RingQueue<TxnId> ready_queue_;
   int active_count_ = 0;
   TimeWeightedValue active_mpl_;
 
@@ -487,6 +499,13 @@ class ClosedSystem {
   /// (id, incarnation); the window timer is pending_group_flush_.
   std::vector<std::pair<TxnId, int>> group_commit_queue_;
   EventId pending_group_flush_ = kInvalidEventId;
+  /// Flushed batches whose log write is in service, by slot (the kGroupLog
+  /// request's `txn`); emptied slots are reused via free_group_batches_.
+  std::vector<std::vector<std::pair<TxnId, int>>> group_batches_;
+  std::vector<size_t> free_group_batches_;
+  /// Predeclared granule sets, rebuilt at every predeclaring Activate.
+  std::vector<ObjectId> predeclare_reads_;
+  std::vector<ObjectId> predeclare_writes_;
 };
 
 }  // namespace ccsim

@@ -8,22 +8,23 @@
 namespace ccsim {
 
 ResourceManager::ResourceManager(Simulator* sim, const ResourceConfig& config,
-                                 Rng disk_rng)
-    : sim_(sim), config_(config), disk_rng_(std::move(disk_rng)) {
+                                 Rng disk_rng, ServiceSink* sink)
+    : sim_(sim), sink_(sink), config_(config), disk_rng_(std::move(disk_rng)) {
   if (config_.infinite) {
-    cpu_ = std::make_unique<ServerPool>(sim_, 0, /*infinite=*/true, "cpu");
+    cpu_ = std::make_unique<ServerPool>(sim_, sink_, 0, /*infinite=*/true,
+                                        "cpu");
     // One infinite pool stands in for the whole disk farm: with no queuing
     // the partitioning is unobservable.
-    disks_.push_back(
-        std::make_unique<ServerPool>(sim_, 0, /*infinite=*/true, "disk"));
+    disks_.push_back(std::make_unique<ServerPool>(sim_, sink_, 0,
+                                                  /*infinite=*/true, "disk"));
   } else {
     CCSIM_CHECK_GE(config_.num_cpus, 1);
     CCSIM_CHECK_GE(config_.num_disks, 1);
-    cpu_ = std::make_unique<ServerPool>(sim_, config_.num_cpus,
+    cpu_ = std::make_unique<ServerPool>(sim_, sink_, config_.num_cpus,
                                         /*infinite=*/false, "cpu");
     for (int i = 0; i < config_.num_disks; ++i) {
       disks_.push_back(std::make_unique<ServerPool>(
-          sim_, 1, /*infinite=*/false, StringPrintf("disk%d", i)));
+          sim_, sink_, 1, /*infinite=*/false, StringPrintf("disk%d", i)));
     }
   }
   // Arm the simulated fault windows last, so the drain events they schedule
@@ -36,33 +37,32 @@ ResourceManager::ResourceManager(Simulator* sim, const ResourceConfig& config,
   }
 }
 
-void ResourceManager::RequestCpu(SimTime service_time, ServicePriority priority,
-                                 ServiceCompletion done) {
-  cpu_->Request(service_time, priority, std::move(done));
+void ResourceManager::RequestCpu(ServicePriority priority,
+                                 const ServiceRequest& request) {
+  cpu_->Request(priority, request);
 }
 
-void ResourceManager::RequestDisk(SimTime service_time, ServiceCompletion done) {
+void ResourceManager::RequestDisk(const ServiceRequest& request) {
   int disk = disks_.size() == 1
                  ? 0
                  : static_cast<int>(disk_rng_.UniformInt(
                        0, static_cast<int64_t>(disks_.size()) - 1));
-  RequestDiskAt(disk, service_time, std::move(done));
+  RequestDiskAt(disk, request);
 }
 
-void ResourceManager::RequestDiskAt(int disk, SimTime service_time,
-                                    ServiceCompletion done) {
+void ResourceManager::RequestDiskAt(int disk, const ServiceRequest& request) {
   CCSIM_CHECK_GE(disk, 0);
   CCSIM_CHECK_LT(disk, num_disks());
-  disks_[static_cast<size_t>(disk)]->Request(
-      service_time, ServicePriority::kNormal, std::move(done));
+  disks_[static_cast<size_t>(disk)]->Request(ServicePriority::kNormal, request);
 }
 
-void ResourceManager::RequestLog(SimTime service_time, ServiceCompletion done) {
+void ResourceManager::RequestLog(const ServiceRequest& request) {
   if (log_ == nullptr) {
-    log_ = std::make_unique<ServerPool>(sim_, 1, config_.infinite, "log");
+    log_ = std::make_unique<ServerPool>(sim_, sink_, 1, config_.infinite,
+                                        "log");
     if (span_sink_ != nullptr) log_->AttachSpanSink(span_sink_);
   }
-  log_->Request(service_time, ServicePriority::kNormal, std::move(done));
+  log_->Request(ServicePriority::kNormal, request);
 }
 
 double ResourceManager::LogUtilization(SimTime now) {

@@ -36,32 +36,35 @@ struct ResourceConfig {
   }
 };
 
-/// Owns the CPU pool and disk array and routes service requests.
+/// Owns the CPU pool and disk array and routes service requests. Every pool
+/// reports its completions to the one ServiceSink given at construction.
 class ResourceManager {
  public:
-  /// `disk_rng` drives the uniform random disk choice.
-  ResourceManager(Simulator* sim, const ResourceConfig& config, Rng disk_rng);
+  /// `disk_rng` drives the uniform random disk choice. `sink` (not owned)
+  /// receives every completed request.
+  ResourceManager(Simulator* sim, const ResourceConfig& config, Rng disk_rng,
+                  ServiceSink* sink);
 
   ResourceManager(const ResourceManager&) = delete;
   ResourceManager& operator=(const ResourceManager&) = delete;
 
   const ResourceConfig& config() const { return config_; }
 
-  /// CPU service; cc requests are prioritized over normal work.
-  void RequestCpu(SimTime service_time, ServicePriority priority,
-                  ServiceCompletion done);
+  /// CPU service; cc requests are prioritized over normal work. Each
+  /// Request* call serves `request.service` µs (ServerPool::Request).
+  void RequestCpu(ServicePriority priority, const ServiceRequest& request);
 
   /// Disk service at a uniformly random disk (the partitioned-database
   /// assumption: each access is equally likely to hit any partition).
-  void RequestDisk(SimTime service_time, ServiceCompletion done);
+  void RequestDisk(const ServiceRequest& request);
 
   /// Disk service at a specific disk (tests and specialized workloads).
-  void RequestDiskAt(int disk, SimTime service_time, ServiceCompletion done);
+  void RequestDiskAt(int disk, const ServiceRequest& request);
 
   /// Service on the dedicated sequential log disk (commit records). The log
   /// disk is created on first use — one FCFS server, or a pure delay under
   /// infinite resources — and is not counted in DiskUtilization().
-  void RequestLog(SimTime service_time, ServiceCompletion done);
+  void RequestLog(const ServiceRequest& request);
 
   /// Log-disk utilization over the current window (0 if the log disk was
   /// never used or resources are infinite).
@@ -102,6 +105,7 @@ class ResourceManager {
 
  private:
   Simulator* sim_;
+  ServiceSink* sink_;
   ResourceConfig config_;
   Rng disk_rng_;
   std::unique_ptr<ServerPool> cpu_;

@@ -1,53 +1,52 @@
 #include "res/server_pool.h"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 
 #include "util/check.h"
 
 namespace ccsim {
 
-ServerPool::ServerPool(Simulator* sim, int num_servers, bool infinite,
-                       std::string name)
+ServerPool::ServerPool(Simulator* sim, ServiceSink* sink, int num_servers,
+                       bool infinite, std::string name)
     : sim_(sim),
+      sink_(sink),
       num_servers_(infinite ? 0 : num_servers),
       infinite_(infinite),
       name_(std::move(name)),
       busy_time_(sim->Now()),
       queue_len_(sim->Now()) {
+  CCSIM_CHECK(sink != nullptr) << "pool " << name_ << " needs a sink";
   CCSIM_CHECK(infinite || num_servers >= 1)
       << "finite pool " << name_ << " needs at least one server";
 }
 
-void ServerPool::Request(SimTime service_time, ServicePriority priority,
-                         ServiceCompletion done) {
-  CCSIM_CHECK_GT(service_time, 0) << "zero-cost service in pool " << name_;
-  Pending pending{service_time, sim_->Now(), std::move(done)};
+void ServerPool::Request(ServicePriority priority, ServiceRequest request) {
+  CCSIM_CHECK_GT(request.service, 0) << "zero-cost service in pool " << name_;
+  request.requested_at = sim_->Now();
   // Inside a fault window nothing starts: the request queues even with idle
   // servers (infinite pools included — their only queue use), and the drain
   // event at the window end picks it up. Deferral time is attributed to
   // fault_delay() at drain.
   if (fault_.active(sim_->Now())) {
     ++faulted_requests_;
-    auto& fq = priority == ServicePriority::kConcurrencyControl
-                   ? cc_queue_
-                   : normal_queue_;
-    fq.push_back(std::move(pending));
-    queue_len_.Set(sim_->Now(), static_cast<double>(queue_length()));
-    if (span_sink_ != nullptr) {
-      span_sink_->OnQueueDepth(span_track_, sim_->Now(),
-                               static_cast<int>(queue_length()));
-    }
+    Enqueue(priority, request);
     return;
   }
   if (infinite_ || busy_servers_ < num_servers_) {
     wait_times_.Add(0.0);
-    BeginService(std::move(pending));
+    BeginService(request);
     return;
   }
-  auto& queue = priority == ServicePriority::kConcurrencyControl ? cc_queue_
-                                                                 : normal_queue_;
-  queue.push_back(std::move(pending));
+  Enqueue(priority, request);
+}
+
+void ServerPool::Enqueue(ServicePriority priority,
+                         const ServiceRequest& request) {
+  (priority == ServicePriority::kConcurrencyControl ? cc_queue_
+                                                    : normal_queue_)
+      .push_back(request);
   queue_len_.Set(sim_->Now(), static_cast<double>(queue_length()));
   if (span_sink_ != nullptr) {
     span_sink_->OnQueueDepth(span_track_, sim_->Now(),
@@ -55,13 +54,29 @@ void ServerPool::Request(SimTime service_time, ServicePriority priority,
   }
 }
 
-void ServerPool::BeginService(Pending pending) {
+ServiceRequest ServerPool::StartNextWaiter() {
+  RingQueue<ServiceRequest>& queue =
+      !cc_queue_.empty() ? cc_queue_ : normal_queue_;
+  const ServiceRequest next = queue.front();
+  queue.pop_front();
+  queue_len_.Set(sim_->Now(), static_cast<double>(queue_length()));
+  if (span_sink_ != nullptr) {
+    span_sink_->OnQueueDepth(span_track_, sim_->Now(),
+                             static_cast<int>(queue_length()));
+  }
+  wait_times_.Add(ToSeconds(sim_->Now() - next.requested_at));
+  BeginService(next);
+  return next;
+}
+
+void ServerPool::BeginService(const ServiceRequest& request) {
   ++busy_servers_;
   busy_time_.Set(sim_->Now(), static_cast<double>(busy_servers_));
-  SimTime service_time = pending.service_time;
+  SimTime service_time = request.service;
   // Outage hold: a completion that would land inside the window is held to
   // the window end — the server stays busy and the request simply takes
   // longer, modelling in-flight work frozen on a device that dropped off.
+  // The record keeps its nominal `service`; the hold shows up as waiting.
   if (fault_.kind == FaultWindowKind::kOutage) {
     const SimTime completes = sim_->Now() + service_time;
     if (completes >= fault_.start && completes < fault_.end) {
@@ -73,44 +88,29 @@ void ServerPool::BeginService(Pending pending) {
   if (span_sink_ != nullptr) {
     span_sink_->OnServiceSpan(span_track_, sim_->Now(), service_time);
   }
-  ServiceCompletion done = std::move(pending.done);
-  sim_->Schedule(service_time,
-                 [this, done = std::move(done)]() mutable {
-                   OnServiceComplete(std::move(done));
-                 });
+  auto complete = [this, request] { OnServiceComplete(request); };
+  static_assert(EventCallback::FitsInline<decltype(complete)>() &&
+                    std::is_trivially_copyable_v<decltype(complete)>,
+                "a pool completion must stay inline in its event slot");
+  sim_->Schedule(service_time, complete);
 }
 
-void ServerPool::OnServiceComplete(ServiceCompletion done) {
+void ServerPool::OnServiceComplete(const ServiceRequest& request) {
   --busy_servers_;
   CCSIM_CHECK_GE(busy_servers_, 0);
   busy_time_.Set(sim_->Now(), static_cast<double>(busy_servers_));
   ++completed_requests_;
 
-  // Hand the freed server to the highest-priority waiter before running the
-  // completion, so that queue statistics reflect the instant of transfer.
-  // During a stall window the freed server idles instead — the drain event
-  // at the window end performs the deferred handoffs. (Under an outage no
-  // completion can land here: BeginService held them past the window.)
-  if (!infinite_ && !fault_.active(sim_->Now())) {
-    std::deque<Pending>* queue = nullptr;
-    if (!cc_queue_.empty()) {
-      queue = &cc_queue_;
-    } else if (!normal_queue_.empty()) {
-      queue = &normal_queue_;
-    }
-    if (queue != nullptr) {
-      Pending next = std::move(queue->front());
-      queue->pop_front();
-      queue_len_.Set(sim_->Now(), static_cast<double>(queue_length()));
-      if (span_sink_ != nullptr) {
-        span_sink_->OnQueueDepth(span_track_, sim_->Now(),
-                                 static_cast<int>(queue_length()));
-      }
-      wait_times_.Add(ToSeconds(sim_->Now() - next.enqueue_time));
-      BeginService(std::move(next));
-    }
+  // Hand the freed server to the highest-priority waiter before reporting
+  // the completion, so that queue statistics reflect the instant of
+  // transfer. During a stall window the freed server idles instead — the
+  // drain event at the window end performs the deferred handoffs. (Under an
+  // outage no completion can land here: BeginService held them past the
+  // window.)
+  if (!infinite_ && !fault_.active(sim_->Now()) && queue_length() > 0) {
+    StartNextWaiter();
   }
-  done();
+  sink_->OnServiceDone(request);
 }
 
 void ServerPool::SetFaultWindow(const FaultWindow& window) {
@@ -134,19 +134,9 @@ void ServerPool::DrainAfterFaultWindow() {
   // wait since the window start is attributable to it; arrivals during the
   // window were counted at Request time.
   while ((infinite_ || busy_servers_ < num_servers_) && queue_length() > 0) {
-    std::deque<Pending>* queue =
-        !cc_queue_.empty() ? &cc_queue_ : &normal_queue_;
-    Pending next = std::move(queue->front());
-    queue->pop_front();
-    if (next.enqueue_time < fault_.start) ++faulted_requests_;
-    fault_delay_ += sim_->Now() - std::max(next.enqueue_time, fault_.start);
-    queue_len_.Set(sim_->Now(), static_cast<double>(queue_length()));
-    if (span_sink_ != nullptr) {
-      span_sink_->OnQueueDepth(span_track_, sim_->Now(),
-                               static_cast<int>(queue_length()));
-    }
-    wait_times_.Add(ToSeconds(sim_->Now() - next.enqueue_time));
-    BeginService(std::move(next));
+    const ServiceRequest next = StartNextWaiter();
+    if (next.requested_at < fault_.start) ++faulted_requests_;
+    fault_delay_ += sim_->Now() - std::max(next.requested_at, fault_.start);
   }
 }
 

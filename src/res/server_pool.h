@@ -9,7 +9,7 @@
 #ifndef CCSIM_RES_SERVER_POOL_H_
 #define CCSIM_RES_SERVER_POOL_H_
 
-#include <deque>
+#include <cstdint>
 #include <string>
 
 #include "obs/span_sink.h"
@@ -17,7 +17,7 @@
 #include "sim/time.h"
 #include "stats/time_weighted.h"
 #include "stats/welford.h"
-#include "util/small_fn.h"
+#include "util/dense_table.h"
 
 namespace ccsim {
 
@@ -53,29 +53,53 @@ struct FaultWindow {
   }
 };
 
-/// Completion callback invoked when a service request finishes. Inline
-/// small-buffer storage (no heap) for the engine's completion captures —
-/// [this, id, incarnation, cost, req_at] is 40 bytes; see
-/// sim/simulator.h EventCallback for how pool completions nest inside
-/// scheduled events without overflowing either buffer.
-using ServiceCompletion = SmallFn<48>;
+/// One service request, handed back unchanged to the pool's ServiceSink when
+/// the service completes. A plain record rather than a completion callback:
+/// it is trivially copyable and small enough (32 bytes) that the completion
+/// event carrying it, [pool, request], stays inside EventCallback's inline
+/// storage — no heap allocation per service. The pool reads only `service`
+/// and stamps `requested_at`; `kind`, `incarnation` and `txn` are the
+/// requester's opaque payload.
+struct ServiceRequest {
+  /// Requester-defined tag (the engine's step kind); opaque to the pool.
+  uint8_t kind = 0;
+  int32_t incarnation = 0;
+  /// Requester-defined subject (a transaction id, or any other handle).
+  int64_t txn = 0;
+  /// Service demand in µs; must be > 0 when handed to a pool.
+  SimTime service = 0;
+  /// When the request entered the pool; set by ServerPool::Request.
+  SimTime requested_at = 0;
+};
+
+/// Receives completed service requests.
+class ServiceSink {
+ public:
+  /// Called at the completion instant, after the freed server has been
+  /// handed to the next waiter.
+  virtual void OnServiceDone(const ServiceRequest& request) = 0;
+
+ protected:
+  ~ServiceSink() = default;
+};
 
 /// k identical servers with a shared two-class FCFS queue, or an infinite
 /// server bank when constructed with `infinite = true`.
 class ServerPool {
  public:
   /// `num_servers` is ignored when `infinite` is true. Requires
-  /// num_servers >= 1 otherwise.
-  ServerPool(Simulator* sim, int num_servers, bool infinite,
+  /// num_servers >= 1 otherwise. Completed requests go to `sink` (not
+  /// owned; must outlive the pool's pending events).
+  ServerPool(Simulator* sim, ServiceSink* sink, int num_servers, bool infinite,
              std::string name = "pool");
 
   ServerPool(const ServerPool&) = delete;
   ServerPool& operator=(const ServerPool&) = delete;
 
-  /// Requests `service_time` µs of service; `done` fires at completion.
-  /// Requires service_time > 0 (zero-cost steps are the caller's business).
-  void Request(SimTime service_time, ServicePriority priority,
-               ServiceCompletion done);
+  /// Requests `request.service` µs of service; the sink receives `request`
+  /// at completion, with `requested_at` set to now. Requires service > 0
+  /// (zero-cost steps are the caller's business).
+  void Request(ServicePriority priority, ServiceRequest request);
 
   /// Arms one simulated fault window (docs/FAULTS.md). Must be called
   /// before the simulation advances into the window; requires
@@ -135,26 +159,25 @@ class ServerPool {
   void AttachSpanSink(ServiceSpanSink* sink);
 
  private:
-  struct Pending {
-    SimTime service_time;
-    SimTime enqueue_time;
-    ServiceCompletion done;
-  };
-
-  void BeginService(Pending pending);
-  void OnServiceComplete(ServiceCompletion done);
+  void Enqueue(ServicePriority priority, const ServiceRequest& request);
+  /// Pops the next waiter (cc class first), starts its service, and
+  /// returns it.
+  ServiceRequest StartNextWaiter();
+  void BeginService(const ServiceRequest& request);
+  void OnServiceComplete(const ServiceRequest& request);
   /// Fires at fault_.end: hands idle capacity to everything the window made
   /// wait (all of it, for an infinite pool).
   void DrainAfterFaultWindow();
 
   Simulator* sim_;
+  ServiceSink* sink_;
   int num_servers_;
   bool infinite_;
   std::string name_;
 
   int busy_servers_ = 0;
-  std::deque<Pending> cc_queue_;
-  std::deque<Pending> normal_queue_;
+  RingQueue<ServiceRequest> cc_queue_;
+  RingQueue<ServiceRequest> normal_queue_;
 
   FaultWindow fault_;
   int64_t faulted_requests_ = 0;

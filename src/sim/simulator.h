@@ -13,7 +13,8 @@
 //    dispatch, no move-out — even if it schedules and grows the arena.
 //  * Callbacks are stored in SmallFn inline small-buffer storage sized for
 //    the engine's largest capture, so steady-state scheduling performs zero
-//    heap allocations (pinned by tests/sim_alloc_test.cc).
+//    heap allocations (kernel: tests/sim_alloc_test.cc; the whole engine:
+//    tests/engine_alloc_test.cc).
 //  * The pending queue is a 4-ary min-heap on (time, seq). Cancellation is
 //    lazy — the heap entry becomes a tombstone — but tombstones are
 //    compacted away whenever they outnumber live entries, so cancel-heavy
@@ -43,9 +44,9 @@ using EventId = uint64_t;
 
 inline constexpr EventId kInvalidEventId = 0;
 
-/// Scheduled-event callback. The inline capacity covers the engine's largest
-/// steady-state capture: a ServerPool completion event carrying a
-/// ServiceCompletion (res/server_pool.h) plus the pool pointer. Oversized
+/// Scheduled-event callback. The inline capacity covers every steady-state
+/// capture in the engine; the most frequent, a ServerPool completion event
+/// carrying [pool, ServiceRequest] (res/server_pool.h), is 40 bytes. Oversized
 /// callables (cold paths, tests) fall back to one heap box.
 using EventCallback = SmallFn<64>;
 

@@ -17,6 +17,10 @@
 //  * SmallIdSet       — a sorted small-vector id set (membership via binary
 //    search) replacing unordered_set for paper-sized access sets and
 //    victim/doomed sets. Iteration order is ascending, hence deterministic.
+//  * RingQueue<T>     — a growable circular FIFO replacing std::deque for the
+//    engine's steady-state queues (server-pool waiters, the ready queue). A
+//    deque used as a FIFO frees and reallocates a node every few pushes; the
+//    ring only allocates when it outgrows its high-water mark.
 //
 // Value recycling: when a slot is reused (stale-epoch touch, slot reuse in
 // TxnSlotMap), the old value is reset via `value.Recycle()` when T provides
@@ -356,6 +360,60 @@ class SmallIdSet {
 
  private:
   std::vector<int64_t> items_;
+};
+
+/// Circular FIFO over a power-of-two buffer that doubles when full. Starts
+/// empty (no allocation until the first push) and never shrinks, so a queue
+/// that has reached its working depth pushes and pops without touching the
+/// heap. T should be cheap to copy: elements move by assignment on growth
+/// and erase.
+template <typename T>
+class RingQueue {
+ public:
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+  void push_back(const T& value) {
+    if (size_ == buf_.size()) Grow();
+    buf_[(head_ + size_) & (buf_.size() - 1)] = value;
+    ++size_;
+  }
+
+  /// The i-th element from the front (0 = oldest). Requires i < size().
+  T& operator[](size_t i) { return buf_[(head_ + i) & (buf_.size() - 1)]; }
+  const T& operator[](size_t i) const {
+    return buf_[(head_ + i) & (buf_.size() - 1)];
+  }
+
+  T& front() { return (*this)[0]; }
+
+  void pop_front() {
+    CCSIM_CHECK_GT(size_, 0u) << "pop_front on an empty RingQueue";
+    head_ = (head_ + 1) & (buf_.size() - 1);
+    --size_;
+  }
+
+  /// Removes the i-th element, keeping the others in order. O(size - i):
+  /// meant for picks near the front (the verifier's ready-queue choice).
+  void erase(size_t i) {
+    CCSIM_CHECK_LT(i, size_) << "RingQueue erase out of range";
+    for (size_t j = i + 1; j < size_; ++j) (*this)[j - 1] = (*this)[j];
+    --size_;
+  }
+
+ private:
+  void Grow() {
+    std::vector<T> bigger(buf_.empty() ? kInitialCapacity : 2 * buf_.size());
+    for (size_t i = 0; i < size_; ++i) bigger[i] = (*this)[i];
+    buf_.swap(bigger);
+    head_ = 0;
+  }
+
+  static constexpr size_t kInitialCapacity = 8;
+
+  std::vector<T> buf_;  ///< Power-of-two length (or empty).
+  size_t head_ = 0;     ///< Index of the front element in buf_.
+  size_t size_ = 0;
 };
 
 }  // namespace ccsim

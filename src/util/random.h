@@ -57,7 +57,19 @@ class Rng {
   /// Samples `count` distinct integers uniformly from [0, population), in
   /// selection order. Requires count <= population. Uses Floyd's algorithm
   /// followed by a shuffle, so cost is O(count) independent of population.
-  std::vector<int64_t> SampleWithoutReplacement(int64_t population, int64_t count);
+  std::vector<int64_t> SampleWithoutReplacement(int64_t population,
+                                                int64_t count) {
+    std::vector<int64_t> out, scratch;
+    SampleWithoutReplacement(population, count, &out, &scratch);
+    return out;
+  }
+
+  /// In-place form: overwrites `*out` with the sample, using `*scratch` for
+  /// membership tracking. Both keep their capacity, so a caller that reuses
+  /// them samples without allocating. Draws exactly as the form above.
+  void SampleWithoutReplacement(int64_t population, int64_t count,
+                                std::vector<int64_t>* out,
+                                std::vector<int64_t>* scratch);
 
   std::mt19937_64& engine() { return engine_; }
 

@@ -12,7 +12,8 @@ WorkloadGenerator::WorkloadGenerator(const WorkloadParams& params, Rng spec_rng,
   params_.Validate();
 }
 
-TxnSpec WorkloadGenerator::NextTransaction() {
+void WorkloadGenerator::NextTransaction(TxnSpec* out) {
+  TxnSpec& spec = *out;
   // Select the class, then the class's size and write probability.
   int class_index = 0;
   int min_size = params_.min_size;
@@ -36,10 +37,10 @@ TxnSpec WorkloadGenerator::NextTransaction() {
   }
 
   int size = static_cast<int>(spec_rng_.UniformInt(min_size, max_size));
-  TxnSpec spec;
   spec.class_index = class_index;
   if (params_.hot_fraction_db == 0.0) {
-    spec.reads = spec_rng_.SampleWithoutReplacement(params_.db_size, size);
+    spec_rng_.SampleWithoutReplacement(params_.db_size, size, &spec.reads,
+                                       &chosen_);
   } else {
     // Stratified sampling under the x-y rule: each of the `size` accesses
     // independently targets the hot set with probability hot_access_prob,
@@ -47,27 +48,27 @@ TxnSpec WorkloadGenerator::NextTransaction() {
     // strata and interleaved in a uniformly shuffled order.
     int64_t hot_size = params_.HotSetSize();
     int hot_picks = 0;
-    std::vector<bool> is_hot(static_cast<size_t>(size));
+    is_hot_.assign(static_cast<size_t>(size), false);
     for (int i = 0; i < size; ++i) {
-      is_hot[static_cast<size_t>(i)] =
+      is_hot_[static_cast<size_t>(i)] =
           spec_rng_.Bernoulli(params_.hot_access_prob);
-      hot_picks += is_hot[static_cast<size_t>(i)] ? 1 : 0;
+      hot_picks += is_hot_[static_cast<size_t>(i)] ? 1 : 0;
     }
-    std::vector<ObjectId> hot =
-        spec_rng_.SampleWithoutReplacement(hot_size, hot_picks);
-    std::vector<ObjectId> cold = spec_rng_.SampleWithoutReplacement(
-        params_.db_size - hot_size, size - hot_picks);
+    spec_rng_.SampleWithoutReplacement(hot_size, hot_picks, &hot_, &chosen_);
+    spec_rng_.SampleWithoutReplacement(params_.db_size - hot_size,
+                                       size - hot_picks, &cold_, &chosen_);
     size_t hot_index = 0, cold_index = 0;
+    spec.reads.clear();
     spec.reads.reserve(static_cast<size_t>(size));
     for (int i = 0; i < size; ++i) {
-      if (is_hot[static_cast<size_t>(i)]) {
-        spec.reads.push_back(hot[hot_index++]);
+      if (is_hot_[static_cast<size_t>(i)]) {
+        spec.reads.push_back(hot_[hot_index++]);
       } else {
-        spec.reads.push_back(hot_size + cold[cold_index++]);
+        spec.reads.push_back(hot_size + cold_[cold_index++]);
       }
     }
   }
-  spec.writes.resize(spec.reads.size());
+  spec.writes.assign(spec.reads.size(), false);
   bool read_only = params_.read_only_fraction > 0.0 &&
                    spec_rng_.Bernoulli(params_.read_only_fraction);
   if (!read_only && write_prob > 0.0) {
@@ -75,7 +76,6 @@ TxnSpec WorkloadGenerator::NextTransaction() {
       spec.writes[i] = spec_rng_.Bernoulli(write_prob);
     }
   }
-  return spec;
 }
 
 SimTime WorkloadGenerator::NextExternalThink() {

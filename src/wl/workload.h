@@ -10,6 +10,7 @@
 #ifndef CCSIM_WL_WORKLOAD_H_
 #define CCSIM_WL_WORKLOAD_H_
 
+#include <bit>
 #include <vector>
 
 #include "sim/time.h"
@@ -41,10 +42,21 @@ struct TxnSpec {
   /// The written objects, in write-phase order.
   std::vector<ObjectId> WriteSet() const {
     std::vector<ObjectId> set;
-    for (size_t i = 0; i < reads.size(); ++i) {
-      if (writes[i]) set.push_back(reads[i]);
-    }
+    WriteSet(&set);
     return set;
+  }
+
+  /// In-place form: overwrites `*out`, keeping its capacity. The buffer is
+  /// grown to fit the whole read set (rounded to a power of two), so a
+  /// reused one stops growing as soon as the read buffer does.
+  void WriteSet(std::vector<ObjectId>* out) const {
+    out->clear();
+    if (out->capacity() < reads.size()) {
+      out->reserve(std::bit_ceil(reads.size()));
+    }
+    for (size_t i = 0; i < reads.size(); ++i) {
+      if (writes[i]) out->push_back(reads[i]);
+    }
   }
 };
 
@@ -59,7 +71,16 @@ class WorkloadGenerator {
   const WorkloadParams& params() const { return params_; }
 
   /// Generates the next transaction spec.
-  TxnSpec NextTransaction();
+  TxnSpec NextTransaction() {
+    TxnSpec spec;
+    NextTransaction(&spec);
+    return spec;
+  }
+
+  /// In-place form: overwrites `*spec`, reusing its buffers' capacity (and
+  /// the generator's own sampling scratch), so a recycled spec is refilled
+  /// without allocating. Draws exactly as the form above.
+  void NextTransaction(TxnSpec* spec);
 
   /// External think delay: exponential with mean ext_think_time (0 if the
   /// mean is 0).
@@ -73,6 +94,11 @@ class WorkloadGenerator {
   WorkloadParams params_;
   Rng spec_rng_;
   Rng think_rng_;
+  // Sampling scratch, reused across NextTransaction calls.
+  std::vector<int64_t> chosen_;
+  std::vector<bool> is_hot_;
+  std::vector<ObjectId> hot_;
+  std::vector<ObjectId> cold_;
 };
 
 }  // namespace ccsim

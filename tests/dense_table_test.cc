@@ -1,4 +1,4 @@
-// Unit tests for the dense cc-state containers (util/dense_table.h), plus
+// Unit tests for the dense containers (util/dense_table.h), plus
 // the behavior-preservation anchor of the dense-state migration: every
 // algorithm's replay digest at a pinned contended configuration must equal
 // the value recorded with the pre-migration hash-map implementation.
@@ -220,6 +220,59 @@ TEST(SmallIdSetTest, SortedDedupedMembership) {
   SmallIdSet init = {3, 1, 3};
   EXPECT_EQ(std::vector<int64_t>(init.begin(), init.end()),
             (std::vector<int64_t>{1, 3}));
+}
+
+std::vector<int64_t> Drain(RingQueue<int64_t>& ring) {
+  std::vector<int64_t> out;
+  while (!ring.empty()) {
+    out.push_back(ring.front());
+    ring.pop_front();
+  }
+  return out;
+}
+
+TEST(RingQueueTest, FifoAcrossWrapAroundAndGrowth) {
+  RingQueue<int64_t> ring;
+  EXPECT_TRUE(ring.empty());
+  // Walk the head around the initial buffer several times so the live
+  // window straddles the wrap point, then grow while wrapped.
+  int64_t next_in = 0, next_out = 0;
+  for (int round = 0; round < 20; ++round) {
+    for (int i = 0; i < 5; ++i) ring.push_back(next_in++);
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_EQ(ring.front(), next_out++);
+      ring.pop_front();
+    }
+  }
+  EXPECT_EQ(ring.size(), 20u);  // Grew from 8 past 16 while wrapped.
+  for (size_t i = 0; i < ring.size(); ++i) {
+    EXPECT_EQ(ring[i], next_out + static_cast<int64_t>(i));
+  }
+  std::vector<int64_t> expected;
+  for (int64_t v = next_out; v < next_in; ++v) expected.push_back(v);
+  EXPECT_EQ(Drain(ring), expected);
+  EXPECT_TRUE(ring.empty());
+}
+
+TEST(RingQueueTest, EraseAtIndexKeepsOrder) {
+  RingQueue<int64_t> ring;
+  // Offset the head so erasures shift elements across the wrap point.
+  for (int64_t v = 0; v < 6; ++v) ring.push_back(v);
+  for (int i = 0; i < 6; ++i) ring.pop_front();
+  for (int64_t v = 10; v < 17; ++v) ring.push_back(v);  // 10..16, wrapped.
+  ring.erase(0);                                       // Front.
+  ring.erase(2);                                       // Middle: 13.
+  ring.erase(ring.size() - 1);                         // Back: 16.
+  EXPECT_EQ(ring.size(), 4u);
+  ring.push_back(20);
+  EXPECT_EQ(Drain(ring), (std::vector<int64_t>{11, 12, 14, 15, 20}));
+}
+
+TEST(RingQueueDeathTest, PopAndEraseCheckBounds) {
+  RingQueue<int64_t> ring;
+  EXPECT_DEATH(ring.pop_front(), "empty");
+  ring.push_back(1);
+  EXPECT_DEATH(ring.erase(1), "out of range");
 }
 
 // --- Behavior-preservation anchor -------------------------------------------

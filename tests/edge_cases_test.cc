@@ -5,6 +5,7 @@
 #include "analytic/mva.h"
 #include "core/closed_system.h"
 #include "res/server_pool.h"
+#include "service_recorder.h"
 #include "sim/simulator.h"
 #include "wl/workload.h"
 
@@ -47,27 +48,25 @@ TEST(SimulatorEdge, ScheduleDuringRunUntilWithinBoundaryFires) {
 
 TEST(ServerPoolEdge, CcRequestsFcfsAmongThemselves) {
   Simulator sim;
-  ServerPool pool(&sim, 1, false);
-  std::vector<int> order;
-  pool.Request(10, ServicePriority::kNormal, [&] { order.push_back(0); });
-  pool.Request(10, ServicePriority::kConcurrencyControl,
-               [&] { order.push_back(1); });
-  pool.Request(10, ServicePriority::kConcurrencyControl,
-               [&] { order.push_back(2); });
-  pool.Request(10, ServicePriority::kNormal, [&] { order.push_back(3); });
+  ServiceRecorder sink(&sim);
+  ServerPool pool(&sim, &sink, 1, false);
+  pool.Request(ServicePriority::kNormal, Req(10, 0));
+  pool.Request(ServicePriority::kConcurrencyControl, Req(10, 1));
+  pool.Request(ServicePriority::kConcurrencyControl, Req(10, 2));
+  pool.Request(ServicePriority::kNormal, Req(10, 3));
   sim.Run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(sink.tags(), (std::vector<int64_t>{0, 1, 2, 3}));
 }
 
 TEST(ServerPoolEdge, InfinitePoolCompletionsOrderedByServiceTime) {
   Simulator sim;
-  ServerPool pool(&sim, 0, true);
-  std::vector<int> order;
-  pool.Request(30, ServicePriority::kNormal, [&] { order.push_back(30); });
-  pool.Request(10, ServicePriority::kNormal, [&] { order.push_back(10); });
-  pool.Request(20, ServicePriority::kNormal, [&] { order.push_back(20); });
+  ServiceRecorder sink(&sim);
+  ServerPool pool(&sim, &sink, 0, true);
+  pool.Request(ServicePriority::kNormal, Req(30, 30));
+  pool.Request(ServicePriority::kNormal, Req(10, 10));
+  pool.Request(ServicePriority::kNormal, Req(20, 20));
   sim.Run();
-  EXPECT_EQ(order, (std::vector<int>{10, 20, 30}));
+  EXPECT_EQ(sink.tags(), (std::vector<int64_t>{10, 20, 30}));
 }
 
 TEST(WorkloadEdge, ConstantSizeTransactions) {

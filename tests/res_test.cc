@@ -9,6 +9,7 @@
 
 #include "res/resources.h"
 #include "res/server_pool.h"
+#include "service_recorder.h"
 #include "sim/simulator.h"
 #include "util/random.h"
 
@@ -17,85 +18,82 @@ namespace {
 
 TEST(ServerPoolTest, SingleServerServesFcfs) {
   Simulator sim;
-  ServerPool pool(&sim, 1, /*infinite=*/false);
-  std::vector<int> done;
-  pool.Request(10, ServicePriority::kNormal, [&] { done.push_back(1); });
-  pool.Request(10, ServicePriority::kNormal, [&] { done.push_back(2); });
-  pool.Request(10, ServicePriority::kNormal, [&] { done.push_back(3); });
+  ServiceRecorder sink(&sim);
+  ServerPool pool(&sim, &sink, 1, /*infinite=*/false);
+  pool.Request(ServicePriority::kNormal, Req(10, 1));
+  pool.Request(ServicePriority::kNormal, Req(10, 2));
+  pool.Request(ServicePriority::kNormal, Req(10, 3));
   EXPECT_EQ(pool.busy_servers(), 1);
   EXPECT_EQ(pool.queue_length(), 2u);
   sim.Run();
-  EXPECT_EQ(done, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(sink.tags(), (std::vector<int64_t>{1, 2, 3}));
   EXPECT_EQ(sim.Now(), 30);
   EXPECT_EQ(pool.completed_requests(), 3);
 }
 
 TEST(ServerPoolTest, CcPriorityJumpsQueue) {
   Simulator sim;
-  ServerPool pool(&sim, 1, false);
-  std::vector<int> done;
-  pool.Request(10, ServicePriority::kNormal, [&] { done.push_back(1); });
-  pool.Request(10, ServicePriority::kNormal, [&] { done.push_back(2); });
-  pool.Request(10, ServicePriority::kConcurrencyControl,
-               [&] { done.push_back(3); });
+  ServiceRecorder sink(&sim);
+  ServerPool pool(&sim, &sink, 1, false);
+  pool.Request(ServicePriority::kNormal, Req(10, 1));
+  pool.Request(ServicePriority::kNormal, Req(10, 2));
+  pool.Request(ServicePriority::kConcurrencyControl, Req(10, 3));
   sim.Run();
   // Request 1 is in service; the cc request preempts the *queue*, not the
   // server, so order is 1, 3, 2.
-  EXPECT_EQ(done, (std::vector<int>{1, 3, 2}));
+  EXPECT_EQ(sink.tags(), (std::vector<int64_t>{1, 3, 2}));
 }
 
 TEST(ServerPoolTest, MultipleServersRunConcurrently) {
   Simulator sim;
-  ServerPool pool(&sim, 3, false);
-  int completed = 0;
-  for (int i = 0; i < 3; ++i) {
-    pool.Request(10, ServicePriority::kNormal, [&] { ++completed; });
-  }
+  ServiceRecorder sink(&sim);
+  ServerPool pool(&sim, &sink, 3, false);
+  for (int i = 0; i < 3; ++i) pool.Request(ServicePriority::kNormal, Req(10));
   EXPECT_EQ(pool.busy_servers(), 3);
   EXPECT_EQ(pool.queue_length(), 0u);
   sim.Run();
   EXPECT_EQ(sim.Now(), 10);  // All in parallel.
-  EXPECT_EQ(completed, 3);
+  EXPECT_EQ(sink.count(), 3);
 }
 
 TEST(ServerPoolTest, FourthRequestWaitsForFreeServer) {
   Simulator sim;
-  ServerPool pool(&sim, 3, false);
-  SimTime fourth_done = -1;
-  for (int i = 0; i < 3; ++i) {
-    pool.Request(10, ServicePriority::kNormal, [] {});
-  }
-  pool.Request(5, ServicePriority::kNormal, [&] { fourth_done = sim.Now(); });
+  ServiceRecorder sink(&sim);
+  ServerPool pool(&sim, &sink, 3, false);
+  for (int i = 0; i < 3; ++i) pool.Request(ServicePriority::kNormal, Req(10));
+  pool.Request(ServicePriority::kNormal, Req(5, 4));
   sim.Run();
-  EXPECT_EQ(fourth_done, 15);  // Waits until 10, then 5 of service.
+  EXPECT_EQ(sink.DoneAt(4), 15);  // Waits until 10, then 5 of service.
 }
 
 TEST(ServerPoolTest, InfinitePoolNeverQueues) {
   Simulator sim;
-  ServerPool pool(&sim, 0, /*infinite=*/true);
-  int completed = 0;
+  ServiceRecorder sink(&sim);
+  ServerPool pool(&sim, &sink, 0, /*infinite=*/true);
   for (int i = 0; i < 100; ++i) {
-    pool.Request(10, ServicePriority::kNormal, [&] { ++completed; });
+    pool.Request(ServicePriority::kNormal, Req(10));
   }
   EXPECT_EQ(pool.queue_length(), 0u);
   EXPECT_EQ(pool.busy_servers(), 100);
   sim.Run();
   EXPECT_EQ(sim.Now(), 10);  // Pure delay: all finish together.
-  EXPECT_EQ(completed, 100);
+  EXPECT_EQ(sink.count(), 100);
 }
 
 TEST(ServerPoolTest, UtilizationFullyBusy) {
   Simulator sim;
-  ServerPool pool(&sim, 1, false);
-  pool.Request(100, ServicePriority::kNormal, [] {});
+  ServiceRecorder sink(&sim);
+  ServerPool pool(&sim, &sink, 1, false);
+  pool.Request(ServicePriority::kNormal, Req(100));
   sim.Run();
   EXPECT_DOUBLE_EQ(pool.Utilization(sim.Now()), 1.0);
 }
 
 TEST(ServerPoolTest, UtilizationHalfBusy) {
   Simulator sim;
-  ServerPool pool(&sim, 1, false);
-  pool.Request(50, ServicePriority::kNormal, [] {});
+  ServiceRecorder sink(&sim);
+  ServerPool pool(&sim, &sink, 1, false);
+  pool.Request(ServicePriority::kNormal, Req(50));
   sim.Run();
   sim.RunUntil(100);
   EXPECT_DOUBLE_EQ(pool.Utilization(sim.Now()), 0.5);
@@ -103,16 +101,18 @@ TEST(ServerPoolTest, UtilizationHalfBusy) {
 
 TEST(ServerPoolTest, UtilizationPerServerFraction) {
   Simulator sim;
-  ServerPool pool(&sim, 2, false);
-  pool.Request(100, ServicePriority::kNormal, [] {});  // One of two busy.
+  ServiceRecorder sink(&sim);
+  ServerPool pool(&sim, &sink, 2, false);
+  pool.Request(ServicePriority::kNormal, Req(100));  // One of two busy.
   sim.Run();
   EXPECT_DOUBLE_EQ(pool.Utilization(sim.Now()), 0.5);
 }
 
 TEST(ServerPoolTest, WindowResetClearsUtilization) {
   Simulator sim;
-  ServerPool pool(&sim, 1, false);
-  pool.Request(50, ServicePriority::kNormal, [] {});
+  ServiceRecorder sink(&sim);
+  ServerPool pool(&sim, &sink, 1, false);
+  pool.Request(ServicePriority::kNormal, Req(50));
   sim.Run();
   pool.ResetWindow(sim.Now());
   sim.RunUntil(100);
@@ -121,9 +121,10 @@ TEST(ServerPoolTest, WindowResetClearsUtilization) {
 
 TEST(ServerPoolTest, WaitTimeStats) {
   Simulator sim;
-  ServerPool pool(&sim, 1, false);
-  pool.Request(10, ServicePriority::kNormal, [] {});
-  pool.Request(10, ServicePriority::kNormal, [] {});
+  ServiceRecorder sink(&sim);
+  ServerPool pool(&sim, &sink, 1, false);
+  pool.Request(ServicePriority::kNormal, Req(10));
+  pool.Request(ServicePriority::kNormal, Req(10));
   sim.Run();
   // First waited 0, second waited 10 (in seconds: 1e-5).
   EXPECT_EQ(pool.wait_time_stats().count(), 2);
@@ -132,9 +133,10 @@ TEST(ServerPoolTest, WaitTimeStats) {
 
 TEST(ServerPoolTest, MeanQueueLength) {
   Simulator sim;
-  ServerPool pool(&sim, 1, false);
-  pool.Request(10, ServicePriority::kNormal, [] {});
-  pool.Request(10, ServicePriority::kNormal, [] {});  // Queued for [0,10).
+  ServiceRecorder sink(&sim);
+  ServerPool pool(&sim, &sink, 1, false);
+  pool.Request(ServicePriority::kNormal, Req(10));
+  pool.Request(ServicePriority::kNormal, Req(10));  // Queued for [0,10).
   sim.Run();
   // Queue length 1 for 10 of 20 time units = 0.5.
   EXPECT_DOUBLE_EQ(pool.MeanQueueLength(sim.Now()), 0.5);
@@ -142,16 +144,71 @@ TEST(ServerPoolTest, MeanQueueLength) {
 
 TEST(ServerPoolTest, InfiniteUtilizationReportsZero) {
   Simulator sim;
-  ServerPool pool(&sim, 0, true);
-  pool.Request(10, ServicePriority::kNormal, [] {});
+  ServiceRecorder sink(&sim);
+  ServerPool pool(&sim, &sink, 0, true);
+  pool.Request(ServicePriority::kNormal, Req(10));
   sim.Run();
   EXPECT_DOUBLE_EQ(pool.Utilization(sim.Now()), 0.0);
   EXPECT_GT(pool.MeanBusyServers(sim.Now()), 0.0);
 }
 
+bool SameRecord(const ServiceRequest& a, const ServiceRequest& b) {
+  return a.kind == b.kind && a.incarnation == b.incarnation && a.txn == b.txn &&
+         a.service == b.service && a.requested_at == b.requested_at;
+}
+
+TEST(ServerPoolTest, RecordComesBackFieldForField) {
+  // The pool treats everything but `service` as opaque payload: whatever
+  // path a request takes — straight into service, queued behind a busy
+  // server, overtaken by a cc request, or held by an outage — the sink gets
+  // back exactly the record that went in, stamped with its arrival time.
+  Simulator sim;
+  ServiceRecorder sink(&sim);
+  ServerPool pool(&sim, &sink, 1, false);
+  pool.SetFaultWindow({FaultWindowKind::kOutage, 100, 200});
+  auto make = [&sim](uint8_t kind, int32_t incarnation, int64_t txn,
+                     SimTime service) {
+    ServiceRequest request;
+    request.kind = kind;
+    request.incarnation = incarnation;
+    request.txn = txn;
+    request.service = service;
+    request.requested_at = sim.Now();  // What the pool stamps.
+    return request;
+  };
+  std::vector<ServiceRequest> sent;
+  // t=0: one in service, one queued normal, then a cc request overtaking it.
+  sent.push_back(make(1, 7, 101, 10));
+  sent.push_back(make(2, 8, 102, 20));
+  sent.push_back(make(6, -3, 103, 5));
+  pool.Request(ServicePriority::kNormal, sent[0]);
+  pool.Request(ServicePriority::kNormal, sent[1]);
+  pool.Request(ServicePriority::kConcurrencyControl, sent[2]);
+  // t=90: would complete at 120, inside the outage — held until 200.
+  sim.Schedule(90, [&] {
+    sent.push_back(make(255, 1 << 30, int64_t{1} << 40, 30));
+    pool.Request(ServicePriority::kNormal, sent.back());
+  });
+  sim.Run();
+
+  ASSERT_EQ(sink.count(), 4);
+  EXPECT_EQ(sink.tags(),
+            (std::vector<int64_t>{101, 103, 102, int64_t{1} << 40}));
+  const int order[] = {0, 2, 1, 3};
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_TRUE(SameRecord(sink.done[static_cast<size_t>(i)],
+                           sent[static_cast<size_t>(order[i])]))
+        << "completion " << i;
+  }
+  EXPECT_EQ(sink.done_at, (std::vector<SimTime>{10, 15, 35, 200}));
+  EXPECT_EQ(pool.faulted_requests(), 1);
+  EXPECT_EQ(pool.fault_delay(), 80);  // Held from 120 to 200.
+}
+
 TEST(ResourceManagerTest, FiniteConfigShape) {
   Simulator sim;
-  ResourceManager rm(&sim, ResourceConfig::Finite(2, 4), Rng(1));
+  ServiceRecorder sink(&sim);
+  ResourceManager rm(&sim, ResourceConfig::Finite(2, 4), Rng(1), &sink);
   EXPECT_EQ(rm.num_disks(), 4);
   EXPECT_EQ(rm.cpu().num_servers(), 2);
   EXPECT_FALSE(rm.cpu().infinite());
@@ -159,7 +216,8 @@ TEST(ResourceManagerTest, FiniteConfigShape) {
 
 TEST(ResourceManagerTest, InfiniteConfigShape) {
   Simulator sim;
-  ResourceManager rm(&sim, ResourceConfig::Infinite(), Rng(1));
+  ServiceRecorder sink(&sim);
+  ResourceManager rm(&sim, ResourceConfig::Infinite(), Rng(1), &sink);
   EXPECT_TRUE(rm.cpu().infinite());
   EXPECT_EQ(rm.num_disks(), 1);  // One infinite pool stands in for all disks.
   EXPECT_TRUE(rm.disk(0).infinite());
@@ -167,10 +225,9 @@ TEST(ResourceManagerTest, InfiniteConfigShape) {
 
 TEST(ResourceManagerTest, RandomDiskSpreadsLoad) {
   Simulator sim;
-  ResourceManager rm(&sim, ResourceConfig::Finite(1, 4), Rng(7));
-  for (int i = 0; i < 400; ++i) {
-    rm.RequestDisk(1, [] {});
-  }
+  ServiceRecorder sink(&sim);
+  ResourceManager rm(&sim, ResourceConfig::Finite(1, 4), Rng(7), &sink);
+  for (int i = 0; i < 400; ++i) rm.RequestDisk(Req(1));
   sim.Run();
   for (int d = 0; d < 4; ++d) {
     // Each disk should see roughly 100 of 400 accesses.
@@ -181,8 +238,9 @@ TEST(ResourceManagerTest, RandomDiskSpreadsLoad) {
 
 TEST(ResourceManagerTest, RequestDiskAtTargetsSpecificDisk) {
   Simulator sim;
-  ResourceManager rm(&sim, ResourceConfig::Finite(1, 3), Rng(7));
-  rm.RequestDiskAt(2, 10, [] {});
+  ServiceRecorder sink(&sim);
+  ResourceManager rm(&sim, ResourceConfig::Finite(1, 3), Rng(7), &sink);
+  rm.RequestDiskAt(2, Req(10));
   sim.Run();
   EXPECT_EQ(rm.disk(2).completed_requests(), 1);
   EXPECT_EQ(rm.disk(0).completed_requests(), 0);
@@ -190,16 +248,18 @@ TEST(ResourceManagerTest, RequestDiskAtTargetsSpecificDisk) {
 
 TEST(ResourceManagerTest, DiskUtilizationIsMeanAcrossDisks) {
   Simulator sim;
-  ResourceManager rm(&sim, ResourceConfig::Finite(1, 2), Rng(7));
-  rm.RequestDiskAt(0, 100, [] {});  // Disk 0 fully busy, disk 1 idle.
+  ServiceRecorder sink(&sim);
+  ResourceManager rm(&sim, ResourceConfig::Finite(1, 2), Rng(7), &sink);
+  rm.RequestDiskAt(0, Req(100));  // Disk 0 fully busy, disk 1 idle.
   sim.Run();
   EXPECT_DOUBLE_EQ(rm.DiskUtilization(sim.Now()), 0.5);
 }
 
 TEST(ResourceManagerTest, CpuUtilization) {
   Simulator sim;
-  ResourceManager rm(&sim, ResourceConfig::Finite(1, 1), Rng(7));
-  rm.RequestCpu(25, ServicePriority::kNormal, [] {});
+  ServiceRecorder sink(&sim);
+  ResourceManager rm(&sim, ResourceConfig::Finite(1, 1), Rng(7), &sink);
+  rm.RequestCpu(ServicePriority::kNormal, Req(25));
   sim.Run();
   sim.RunUntil(100);
   EXPECT_DOUBLE_EQ(rm.CpuUtilization(sim.Now()), 0.25);
@@ -207,9 +267,10 @@ TEST(ResourceManagerTest, CpuUtilization) {
 
 TEST(ResourceManagerTest, ResetWindowResetsAllPools) {
   Simulator sim;
-  ResourceManager rm(&sim, ResourceConfig::Finite(1, 2), Rng(7));
-  rm.RequestCpu(10, ServicePriority::kNormal, [] {});
-  rm.RequestDiskAt(0, 10, [] {});
+  ServiceRecorder sink(&sim);
+  ResourceManager rm(&sim, ResourceConfig::Finite(1, 2), Rng(7), &sink);
+  rm.RequestCpu(ServicePriority::kNormal, Req(10));
+  rm.RequestDiskAt(0, Req(10));
   sim.Run();
   rm.ResetWindow(sim.Now());
   sim.RunUntil(20);
@@ -221,8 +282,9 @@ TEST(ResourceManagerTest, SingleDiskSkipsRng) {
   // With one disk the choice is deterministic and must not consume random
   // numbers (keeps workloads comparable across disk counts).
   Simulator sim;
-  ResourceManager rm(&sim, ResourceConfig::Finite(1, 1), Rng(55));
-  for (int i = 0; i < 10; ++i) rm.RequestDisk(1, [] {});
+  ServiceRecorder sink(&sim);
+  ResourceManager rm(&sim, ResourceConfig::Finite(1, 1), Rng(55), &sink);
+  for (int i = 0; i < 10; ++i) rm.RequestDisk(Req(1));
   sim.Run();
   EXPECT_EQ(rm.disk(0).completed_requests(), 10);
 }
@@ -232,109 +294,96 @@ TEST(ResourceManagerTest, SingleDiskSkipsRng) {
 
 TEST(FaultWindowTest, StallDefersNewStartsUntilWindowEnds) {
   Simulator sim;
-  ServerPool pool(&sim, 1, false);
+  ServiceRecorder sink(&sim);
+  ServerPool pool(&sim, &sink, 1, false);
   pool.SetFaultWindow({FaultWindowKind::kStall, 10, 20});
-  SimTime done_at = -1;
-  sim.Schedule(12, [&] {
-    pool.Request(5, ServicePriority::kNormal, [&] { done_at = sim.Now(); });
-  });
+  sim.Schedule(12, [&] { pool.Request(ServicePriority::kNormal, Req(5)); });
   sim.Run();
   // Arrived at 12 into an *idle* pool, but the window queues it anyway;
   // the drain at 20 starts the 5 µs of service.
-  EXPECT_EQ(done_at, 25);
+  EXPECT_EQ(sink.DoneAt(0), 25);
   EXPECT_EQ(pool.faulted_requests(), 1);
   EXPECT_EQ(pool.fault_delay(), 8);  // 20 - 12 spent waiting on the window.
 }
 
 TEST(FaultWindowTest, StallLetsInFlightWorkComplete) {
   Simulator sim;
-  ServerPool pool(&sim, 1, false);
+  ServiceRecorder sink(&sim);
+  ServerPool pool(&sim, &sink, 1, false);
   pool.SetFaultWindow({FaultWindowKind::kStall, 10, 20});
-  SimTime in_flight_done = -1;
   // Starts at 8, completes at 13 — inside the window, but a stall only
   // blocks new starts; in-flight service is unaffected.
-  sim.Schedule(8, [&] {
-    pool.Request(5, ServicePriority::kNormal,
-                 [&] { in_flight_done = sim.Now(); });
-  });
+  sim.Schedule(8, [&] { pool.Request(ServicePriority::kNormal, Req(5)); });
   sim.Run();
-  EXPECT_EQ(in_flight_done, 13);
+  EXPECT_EQ(sink.DoneAt(0), 13);
   EXPECT_EQ(pool.faulted_requests(), 0);
   EXPECT_EQ(pool.fault_delay(), 0);
 }
 
 TEST(FaultWindowTest, OutageHoldsCompletionsToWindowEnd) {
   Simulator sim;
-  ServerPool pool(&sim, 1, false);
+  ServiceRecorder sink(&sim);
+  ServerPool pool(&sim, &sink, 1, false);
   pool.SetFaultWindow({FaultWindowKind::kOutage, 10, 20});
-  SimTime done_at = -1;
   // Starts at 8, would complete at 13 — but the device is off the bus, so
   // the completion lands when the window lifts.
-  sim.Schedule(8, [&] {
-    pool.Request(5, ServicePriority::kNormal, [&] { done_at = sim.Now(); });
-  });
+  sim.Schedule(8, [&] { pool.Request(ServicePriority::kNormal, Req(5)); });
   sim.Run();
-  EXPECT_EQ(done_at, 20);
+  EXPECT_EQ(sink.DoneAt(0), 20);
   EXPECT_EQ(pool.faulted_requests(), 1);
   EXPECT_EQ(pool.fault_delay(), 7);  // Held from 13 to 20.
 }
 
 TEST(FaultWindowTest, DrainServesCcClassFirst) {
   Simulator sim;
-  ServerPool pool(&sim, 1, false);
+  ServiceRecorder sink(&sim);
+  ServerPool pool(&sim, &sink, 1, false);
   pool.SetFaultWindow({FaultWindowKind::kStall, 10, 20});
-  std::vector<int> order;
-  sim.Schedule(11, [&] {
-    pool.Request(5, ServicePriority::kNormal, [&] { order.push_back(1); });
-  });
+  sim.Schedule(11, [&] { pool.Request(ServicePriority::kNormal, Req(5, 1)); });
   sim.Schedule(12, [&] {
-    pool.Request(5, ServicePriority::kConcurrencyControl,
-                 [&] { order.push_back(2); });
+    pool.Request(ServicePriority::kConcurrencyControl, Req(5, 2));
   });
   sim.Run();
   // The drain respects the two-class discipline: cc work deferred by the
   // window still jumps the normal queue.
-  EXPECT_EQ(order, (std::vector<int>{2, 1}));
+  EXPECT_EQ(sink.tags(), (std::vector<int64_t>{2, 1}));
   EXPECT_EQ(pool.faulted_requests(), 2);
 }
 
 TEST(FaultWindowTest, InfinitePoolStallsQueueAndDrainTogether) {
   Simulator sim;
-  ServerPool pool(&sim, 0, /*infinite=*/true);
+  ServiceRecorder sink(&sim);
+  ServerPool pool(&sim, &sink, 0, /*infinite=*/true);
   pool.SetFaultWindow({FaultWindowKind::kStall, 10, 20});
-  int completed = 0;
   sim.Schedule(15, [&] {
-    for (int i = 0; i < 8; ++i) {
-      pool.Request(5, ServicePriority::kNormal, [&] { ++completed; });
-    }
+    for (int i = 0; i < 8; ++i) pool.Request(ServicePriority::kNormal, Req(5));
   });
   sim.Run();
   // An infinite pool normally never queues; during the window it must, and
   // the drain releases the whole backlog at once (all complete at 25).
   EXPECT_EQ(sim.Now(), 25);
-  EXPECT_EQ(completed, 8);
+  EXPECT_EQ(sink.count(), 8);
   EXPECT_EQ(pool.faulted_requests(), 8);
   EXPECT_EQ(pool.fault_delay(), 8 * 5);  // Each waited 15 -> 20.
 }
 
 TEST(FaultWindowTest, CompletedWindowIsInertAfterwards) {
   Simulator sim;
-  ServerPool pool(&sim, 1, false);
+  ServiceRecorder sink(&sim);
+  ServerPool pool(&sim, &sink, 1, false);
   pool.SetFaultWindow({FaultWindowKind::kStall, 10, 20});
-  SimTime done_at = -1;
-  sim.Schedule(30, [&] {
-    pool.Request(5, ServicePriority::kNormal, [&] { done_at = sim.Now(); });
-  });
+  sim.Schedule(30, [&] { pool.Request(ServicePriority::kNormal, Req(5)); });
   sim.Run();
-  EXPECT_EQ(done_at, 35);  // Past the window: plain FCFS service.
+  EXPECT_EQ(sink.DoneAt(0), 35);  // Past the window: plain FCFS service.
   EXPECT_EQ(pool.faulted_requests(), 0);
 }
 
 TEST(FaultWindowDeathTest, RejectsMalformedWindows) {
   Simulator sim;
-  ServerPool pool(&sim, 1, false);
+  ServiceRecorder sink(&sim);
+  ServerPool pool(&sim, &sink, 1, false);
   EXPECT_DEATH(pool.SetFaultWindow({FaultWindowKind::kStall, 20, 10}), "");
-  ServerPool armed(&sim, 1, false);
+  ServerPool armed(&sim, &sink, 1, false);
   armed.SetFaultWindow({FaultWindowKind::kStall, 10, 20});
   EXPECT_DEATH(armed.SetFaultWindow({FaultWindowKind::kStall, 30, 40}), "");
 }
@@ -343,10 +392,11 @@ TEST(ResourceManagerTest, DiskFaultWindowArmsEveryDiskAndAggregates) {
   Simulator sim;
   ResourceConfig config = ResourceConfig::Finite(1, 2);
   config.disk_fault = {FaultWindowKind::kStall, 10, 20};
-  ResourceManager rm(&sim, config, Rng(55));
+  ServiceRecorder sink(&sim);
+  ResourceManager rm(&sim, config, Rng(55), &sink);
   sim.Schedule(12, [&] {
-    rm.RequestDiskAt(0, 5, [] {});
-    rm.RequestDiskAt(1, 5, [] {});
+    rm.RequestDiskAt(0, Req(5));
+    rm.RequestDiskAt(1, Req(5));
   });
   sim.Run();
   EXPECT_TRUE(rm.disk(0).fault_window().enabled());
@@ -363,7 +413,8 @@ TEST(ResourceManagerTest, FaultedGaugeRegisteredOnlyWhenWindowArmed) {
   Simulator sim;
   ResourceConfig config = ResourceConfig::Finite(1, 2);
   config.cpu_fault = {FaultWindowKind::kOutage, 10, 20};
-  ResourceManager rm(&sim, config, Rng(55));
+  ServiceRecorder sink(&sim);
+  ResourceManager rm(&sim, config, Rng(55), &sink);
   StatsRegistry registry;
   rm.RegisterStats(&registry);
   auto columns = registry.ColumnNames();
@@ -375,7 +426,9 @@ TEST(ResourceManagerTest, FaultedGaugeRegisteredOnlyWhenWindowArmed) {
   EXPECT_FALSE(has("disk1_faulted"));
 
   Simulator plain_sim;
-  ResourceManager plain(&plain_sim, ResourceConfig::Finite(1, 2), Rng(55));
+  ServiceRecorder plain_sink(&plain_sim);
+  ResourceManager plain(&plain_sim, ResourceConfig::Finite(1, 2), Rng(55),
+                        &plain_sink);
   StatsRegistry plain_registry;
   plain.RegisterStats(&plain_registry);
   for (const std::string& name : plain_registry.ColumnNames()) {

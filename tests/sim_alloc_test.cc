@@ -1,17 +1,20 @@
-// Pins the event kernel's zero-steady-state-allocation property
-// (sim/simulator.h "Hot-path design"): once the arena, free list, and heap
-// have grown to their working size, scheduling / cancelling / firing events
-// with engine-sized captures must never touch the global heap. The test
-// replaces the global allocation functions with counting wrappers and
-// asserts a zero delta across a measured churn loop.
+// Unit-level allocation pins for two building blocks, in isolation:
+//  * the event kernel (sim/simulator.h "Hot-path design"): once the arena,
+//    free list, and heap have grown to their working size, scheduling /
+//    cancelling / firing events whose captures fit EventCallback's inline
+//    storage never touches the global heap;
+//  * the concurrency-control decision path: post-warmup, a blocking-CC
+//    request/block/grant/commit cycle does not allocate (the dense tables,
+//    pooled lock-manager nodes, and recycled per-transaction buffers of
+//    docs/PERFORMANCE.md "Dense CC state").
+// Neither proves the engine allocation-free on its own — a synthetic capture
+// says nothing about the captures the engine actually schedules. That
+// property is pinned on a real ClosedSystem by tests/engine_alloc_test.cc.
 //
-// This binary must stay single-purpose: the counting operator new is
-// process-global, so it lives in its own test executable rather than in
-// sim_test.
-// The same pin covers the concurrency-control decision path: post-warmup,
-// a blocking-CC request/block/grant/commit cycle must not allocate either
-// (the dense tables, pooled waiter nodes, and recycled per-transaction
-// buffers of docs/PERFORMANCE.md "Dense CC state").
+// The test replaces the global allocation functions with counting wrappers
+// and asserts a zero delta across measured loops. This binary must stay
+// single-purpose: the counting operator new is process-global, so it lives
+// in its own test executable rather than in sim_test.
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -62,9 +65,8 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace ccsim {
 namespace {
 
-/// The engine's dominant event pattern (a completion plus a cancelled guard
-/// timeout) with a capture close to EventCallback's inline capacity — the
-/// ServerPool completion event is the largest steady-state capture.
+/// A completion plus a cancelled far-future timeout, with a capture close to
+/// EventCallback's inline capacity.
 void ChurnOnce(Simulator& sim, uint64_t* sink) {
   // 7 x 8 bytes = 56 of the 64 inline bytes.
   uint64_t a = 1, b = 2, c = 3, d = 4, e = 5, f = 6;

@@ -249,11 +249,13 @@ TEST(SimulatorTest, CallbackMayScheduleWhileFiring) {
 }
 
 TEST(SimulatorTest, CancelStormKeepsHeapBounded) {
-  // The engine's guard-timeout pattern: every grant schedules a completion
-  // plus a far-future timeout, then cancels the timeout when the completion
-  // fires. A kernel with unbounded lazy deletion accumulates one tombstone
-  // per iteration; compaction must keep heap occupancy at
-  // 2 * pending_events() + a small constant.
+  // A worst-case cancel pattern: every iteration schedules a completion plus
+  // a far-future timeout, then cancels the timeout when the completion
+  // fires. (The engine itself cancels only on restart — the restarted
+  // transaction's pending think or restart-delay event — but the kernel
+  // must stay bounded under any cancel rate.) A kernel with unbounded lazy
+  // deletion accumulates one tombstone per iteration; compaction must keep
+  // heap occupancy at 2 * pending_events() + a small constant.
   Simulator sim;
   size_t peak = 0;
   for (int i = 0; i < 100000; ++i) {

@@ -23,7 +23,11 @@ Rules (docs/VERIFICATION.md):
                    (util/small_fn.h), whose inline storage keeps steady-state
                    scheduling allocation-free (docs/PERFORMANCE.md).
                    Allowlisted: RunGuard::on_violation in sim/simulator.h
-                   (installed once per run, fires at most once).
+                   (installed once per run, fires at most once). src/res
+                   holds no type-erased callables at all — neither
+                   std::function nor SmallFn, nor an include of
+                   util/small_fn.h: a pool hands a plain ServiceRequest
+                   record back to its ServiceSink.
   R6 status-errors src/ outside util/ and inject/ must not raise or die with
                    bare `throw` / abort() / exit() / quick_exit() / _Exit():
                    recoverable failures flow through util/status.h (Status /
@@ -94,6 +98,10 @@ R4_ALLOWED_EXACT = {"obs/registry.h"}
 
 R5_HOT_DIRS = ("src/sim", "src/res")
 R5_TOKEN = re.compile(r"\bstd::function\b")
+# src/res completes services with plain records, so SmallFn is banned too.
+R5_RES_DIR = "src/res"
+R5_RES_TOKEN = re.compile(r"\bSmallFn\b")
+R5_RES_INCLUDE = "util/small_fn.h"
 # file -> number of std::function occurrences that are deliberately allowed.
 R5_ALLOWLIST = {"src/sim/simulator.h": 1}  # RunGuard::on_violation.
 
@@ -326,6 +334,25 @@ class Linter:
                     "(util/small_fn.h) so per-event callables stay "
                     "allocation-free (docs/PERFORMANCE.md)",
                 )
+        for path in self.cpp_files(R5_RES_DIR):
+            text = path.read_text(encoding="utf-8")
+            code = strip_comments_and_strings(text)
+            rel = self.rel(path)
+            hits = [line_of(code, m.start()) for m in R5_RES_TOKEN.finditer(code)]
+            hits += [
+                line_of(text, m.start())
+                for m in R4_INCLUDE.finditer(text)
+                if m.group(1) == R5_RES_INCLUDE
+            ]
+            for line in sorted(hits):
+                self.report(
+                    rel,
+                    line,
+                    "R5",
+                    "type-erased callable in src/res; a pool hands a plain "
+                    "ServiceRequest record to its ServiceSink "
+                    "(docs/PERFORMANCE.md)",
+                )
 
     # --- R6 -----------------------------------------------------------------
 
@@ -418,6 +445,12 @@ SELF_TEST_SNIPPETS = {
     "R4": '#include "exec/pool.h"\n#include "obs/sampler.h"\n',
     "R1_comment_ok": "// rand() and time() in prose must not fire\n",
     "R5": "std::function<void()> cb_;\n// std::function in prose is fine\n",
+    "R5_res_small_fn": (
+        '#include "util/small_fn.h"\n'
+        "using Done = SmallFn<48>;\n"
+        "// SmallFn in prose is fine\n"
+    ),
+    "R5_sim_small_fn_ok": "using EventCallback = SmallFn<64>;\n",
     "R5_allowlisted": (
         "std::function<void(const char*)> on_violation;\n"  # Allowed (1st).
         "std::function<void()> extra_;\n"  # Beyond the allowance: fires.
@@ -471,6 +504,13 @@ def self_test(tmp_root):
         (root / "src/cc/bad_include.cc").write_text(SELF_TEST_SNIPPETS["R4"])
         (root / "src/res").mkdir(parents=True)
         (root / "src/res/bad_fn.h").write_text(SELF_TEST_SNIPPETS["R5"])
+        # src/res bans SmallFn (and its include) too; src/sim may use it.
+        (root / "src/res/bad_small_fn.h").write_text(
+            SELF_TEST_SNIPPETS["R5_res_small_fn"]
+        )
+        (root / "src/sim/ok_small_fn.h").write_text(
+            SELF_TEST_SNIPPETS["R5_sim_small_fn_ok"]
+        )
         # The allowlisted file may carry exactly one std::function; a second
         # occurrence must fire.
         (root / "src/sim/simulator.h").write_text(
@@ -515,7 +555,11 @@ def self_test(tmp_root):
         expect("CCSIM_SURELY_UNDOCUMENTED", 1)
         expect("[R3]", 1)
         expect("[R4]", 2)  # exec/ and obs/sampler.h; registry.h is allowed.
-        expect("[R5]", 2)  # bad_fn.h + the over-allowance in simulator.h.
+        # bad_fn.h, the over-allowance in simulator.h, and bad_small_fn.h's
+        # include + SmallFn use (not its comment).
+        expect("[R5]", 4)
+        expect("bad_small_fn.h", 2)
+        expect("ok_small_fn.h", 0)  # SmallFn is fine outside src/res.
         expect("simulator.h:2", 1)  # The allowlisted first occurrence: silent.
         expect("ok_comment", 0)
         expect("[R6]", 4)  # throw/abort/exit + the over-allowance throw.
