@@ -19,11 +19,10 @@ int g_failures = 0;
 
 void PrintPointProgress(const PointResult& point, const std::string& label) {
   if (point.ok()) {
-    std::fprintf(stderr, "  %-18s mpl=%-4d thruput=%7.2f (%lld commits)%s\n",
+    std::fprintf(stderr, "  %-18s mpl=%-4d thruput=%7.2f (%lld commits)\n",
                  label.c_str(), point.config.workload.mpl,
                  point.report.throughput.mean,
-                 static_cast<long long>(point.report.commits),
-                 point.from_journal ? " [journal]" : "");
+                 static_cast<long long>(point.report.commits));
   } else {
     std::fprintf(stderr, "  %-18s mpl=%-4d FAILED: %s\n", label.c_str(),
                  point.config.workload.mpl, point.status.ToString().c_str());

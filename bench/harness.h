@@ -7,7 +7,7 @@
 // CCSIM_BATCHES, CCSIM_BATCH_SECONDS, CCSIM_WARMUP_SECONDS, CCSIM_MPLS,
 // CCSIM_SEED, CCSIM_JOBS (worker threads for the sweep; results are
 // identical at any job count), CCSIM_MAX_EVENTS / CCSIM_POINT_TIMEOUT_SECONDS
-// (per-point watchdog budgets), CCSIM_JOURNAL (crash-safe resume),
+// (per-point watchdog budgets),
 // CCSIM_OBS / CCSIM_SAMPLE_SECONDS / CCSIM_TRACE (observability: phase
 // breakdown, time-series sampler, Perfetto trace export),
 // CCSIM_HEARTBEAT_SECONDS (wall-clock progress lines),

@@ -28,7 +28,7 @@
 //   trace            directory for Perfetto trace.json files (implies obs)
 //   sample_interval  time-series sampling period in simulated seconds
 //                    (implies obs; CSVs land next to csv=, or in ".")
-//   faults           fault-injection plan ("journal.kill@hit:2;seed=7" —
+//   faults           fault-injection plan ("pool.task@hit:2;seed=7" —
 //                    docs/FAULTS.md; CCSIM_FAULTS overrides)
 //   disk_fault       simulated fault window on every disk, as
 //                    kind:start_s:end_s with kind stall|outage
@@ -80,7 +80,7 @@ constexpr char kUsage[] =
     "blame, or all; a typo is a hard error; CCSIM_REPORT_COLUMNS, if set,\n"
     "overrides), --trace[=path] (stream the transaction lifecycle trace\n"
     "to stderr or to <path>; forces jobs=1), --help.\n"
-    "Environment: CCSIM_JOBS, CCSIM_JOURNAL, CCSIM_MAX_EVENTS,\n"
+    "Environment: CCSIM_JOBS, CCSIM_MAX_EVENTS,\n"
     "CCSIM_POINT_TIMEOUT_SECONDS, CCSIM_OBS, CCSIM_SAMPLE_SECONDS,\n"
     "CCSIM_TRACE, CCSIM_HEARTBEAT_SECONDS, CCSIM_REPORT_COLUMNS,\n"
     "CCSIM_FAULTS and friends (docs/EXECUTION.md, docs/OBSERVABILITY.md,\n"
@@ -355,8 +355,7 @@ int main(int argc, char** argv) {
         if (point.ok()) {
           std::cerr << "  " << point.report.algorithm
                     << " mpl=" << point.report.mpl << ": "
-                    << point.report.throughput.mean << " tps"
-                    << (point.from_journal ? " [journal]" : "") << "\n";
+                    << point.report.throughput.mean << " tps\n";
         } else {
           std::cerr << "  " << point.config.algorithm
                     << " mpl=" << point.config.workload.mpl

@@ -9,22 +9,15 @@
 #      noise-aware regression gate against bench/BENCH_trajectory.jsonl,
 #      and byte-identical fig03 CSV vs the committed reference —
 #      scripts/bench_smoke.sh)
-#   5. crash-resume smoke: a journaled sweep SIGKILLs itself at a
-#      deterministic journal line (CCSIM_FAULTS="journal.kill@hit:N"), is
-#      resumed from the journal, and its CSVs are diffed against an
-#      uninterrupted reference run
-#   6. observability smoke: one figure point with the sampler + Perfetto
+#   5. observability smoke: one figure point with the sampler + Perfetto
 #      trace on; validates the trace parses and the time-series CSV is
 #      non-empty and time-monotone (docs/OBSERVABILITY.md)
-#   7. ccsim-lint: project-rule linter (determinism, env-knob, observability
+#   6. ccsim-lint: project-rule linter (determinism, env-knob, observability
 #      and layering rules — docs/VERIFICATION.md), self-test first
-#   8. deep schedule-space verification: verify_test re-run with
+#   7. deep schedule-space verification: verify_test re-run with
 #      CCSIM_VERIFY_DEPTH=8 (the full ctest pass above ran the shallow
 #      PR-lane depth); skipped with --fast
-#   9. chaos torture: seeded kill/corrupt/resume cycles against a journaled
-#      sweep, CSVs byte-diffed against an uninterrupted reference
-#      (scripts/chaos_torture.sh, docs/FAULTS.md); skipped with --fast
-#  10. clang-tidy over src/ (skipped with a notice if clang-tidy is absent —
+#   8. clang-tidy over src/ (skipped with a notice if clang-tidy is absent —
 #      the local toolchain may be gcc-only; CI still enforces it)
 #
 # Usage: scripts/check.sh [--fast]
@@ -60,9 +53,6 @@ CCSIM_JOBS=4 CCSIM_BATCHES=2 CCSIM_BATCH_SECONDS=1 CCSIM_WARMUP_SECONDS=1 \
 echo "=== microbench smoke (BENCH_sim.json + perf gate + fig03/04 diff) ==="
 scripts/bench_smoke.sh build-plain
 
-echo "=== crash-resume smoke (SIGKILL mid-sweep, journal resume, CSV diff) ==="
-scripts/crash_resume_smoke.sh ./build-plain/bench/fig03_04_low_conflict
-
 echo "=== observability smoke (sampler + trace artifacts validated) ==="
 scripts/obs_smoke.sh ./build-plain/bench/fig03_04_low_conflict
 
@@ -74,9 +64,6 @@ if [[ "${FAST}" -eq 0 ]]; then
   echo "=== deep schedule-space verification (CCSIM_VERIFY_DEPTH=8) ==="
   CCSIM_VERIFY_DEPTH=8 ctest --test-dir build-plain --output-on-failure \
     --no-tests=error -R '(MatrixTest|ExplorerTest|MutationTest)'
-
-  echo "=== chaos torture (seeded kill/corrupt/resume cycles) ==="
-  scripts/chaos_torture.sh ./build-plain/bench/fig03_04_low_conflict
 fi
 
 if command -v clang-tidy >/dev/null 2>&1; then

@@ -113,8 +113,7 @@ struct EngineConfig {
   /// Observability (docs/OBSERVABILITY.md): stats registry + per-phase
   /// response-time breakdown, optional time-series sampler and Perfetto
   /// trace export. Fully disabled by default; the engine then pays one
-  /// branch per event. Excluded from the sweep-journal point key — the same
-  /// experiment with different observability is the same experiment.
+  /// branch per event.
   ObsConfig obs;
   /// Lifecycle trace sink attached at construction (run_config --trace).
   /// Not owned; must outlive the simulation; nullptr = none. Equivalent to

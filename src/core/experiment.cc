@@ -5,7 +5,6 @@
 #include <mutex>
 #include <utility>
 
-#include "core/journal.h"
 #include "exec/jobs.h"
 #include "exec/thread_pool.h"
 #include "inject/fault.h"
@@ -189,65 +188,37 @@ SweepOutcome RunPointsChecked(
   // here, before any worker exists, then only read.
   InstallFaultPlanFromEnv();
   const PointBudget budget = PointBudget::FromEnv();
-  std::unique_ptr<SweepJournal> journal = SweepJournal::FromEnv();
 
+  // Every point starts pre-failed: a point's entry only turns OK when its
+  // body actually completes. Without this, an exception that escapes the
+  // pool machinery *around* a task (the injected pool.task fault, or a
+  // std::bad_alloc in the task wrapper itself) would leave the point
+  // looking successful with an all-zero report.
+  const char* kNeverRan =
+      "point never ran: the sweep was interrupted before a worker finished it";
   SweepOutcome outcome;
   outcome.points.resize(configs.size());
-  std::vector<size_t> to_run;
-  to_run.reserve(configs.size());
   for (size_t i = 0; i < configs.size(); ++i) {
     PointResult& point = outcome.points[i];
     point.index = i;
     point.config = configs[i];
     // Observability knobs and per-point artifact paths resolve here, on the
     // calling thread (env discipline again), so pool workers never touch the
-    // environment and every point's csv/trace name is fixed up front. The
-    // obs fields are deliberately absent from HashPointKey: the same
-    // experiment with different observability is the same experiment.
+    // environment and every point's csv/trace name is fixed up front.
     point.config.obs = ObsConfig::FromEnv(point.config.obs);
     ResolveObsPaths(&point.config.obs, point.config.algorithm,
                     point.config.workload.mpl, point.config.seed);
-    if (journal != nullptr) {
-      const MetricsReport* journaled =
-          journal->Find(HashPointKey(point.config, lengths), point.config.seed);
-      if (journaled != nullptr) {
-        point.report = *journaled;
-        point.from_journal = true;
-        if (progress) progress(point);
-        continue;
-      }
-    }
-    to_run.push_back(i);
-  }
-
-  // Pre-fail every point that is about to run: a point's entry only turns
-  // OK when its body actually completes. Without this, an exception that
-  // escapes the pool machinery *around* a task (the injected pool.task
-  // fault, or a std::bad_alloc in the task wrapper itself) would leave the
-  // point looking successful with an all-zero report.
-  const char* kNeverRan =
-      "point never ran: the sweep was interrupted before a worker finished it";
-  for (size_t i : to_run) {
-    outcome.points[i].status = Status::Internal(kNeverRan);
+    point.status = Status::Internal(kNeverRan);
   }
 
   std::mutex progress_mu;
-  auto run_point = [&](int64_t t) {
-    PointResult& point = outcome.points[to_run[static_cast<size_t>(t)]];
+  auto run_point = [&](int64_t i) {
+    PointResult& point = outcome.points[static_cast<size_t>(i)];
     StatusOr<MetricsReport> result =
         TryRunOnePoint(point.config, lengths, budget);
     if (result.ok()) {
       point.report = std::move(result).value();
       point.status = Status::Ok();
-      if (journal != nullptr) {
-        Status appended = journal->Append(HashPointKey(point.config, lengths),
-                                          point.config.seed, point.report);
-        // A journal write failure costs resumability, not this result;
-        // warn rather than fail the point.
-        if (!appended.ok()) {
-          std::fprintf(stderr, "warning: %s\n", appended.ToString().c_str());
-        }
-      }
     } else {
       point.status = result.status();
     }
@@ -257,15 +228,14 @@ SweepOutcome RunPointsChecked(
     }
   };
   try {
-    ParallelFor(static_cast<int64_t>(to_run.size()), ResolveJobs(jobs),
+    ParallelFor(static_cast<int64_t>(configs.size()), ResolveJobs(jobs),
                 run_point);
   } catch (const std::exception& e) {
     // Every task still ran (ThreadPool::Wait rethrows only after the queue
     // drains), so points that completed keep their results; the ones the
     // escaped exception consumed keep their pre-failed status, upgraded
     // with the cause.
-    for (size_t i : to_run) {
-      PointResult& point = outcome.points[i];
+    for (PointResult& point : outcome.points) {
       if (!point.ok() && point.status.message() == kNeverRan) {
         point.status = Status::Internal(
             std::string(kNeverRan) + " (worker exception: " + e.what() + ")");
@@ -281,7 +251,7 @@ std::vector<MetricsReport> RunPoints(
     const std::function<void(size_t, const MetricsReport&)>& progress) {
   // The unchecked entry point keeps its fail-stop contract by running the
   // checked path and treating any failed point as fatal (it still gains
-  // journal resume and watchdog diagnostics from the environment knobs).
+  // watchdog diagnostics from the environment knobs).
   std::function<void(const PointResult&)> checked_progress;
   if (progress) {
     checked_progress = [&progress](const PointResult& point) {

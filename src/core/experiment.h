@@ -80,7 +80,6 @@ struct PointResult {
   EngineConfig config;    ///< The exact config the point ran with.
   Status status;          ///< Ok => `report` is valid.
   MetricsReport report;   ///< Default-constructed when !status.ok().
-  bool from_journal = false;  ///< Reused from CCSIM_JOURNAL, not re-run.
 
   bool ok() const { return status.ok(); }
 };
@@ -114,12 +113,9 @@ std::vector<MetricsReport> RunPoints(
 
 /// Fault-tolerant RunPoints: each point runs via TryRunOnePoint under the
 /// environment budgets (PointBudget::FromEnv), so one poisoned or livelocked
-/// config fails its own point while every other point still completes. With
-/// CCSIM_JOURNAL set, completed points are appended to the crash-safe journal
-/// and journaled points are reused instead of re-run (core/journal.h), making
-/// interrupted sweeps resumable with bit-identical results. `progress`
-/// (optional) receives each PointResult as it settles (serialized; order
-/// unspecified under jobs > 1 — journal hits are delivered first).
+/// config fails its own point while every other point still completes.
+/// `progress` (optional) receives each PointResult as it settles
+/// (serialized; order unspecified under jobs > 1).
 SweepOutcome RunPointsChecked(
     const std::vector<EngineConfig>& configs, const RunLengths& lengths,
     int jobs = 0,

@@ -63,9 +63,9 @@ struct SiteTrigger {
 ///   field   := 'seed=' uint | site '@' trigger
 ///   trigger := 'always' | 'hit:' N | 'after:' N | 'every:' N | 'prob:' P
 /// with N a positive integer (after: accepts 0), P a probability in [0,1],
-/// and site a name from inject/sites.h ("journal.kill", "csv.write", ...).
+/// and site a name from inject/sites.h ("csv.write", "pool.task", ...).
 /// Repeating a site or malforming any field is an error — a silently
-/// ignored fault spec would invalidate a torture run.
+/// ignored fault spec would invalidate the run that asked for it.
 class FaultPlan {
  public:
   /// Parses `spec`; returns kInvalidArgument with a pointed message on any
@@ -128,8 +128,8 @@ bool FaultPlanActive();
 /// are no-ops (the first sweep to start wins, matching the once-per-process
 /// env discipline of core/experiment.cc). Unset/empty leaves injection
 /// disabled; a malformed value is a hard error, like every CCSIM_* knob.
-/// Prints one "[faults] ..." line to stderr when a plan activates so
-/// torture harnesses can verify the plan took effect.
+/// Prints one "[faults] ..." line to stderr when a plan activates so the
+/// run's log shows the plan took effect.
 void InstallFaultPlanFromEnv();
 
 /// Installs `plan` for the rest of the process (run_config's faults= key).

@@ -8,9 +8,6 @@ namespace {
 constexpr const char* kSiteNames[kNumFaultSites] = {
     "alloc.fail",       // kAllocFail
     "csv.write",        // kCsvWrite
-    "journal.append",   // kJournalAppend
-    "journal.corrupt",  // kJournalCorrupt
-    "journal.kill",     // kJournalKill
     "trace.write",      // kTraceWrite
     "watchdog.misfire", // kWatchdogMisfire
     "pool.task",        // kPoolTask

@@ -2,9 +2,8 @@
 //
 // A fault site is a named point in the harness where the deterministic
 // injector (inject/fault.h) can force the error path: an allocation that
-// fails, a CSV/journal/trace write that does not reach disk, a journal line
-// that lands torn, a watchdog that fires spuriously, a pool task that
-// throws, or a SIGKILL at a chosen journal line. The enum is the single
+// fails, a CSV/trace write that does not reach disk, a watchdog that fires
+// spuriously, or a pool task that throws. The enum is the single
 // source of truth: every site listed here must be wired into exactly the
 // error path its name describes, and the coverage test
 // (tests/inject_test.cc) asserts every site has at least one test that
@@ -27,9 +26,6 @@ namespace ccsim {
 enum class FaultSite : uint8_t {
   kAllocFail = 0,     ///< operator new fails (counting-allocator test hook).
   kCsvWrite,          ///< WriteReportCsv reports failure (core/report.cc).
-  kJournalAppend,     ///< SweepJournal::Append returns kDataLoss pre-write.
-  kJournalCorrupt,    ///< Journal line lands torn on disk (resume skips it).
-  kJournalKill,       ///< SIGKILL immediately after a journal line is durable.
   kTraceWrite,        ///< TraceEventWriter::Finish() fails (obs/trace_json.h).
   kWatchdogMisfire,   ///< WatchdogTimer expires at arm time (exec/watchdog.h).
   kPoolTask,          ///< ThreadPool worker task throws before running.
@@ -39,7 +35,7 @@ enum class FaultSite : uint8_t {
 inline constexpr std::size_t kNumFaultSites =
     static_cast<std::size_t>(FaultSite::kCount);
 
-/// Stable dotted name used in the CCSIM_FAULTS grammar ("journal.kill", ...).
+/// Stable dotted name used in the CCSIM_FAULTS grammar ("csv.write", ...).
 const char* FaultSiteName(FaultSite site);
 
 /// Inverse of FaultSiteName; nullopt for an unknown name.

@@ -19,8 +19,6 @@ namespace ccsim {
 /// fault windows (docs/FAULTS.md, "Fault windows") are simulated-fault
 /// scenarios: `disk_fault` arms the same window on every disk in the array
 /// (the whole farm behind one controller), `cpu_fault` on the CPU pool.
-/// Both fold into the journal point key — a faulted experiment is a
-/// different experiment.
 struct ResourceConfig {
   bool infinite = false;
   int num_cpus = 1;

@@ -8,7 +8,6 @@ const char* StatusCodeName(StatusCode code) {
     case StatusCode::kInvalidArgument: return "INVALID_ARGUMENT";
     case StatusCode::kDeadlineExceeded: return "DEADLINE_EXCEEDED";
     case StatusCode::kInternal: return "INTERNAL";
-    case StatusCode::kDataLoss: return "DATA_LOSS";
   }
   return "UNKNOWN";
 }

@@ -27,7 +27,6 @@ enum class StatusCode {
   kInvalidArgument,   ///< Rejected before running (bad config, bad flag).
   kDeadlineExceeded,  ///< Watchdog budget trip (events or wall clock).
   kInternal,          ///< CCSIM_CHECK trip or audit violation inside a run.
-  kDataLoss,          ///< Output could not be written (CSV, journal).
 };
 
 /// Stable display name for a status code ("OK", "INVALID_ARGUMENT", ...).
@@ -57,9 +56,6 @@ class Status {
   }
   static Status Internal(std::string message) {
     return Status(StatusCode::kInternal, std::move(message));
-  }
-  static Status DataLoss(std::string message) {
-    return Status(StatusCode::kDataLoss, std::move(message));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

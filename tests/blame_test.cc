@@ -1,8 +1,7 @@
 // Tests for the causal contention profiler (src/obs/blame.h,
 // src/obs/contention.h): the integer-µs conservation law across all nine
 // algorithms, hot-granule CSV emission, blocking-chain and genealogy
-// histograms, Perfetto waits-for flow events, and the journal round-trip of
-// the blame aggregates.
+// histograms, and Perfetto waits-for flow events.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -14,8 +13,6 @@
 
 #include "cc/factory.h"
 #include "core/closed_system.h"
-#include "core/experiment.h"
-#include "core/journal.h"
 #include "core/report.h"
 #include "obs/blame.h"
 #include "sim/simulator.h"
@@ -255,52 +252,6 @@ TEST(BlockingChainTest, TraceCarriesWaitsForFlowArrows) {
   EXPECT_NE(trace.find("\"name\":\"waits-for\""), std::string::npos);
   EXPECT_NE(trace.find("\"bp\":\"e\""), std::string::npos);
   std::remove(config.obs.trace_path.c_str());
-}
-
-// --- Journal round-trip ---------------------------------------------------
-
-TEST(BlameJournalTest, AggregatesRoundTripExactly) {
-  std::string path = testing::TempDir() + "blame_journal_roundtrip.jsonl";
-  std::remove(path.c_str());
-
-  EngineConfig config = ContendedConfig();
-  config.obs.enabled = true;
-  RunLengths lengths;
-  lengths.batches = 2;
-  lengths.batch_length = 4 * kSecond;
-  lengths.warmup = kSecond;
-  MetricsReport original = RunOnePoint(config, lengths);
-  ASSERT_TRUE(original.blame.collected);
-  ASSERT_GT(original.blame.wasted_us + original.blame.blocked_us, 0);
-
-  uint64_t key = HashPointKey(config, lengths);
-  {
-    SweepJournal journal(path);
-    ASSERT_TRUE(journal.Append(key, config.seed, original).ok());
-  }
-  SweepJournal reloaded(path);
-  ASSERT_EQ(reloaded.entry_count(), 1u);
-  const MetricsReport* found = reloaded.Find(key, config.seed);
-  ASSERT_NE(found, nullptr);
-  const BlameBreakdown& a = original.blame;
-  const BlameBreakdown& b = found->blame;
-  EXPECT_EQ(a.collected, b.collected);
-  EXPECT_EQ(a.wasted_us, b.wasted_us);
-  EXPECT_EQ(a.wasted_attributed_us, b.wasted_attributed_us);
-  EXPECT_EQ(a.wasted_unattributed_us, b.wasted_unattributed_us);
-  EXPECT_EQ(a.blocked_us, b.blocked_us);
-  EXPECT_EQ(a.blocked_attributed_us, b.blocked_attributed_us);
-  EXPECT_EQ(a.blocked_unattributed_us, b.blocked_unattributed_us);
-  EXPECT_EQ(a.restarts_charged, b.restarts_charged);
-  EXPECT_EQ(a.blocks_charged, b.blocks_charged);
-  EXPECT_EQ(a.genealogy_max, b.genealogy_max);
-  EXPECT_EQ(a.genealogy_mean, b.genealogy_mean)
-      << "doubles are stored as %.17g and must round-trip bit-exactly";
-  EXPECT_EQ(a.top_aborter, b.top_aborter);
-  EXPECT_EQ(a.top_aborter_wasted_us, b.top_aborter_wasted_us);
-  EXPECT_EQ(a.top_holder, b.top_holder);
-  EXPECT_EQ(a.top_holder_blocked_us, b.top_holder_blocked_us);
-  std::remove(path.c_str());
 }
 
 }  // namespace

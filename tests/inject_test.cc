@@ -6,8 +6,6 @@
 // SiteCoverage.EverySiteHasAnExerciserAndFires.
 #include "inject/fault.h"
 
-#include <csignal>
-#include <cstdio>
 #include <fstream>
 #include <functional>
 #include <map>
@@ -17,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
-#include "core/journal.h"
 #include "core/report.h"
 #include "exec/thread_pool.h"
 #include "exec/watchdog.h"
@@ -30,26 +27,25 @@ namespace {
 // Grammar.
 
 TEST(FaultPlanParse, SeedAndSites) {
-  auto plan = FaultPlan::Parse("seed=7; journal.kill@hit:3; csv.write@always");
+  auto plan = FaultPlan::Parse("seed=7; pool.task@hit:3; csv.write@always");
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EXPECT_EQ(plan->seed(), 7u);
-  EXPECT_EQ(plan->trigger(FaultSite::kJournalKill).kind, FaultTrigger::kHit);
-  EXPECT_EQ(plan->trigger(FaultSite::kJournalKill).n, 3u);
+  EXPECT_EQ(plan->trigger(FaultSite::kPoolTask).kind, FaultTrigger::kHit);
+  EXPECT_EQ(plan->trigger(FaultSite::kPoolTask).n, 3u);
   EXPECT_EQ(plan->trigger(FaultSite::kCsvWrite).kind, FaultTrigger::kAlways);
   EXPECT_EQ(plan->trigger(FaultSite::kAllocFail).kind, FaultTrigger::kNever);
 }
 
 TEST(FaultPlanParse, AllTriggerKinds) {
   auto plan = FaultPlan::Parse(
-      "alloc.fail@always;csv.write@hit:2;journal.append@after:0;"
-      "journal.corrupt@every:5;pool.task@prob:0.25");
+      "alloc.fail@always;csv.write@hit:2;trace.write@after:0;"
+      "watchdog.misfire@every:5;pool.task@prob:0.25");
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EXPECT_EQ(plan->trigger(FaultSite::kAllocFail).kind, FaultTrigger::kAlways);
   EXPECT_EQ(plan->trigger(FaultSite::kCsvWrite).kind, FaultTrigger::kHit);
-  EXPECT_EQ(plan->trigger(FaultSite::kJournalAppend).kind,
-            FaultTrigger::kAfter);
-  EXPECT_EQ(plan->trigger(FaultSite::kJournalAppend).n, 0u);
-  EXPECT_EQ(plan->trigger(FaultSite::kJournalCorrupt).kind,
+  EXPECT_EQ(plan->trigger(FaultSite::kTraceWrite).kind, FaultTrigger::kAfter);
+  EXPECT_EQ(plan->trigger(FaultSite::kTraceWrite).n, 0u);
+  EXPECT_EQ(plan->trigger(FaultSite::kWatchdogMisfire).kind,
             FaultTrigger::kEvery);
   EXPECT_EQ(plan->trigger(FaultSite::kPoolTask).kind, FaultTrigger::kProb);
   // p = 0.25 maps onto the top quarter boundary of the u64 range.
@@ -71,15 +67,15 @@ TEST(FaultPlanParse, EmptySpecIsAnEmptyPlan) {
 }
 
 TEST(FaultPlanParse, RejectsMalformedSpecs) {
-  // A silently dropped fault field would invalidate a torture run, so every
-  // malformation must be loud.
+  // A silently dropped fault field would invalidate the run that asked for
+  // it, so every malformation must be loud.
   const char* bad[] = {
-      "journal.kil@hit:2",       // unknown site
-      "journal.kill@hits:2",     // unknown trigger
-      "journal.kill@hit:0",      // hit is 1-based
-      "journal.kill@every:0",    // every:0 would divide by zero
-      "journal.kill@hit:x",      // non-numeric parameter
-      "journal.kill",            // no trigger at all
+      "pool.tsk@hit:2",          // unknown site
+      "pool.task@hits:2",        // unknown trigger
+      "pool.task@hit:0",         // hit is 1-based
+      "pool.task@every:0",       // every:0 would divide by zero
+      "pool.task@hit:x",         // non-numeric parameter
+      "pool.task",               // no trigger at all
       "pool.task@prob:1.5",      // not a probability
       "pool.task@prob:-0.1",     // not a probability
       "seed=-4;csv.write@always",          // negative seed
@@ -109,22 +105,22 @@ std::vector<int> FiringHits(const std::string& spec, FaultSite site,
 }
 
 TEST(FaultTriggerTest, HitFiresExactlyOnce) {
-  EXPECT_EQ(FiringHits("journal.append@hit:3", FaultSite::kJournalAppend, 6),
+  EXPECT_EQ(FiringHits("trace.write@hit:3", FaultSite::kTraceWrite, 6),
             (std::vector<int>{3}));
 }
 
 TEST(FaultTriggerTest, AfterFiresEveryLaterHit) {
-  EXPECT_EQ(FiringHits("journal.append@after:2", FaultSite::kJournalAppend, 5),
+  EXPECT_EQ(FiringHits("trace.write@after:2", FaultSite::kTraceWrite, 5),
             (std::vector<int>{3, 4, 5}));
 }
 
 TEST(FaultTriggerTest, EveryFiresOnMultiples) {
-  EXPECT_EQ(FiringHits("journal.append@every:2", FaultSite::kJournalAppend, 6),
+  EXPECT_EQ(FiringHits("trace.write@every:2", FaultSite::kTraceWrite, 6),
             (std::vector<int>{2, 4, 6}));
 }
 
 TEST(FaultTriggerTest, AlwaysFiresEveryHit) {
-  EXPECT_EQ(FiringHits("journal.append@always", FaultSite::kJournalAppend, 3),
+  EXPECT_EQ(FiringHits("trace.write@always", FaultSite::kTraceWrite, 3),
             (std::vector<int>{1, 2, 3}));
 }
 
@@ -142,12 +138,12 @@ TEST(FaultTriggerTest, ProbIsDeterministicInSeedAndHitIndex) {
   // stateful RNG: the same plan replays the same firing pattern, and the
   // empirical rate lands near p.
   auto pattern = [](const std::string& spec) {
-    return FiringHits(spec, FaultSite::kJournalAppend, 2000);
+    return FiringHits(spec, FaultSite::kTraceWrite, 2000);
   };
-  std::vector<int> a = pattern("seed=11;journal.append@prob:0.3");
-  std::vector<int> b = pattern("seed=11;journal.append@prob:0.3");
+  std::vector<int> a = pattern("seed=11;trace.write@prob:0.3");
+  std::vector<int> b = pattern("seed=11;trace.write@prob:0.3");
   EXPECT_EQ(a, b);
-  EXPECT_NE(a, pattern("seed=12;journal.append@prob:0.3"));
+  EXPECT_NE(a, pattern("seed=12;trace.write@prob:0.3"));
   EXPECT_NEAR(static_cast<double>(a.size()) / 2000.0, 0.3, 0.05);
 }
 
@@ -159,14 +155,14 @@ TEST(FaultTriggerTest, NoPlanMeansNoFiresAndNoCounters) {
 
 TEST(FaultTriggerTest, ScopedPlanNestsAndRestores) {
   auto outer = FaultPlan::Parse("csv.write@always");
-  auto inner = FaultPlan::Parse("journal.append@always");
+  auto inner = FaultPlan::Parse("trace.write@always");
   ASSERT_TRUE(outer.ok() && inner.ok());
   ScopedFaultPlan outer_scope(*outer);
   EXPECT_TRUE(FaultPoint(FaultSite::kCsvWrite));
   {
     ScopedFaultPlan inner_scope(*inner);
     EXPECT_FALSE(FaultPoint(FaultSite::kCsvWrite));
-    EXPECT_TRUE(FaultPoint(FaultSite::kJournalAppend));
+    EXPECT_TRUE(FaultPoint(FaultSite::kTraceWrite));
   }
   EXPECT_TRUE(FaultPoint(FaultSite::kCsvWrite));
   EXPECT_EQ(outer_scope.fires(FaultSite::kCsvWrite), 2u);
@@ -245,73 +241,6 @@ void ExerciseCsvWrite() {
   EXPECT_TRUE(WriteReportCsv(path, reports));  // Plan gone: real path works.
 }
 
-// journal.append: Append fails the call with kDataLoss before writing; the
-// journal file is untouched and still usable.
-void ExerciseJournalAppend() {
-  const std::string path = TempPath("inject_journal_append.jsonl");
-  std::remove(path.c_str());
-  SweepJournal journal(path);
-  MetricsReport report;
-  report.algorithm = "blocking";
-  report.mpl = 5;
-  {
-    ScopedFaultPlan scoped = PlanAlways(FaultSite::kJournalAppend);
-    Status status = journal.Append(1, 2, report);
-    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
-    EXPECT_GE(scoped.fires(FaultSite::kJournalAppend), 1u);
-  }
-  EXPECT_EQ(journal.Find(1, 2), nullptr);
-  EXPECT_TRUE(journal.Append(1, 2, report).ok());
-  EXPECT_NE(journal.Find(1, 2), nullptr);
-}
-
-// journal.corrupt: the append lands a torn line — exactly what a mid-append
-// crash leaves — and a reload skips it (counting it) instead of failing.
-void ExerciseJournalCorrupt() {
-  const std::string path = TempPath("inject_journal_corrupt.jsonl");
-  std::remove(path.c_str());
-  {
-    SweepJournal journal(path);
-    MetricsReport report;
-    report.algorithm = "blocking";
-    report.mpl = 5;
-    ScopedFaultPlan scoped = PlanAlways(FaultSite::kJournalCorrupt);
-    EXPECT_TRUE(journal.Append(1, 2, report).ok());  // Silent, like a crash.
-    EXPECT_GE(scoped.fires(FaultSite::kJournalCorrupt), 1u);
-    EXPECT_EQ(journal.Find(1, 2), nullptr);  // Torn lines are never indexed.
-  }
-  SweepJournal reloaded(path);
-  EXPECT_EQ(reloaded.skipped_lines(), 1u);
-  EXPECT_EQ(reloaded.entry_count(), 0u);
-  EXPECT_EQ(reloaded.Find(1, 2), nullptr);
-}
-
-// journal.kill: SIGKILL right after the appended line is durable — the
-// deterministic trigger behind scripts/crash_resume_smoke.sh and
-// scripts/chaos_torture.sh. The parent then proves durability by reloading
-// the journal the killed child left behind.
-void ExerciseJournalKill() {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const std::string path = TempPath("inject_journal_kill.jsonl");
-  std::remove(path.c_str());
-  EXPECT_EXIT(
-      {
-        auto plan = FaultPlan::Parse("journal.kill@hit:1");
-        ScopedFaultPlan scoped(*plan);
-        SweepJournal journal(path);
-        MetricsReport report;
-        report.algorithm = "blocking";
-        report.mpl = 5;
-        (void)journal.Append(1, 2, report);
-        std::fprintf(stderr, "still alive past journal.kill\n");
-      },
-      ::testing::KilledBySignal(SIGKILL), "");
-  SweepJournal survivor(path);
-  EXPECT_EQ(survivor.skipped_lines(), 0u);
-  EXPECT_EQ(survivor.entry_count(), 1u);
-  EXPECT_NE(survivor.Find(1, 2), nullptr);
-}
-
 // trace.write: the trace writer's stream fails at Finish; the point dies
 // with kInternal diagnostics instead of reporting results whose trace
 // artifact silently never landed.
@@ -371,9 +300,6 @@ TEST(SiteCoverage, EverySiteHasAnExerciserAndFires) {
   const std::map<FaultSite, std::function<void()>> exercisers = {
       {FaultSite::kAllocFail, ExerciseAllocFail},
       {FaultSite::kCsvWrite, ExerciseCsvWrite},
-      {FaultSite::kJournalAppend, ExerciseJournalAppend},
-      {FaultSite::kJournalCorrupt, ExerciseJournalCorrupt},
-      {FaultSite::kJournalKill, ExerciseJournalKill},
       {FaultSite::kTraceWrite, ExerciseTraceWrite},
       {FaultSite::kWatchdogMisfire, ExerciseWatchdogMisfire},
       {FaultSite::kPoolTask, ExercisePoolTask},
@@ -429,7 +355,7 @@ TEST(CheckedSweepUnderFaults, DisabledPlanLeavesResultsBitIdentical) {
   std::vector<EngineConfig> configs(2, TinyConfig());
   configs[1].seed = 4;
   SweepOutcome baseline = RunPointsChecked(configs, TinyLengths(), 1);
-  auto plan = FaultPlan::Parse("journal.append@hit:1000000");
+  auto plan = FaultPlan::Parse("csv.write@hit:1000000");
   ASSERT_TRUE(plan.ok());
   ScopedFaultPlan scoped(*plan);
   SweepOutcome faulted = RunPointsChecked(configs, TinyLengths(), 1);

@@ -29,7 +29,6 @@ TEST(StatusTest, FactoriesCarryCodeAndMessage) {
 
   EXPECT_EQ(Status::InvalidArgument("x").code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(Status::Internal("x").code(), StatusCode::kInternal);
-  EXPECT_EQ(Status::DataLoss("x").code(), StatusCode::kDataLoss);
 }
 
 TEST(StatusTest, CodeNames) {
@@ -39,7 +38,6 @@ TEST(StatusTest, CodeNames) {
   EXPECT_STREQ(StatusCodeName(StatusCode::kDeadlineExceeded),
                "DEADLINE_EXCEEDED");
   EXPECT_STREQ(StatusCodeName(StatusCode::kInternal), "INTERNAL");
-  EXPECT_STREQ(StatusCodeName(StatusCode::kDataLoss), "DATA_LOSS");
 }
 
 TEST(StatusDeathTest, ErrorStatusFromOkCodeAborts) {
