@@ -12,6 +12,7 @@
 #include "cc/optimistic.h"
 #include "core/closed_system.h"
 #include "sim/simulator.h"
+#include "util/check.h"
 #include "util/random.h"
 #include "wl/workload.h"
 
@@ -131,11 +132,14 @@ void BM_OptimisticValidate(benchmark::State& state) {
   SimTime now = 0;
   cc.SetCallbacks(CCCallbacks{[](TxnId) {}, [](TxnId) {},
                               [&now]() { return now; }, nullptr, nullptr});
-  // Populate history: 1000 committed writers.
+  // Populate history: 1000 committed writers, run one after another. Each
+  // begins at the current time, so it never overlaps an earlier writer of
+  // its object and must validate.
   for (TxnId t = 1; t <= 1000; ++t) {
-    cc.OnBegin(t, 0, 0);
+    cc.OnBegin(t, now, now);
     cc.WriteRequest(t, t % 200);
-    cc.Validate(t);
+    const bool validated = cc.Validate(t);
+    CCSIM_CHECK(validated) << "setup writer " << t << " failed validation";
     now = t;
     cc.Commit(t);
   }

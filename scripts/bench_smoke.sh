@@ -5,7 +5,10 @@
 #      parses as JSON, carries the expected schema tag, and every throughput
 #      field is strictly positive (the binary also self-checks this — a zero
 #      means a bench silently broke, not that the machine is slow).
-#   2. Gates the run with the noise-aware perf-regression gate
+#   2. Runs every bench/micro_substrates microbenchmark briefly: a smoke
+#      that each one still runs to completion (one whose setup breaks a cc
+#      invariant aborts on a CCSIM_CHECK), not a measurement.
+#   3. Gates the run with the noise-aware perf-regression gate
 #      (tools/ccsim_perf/ccsim_perf.py) against a scratch copy of the
 #      committed trajectory (bench/BENCH_trajectory.jsonl): the gate's
 #      self-test must catch a planted slowdown, the fresh run must not
@@ -14,7 +17,7 @@
 #      CI machines from polluting the committed history — wall-clock
 #      rates are only comparable within one machine class
 #      (docs/PERFORMANCE.md).
-#   3. Regenerates the fig03/fig04 CSVs with the pinned short-batch
+#   4. Regenerates the fig03/fig04 CSVs with the pinned short-batch
 #      configuration and requires them byte-identical to the committed
 #      references (bench/reference/). Simulated results depend only on the
 #      seed and run lengths, never on the host or job count, so any diff is
@@ -54,6 +57,10 @@ print("BENCH_sim.json OK: %.1fM events/sec churn, 9-algorithm cc_decision, "
       % (doc["event_churn"]["events_per_sec"] / 1e6,
          doc["end_to_end_fig03"]["throughput_txn_per_sim_sec"]))
 EOF
+
+echo "--- micro_substrates smoke ---"
+"${BUILD}/bench/micro_substrates" --benchmark_min_time=0.01 >/dev/null
+echo "micro_substrates: every benchmark ran"
 
 echo "--- perf-regression gate (ccsim-perf, Student-t noise model) ---"
 python3 tools/ccsim_perf/ccsim_perf.py --self-test

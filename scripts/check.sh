@@ -5,7 +5,8 @@
 #   3. TSan build + full ctest suite, plus the parallel-runner tests re-run
 #      under CCSIM_JOBS=8 (the threaded sweep path under TSan)
 #   4. bench smoke: one figure binary, short batches, CCSIM_JOBS=4, then
-#      the microbench smoke (BENCH_sim.json validation, the ccsim-perf
+#      the microbench smoke (BENCH_sim.json validation, a brief run of every
+#      micro_substrates benchmark, the ccsim-perf
 #      noise-aware regression gate against bench/BENCH_trajectory.jsonl,
 #      and byte-identical fig03 CSV vs the committed reference —
 #      scripts/bench_smoke.sh)

@@ -7,6 +7,18 @@
 
 namespace ccsim {
 
+namespace {
+
+void PrintCensus(std::ostream& out, const TxnCensus& census) {
+  out << "total=" << census.total << " ready=" << census.ready
+      << " running=" << census.running << " blocked=" << census.blocked
+      << " thinking=" << census.thinking
+      << " restart_delay=" << census.restart_delay
+      << " ready_queue=" << census.ready_queue << " active=" << census.active;
+}
+
+}  // namespace
+
 const char* AuditInvariantName(AuditInvariant invariant) {
   switch (invariant) {
     case AuditInvariant::kTwoPhaseLocking:
@@ -42,16 +54,16 @@ void Auditor::Report(AuditInvariant invariant, TxnId txn,
 
 void Auditor::OnTxnAdmitted(TxnId txn, int incarnation) {
   ++checks_performed_;
-  TxnLockState& state = lock_states_[txn];
+  TxnLockState& state = lock_states_.Upsert(txn);
   state = TxnLockState{};
   state.incarnation = incarnation;
 }
 
-void Auditor::OnTxnFinished(TxnId txn) { lock_states_.erase(txn); }
+void Auditor::OnTxnFinished(TxnId txn) { lock_states_.Erase(txn); }
 
 void Auditor::OnLockAcquired(TxnId txn, ObjectId obj, bool exclusive) {
   ++checks_performed_;
-  TxnLockState& state = lock_states_[txn];
+  TxnLockState& state = lock_states_.Upsert(txn);
   if (state.phase == LockPhase::kShrinking) {
     std::ostringstream detail;
     detail << "lock on object " << obj << (exclusive ? " (X)" : " (S)")
@@ -65,7 +77,7 @@ void Auditor::OnLockAcquired(TxnId txn, ObjectId obj, bool exclusive) {
 
 void Auditor::OnLockReleased(TxnId txn) {
   ++checks_performed_;
-  TxnLockState& state = lock_states_[txn];
+  TxnLockState& state = lock_states_.Upsert(txn);
   if (state.phase == LockPhase::kGrowing) {
     state.phase = LockPhase::kShrinking;
     state.released_at_count = state.acquired;
@@ -87,12 +99,9 @@ void Auditor::CheckConservation(const TxnCensus& census) {
                 census.thinking + census.restart_delay;
   auto fail = [&](const char* what) {
     std::ostringstream detail;
-    detail << what << " (total=" << census.total << " ready=" << census.ready
-           << " running=" << census.running << " blocked=" << census.blocked
-           << " thinking=" << census.thinking
-           << " restart_delay=" << census.restart_delay
-           << " ready_queue=" << census.ready_queue
-           << " active=" << census.active << ")";
+    detail << what << " (";
+    PrintCensus(detail, census);
+    detail << ")";
     Report(AuditInvariant::kTxnConservation, kInvalidTxn, detail.str());
   };
   if (sum != census.total) {
@@ -106,6 +115,18 @@ void Auditor::CheckConservation(const TxnCensus& census) {
   if (census.ready_queue != census.ready) {
     fail("ready queue length disagrees with the ready population");
   }
+}
+
+void Auditor::CheckCensusAgrees(const TxnCensus& counted,
+                                const TxnCensus& walked) {
+  if (counted == walked) return;
+  std::ostringstream detail;
+  detail << "incremental census (";
+  PrintCensus(detail, counted);
+  detail << ") disagrees with a walk of the live transactions (";
+  PrintCensus(detail, walked);
+  detail << ")";
+  Report(AuditInvariant::kTxnConservation, kInvalidTxn, detail.str());
 }
 
 void Auditor::OnEventTime(SimTime now) {

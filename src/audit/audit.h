@@ -11,8 +11,9 @@
 //      the engine considers blocked has a live grant path in its algorithm
 //      (kWaitsForConsistency / kPermanentBlock);
 //  (c) conservation of transactions across the ready / running / blocked /
-//      thinking / restart-delay populations at every engine transition
-//      (kTxnConservation);
+//      thinking / restart-delay populations at every engine transition, and
+//      a periodic walk of the live transactions that cross-checks the
+//      engine's incremental per-state counts (kTxnConservation);
 //  (d) event-time monotonicity of everything the engine observes
 //      (kTimeMonotonicity);
 //  (e) a deterministic-replay digest (FNV-1a over the cc op stream) so two
@@ -28,12 +29,12 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "audit/digest.h"
 #include "cc/types.h"
 #include "sim/time.h"
+#include "util/dense_table.h"
 
 namespace ccsim {
 
@@ -89,6 +90,8 @@ struct TxnCensus {
   int64_t restart_delay = 0;  ///< State kRestartDelay.
   int64_t ready_queue = 0;    ///< Entries in the engine's ready queue.
   int64_t active = 0;         ///< The engine's active_count_.
+
+  friend bool operator==(const TxnCensus&, const TxnCensus&) = default;
 };
 
 /// The pluggable runtime invariant auditor. One instance audits one engine;
@@ -142,6 +145,14 @@ class Auditor {
   /// and the ready queue matches the ready population.
   void CheckConservation(const TxnCensus& census);
 
+  /// Cross-checks the census the engine keeps incrementally (`counted`, the
+  /// one CheckConservation sees at every transition) against a census taken
+  /// by walking every live transaction (`walked`); any difference means a
+  /// state change bypassed the counts. Runs on the sampled deep-check
+  /// transitions and at the end of a run. It re-verifies a census already
+  /// counted, so it does not add to checks_performed().
+  void CheckCensusAgrees(const TxnCensus& counted, const TxnCensus& walked);
+
   // --- Event-time monotonicity ---
 
   /// The engine observed `now`; reports a violation if time went backwards.
@@ -188,7 +199,7 @@ class Auditor {
 
   AuditorOptions options_;
   std::function<SimTime()> clock_;
-  std::unordered_map<TxnId, TxnLockState> lock_states_;
+  TxnSlotMap<TxnLockState> lock_states_;
   SimTime last_time_ = 0;
   bool saw_time_ = false;
   FnvDigest digest_;

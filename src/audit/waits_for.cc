@@ -1,55 +1,65 @@
 #include "audit/waits_for.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 
 namespace ccsim {
 
-std::vector<TxnId> WaitsForSnapshot::FindCycle() const {
-  // Iterative DFS with three colors; unordered_map iteration order must not
-  // influence the result (the auditor itself must be deterministic), so
-  // roots and neighbors are visited in sorted order.
-  std::vector<TxnId> roots;
-  roots.reserve(edges_.size());
-  for (const auto& [waiter, blockers] : edges_) roots.push_back(waiter);
-  std::sort(roots.begin(), roots.end());
+std::vector<TxnId> WaitsForSnapshot::FindCycle() {
+  // Sorted edges list every waiter's blockers contiguously and ascending; a
+  // repeated edge can never change the DFS, so duplicates are dropped.
+  std::sort(edges_.begin(), edges_.end());
+  edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
 
-  enum class Color { kWhite, kGray, kBlack };
-  std::unordered_map<TxnId, Color> color;
-  // Parent edge within the current DFS tree, to reconstruct the cycle.
-  std::unordered_map<TxnId, TxnId> parent;
+  nodes_.clear();
+  for (const Edge& edge : edges_) {
+    nodes_.push_back(edge.waiter);
+    nodes_.push_back(edge.blocker);
+  }
+  std::sort(nodes_.begin(), nodes_.end());
+  nodes_.erase(std::unique(nodes_.begin(), nodes_.end()), nodes_.end());
+  auto index_of = [this](TxnId id) {
+    return static_cast<int32_t>(
+        std::lower_bound(nodes_.begin(), nodes_.end(), id) - nodes_.begin());
+  };
+  const size_t n = nodes_.size();
+  first_edge_.assign(n + 1, 0);
+  target_.resize(edges_.size());
+  for (size_t e = 0; e < edges_.size(); ++e) {
+    ++first_edge_[static_cast<size_t>(index_of(edges_[e].waiter)) + 1];
+    target_[e] = index_of(edges_[e].blocker);
+  }
+  for (size_t i = 0; i < n; ++i) first_edge_[i + 1] += first_edge_[i];
 
-  for (TxnId root : roots) {
-    if (color.count(root) > 0) continue;
-    std::vector<std::pair<TxnId, size_t>> stack;  // (node, next child index)
-    color[root] = Color::kGray;
-    stack.emplace_back(root, 0);
-    while (!stack.empty()) {
-      auto& [node, child_index] = stack.back();
-      auto it = edges_.find(node);
-      std::vector<TxnId> blockers;
-      if (it != edges_.end()) {
-        blockers = it->second;
-        std::sort(blockers.begin(), blockers.end());
-      }
-      if (child_index >= blockers.size()) {
-        color[node] = Color::kBlack;
-        stack.pop_back();
+  // Iterative DFS with three colors; roots are the waiters, ascending.
+  enum : uint8_t { kWhite, kGray, kBlack };
+  color_.assign(n, kWhite);
+  parent_.resize(n);
+  for (size_t root = 0; root < n; ++root) {
+    if (color_[root] != kWhite || first_edge_[root] == first_edge_[root + 1]) {
+      continue;
+    }
+    color_[root] = kGray;
+    stack_.clear();
+    stack_.emplace_back(static_cast<int32_t>(root), first_edge_[root]);
+    while (!stack_.empty()) {
+      auto& [node, next_edge] = stack_.back();
+      if (next_edge == first_edge_[static_cast<size_t>(node) + 1]) {
+        color_[static_cast<size_t>(node)] = kBlack;
+        stack_.pop_back();
         continue;
       }
-      TxnId next = blockers[child_index++];
-      auto color_it = color.find(next);
-      if (color_it == color.end()) {
-        color[next] = Color::kGray;
-        parent[next] = node;
-        stack.emplace_back(next, 0);
-      } else if (color_it->second == Color::kGray) {
+      const int32_t next = target_[next_edge++];
+      if (color_[static_cast<size_t>(next)] == kWhite) {
+        color_[static_cast<size_t>(next)] = kGray;
+        parent_[static_cast<size_t>(next)] = node;
+        stack_.emplace_back(next, first_edge_[static_cast<size_t>(next)]);
+      } else if (color_[static_cast<size_t>(next)] == kGray) {
         // Found a back edge node -> next: walk parents from node to next.
         std::vector<TxnId> cycle;
-        cycle.push_back(next);
-        for (TxnId walk = node; walk != next; walk = parent.at(walk)) {
-          cycle.push_back(walk);
+        cycle.push_back(nodes_[static_cast<size_t>(next)]);
+        for (int32_t walk = node; walk != next;
+             walk = parent_[static_cast<size_t>(walk)]) {
+          cycle.push_back(nodes_[static_cast<size_t>(walk)]);
         }
         // Reverse so each member waits for its successor.
         std::reverse(cycle.begin() + 1, cycle.end());

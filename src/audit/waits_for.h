@@ -8,35 +8,52 @@
 #ifndef CCSIM_AUDIT_WAITS_FOR_H_
 #define CCSIM_AUDIT_WAITS_FOR_H_
 
-#include <unordered_map>
+#include <cstddef>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "cc/types.h"
 
 namespace ccsim {
 
-/// Adjacency snapshot: edges[t] = the transactions t waits for.
+/// A reusable flat list of waits-for edges. Clear() empties it but keeps
+/// every buffer's capacity (FindCycle's scratch included), so a deep check
+/// that rebuilds the snapshot each time allocates nothing once warm.
 class WaitsForSnapshot {
  public:
+  /// Records that `waiter` waits for `blocker`. Duplicates are allowed.
   void AddEdge(TxnId waiter, TxnId blocker) {
-    edges_[waiter].push_back(blocker);
+    edges_.push_back(Edge{waiter, blocker});
   }
 
+  void Clear() { edges_.clear(); }
   bool empty() const { return edges_.empty(); }
-  size_t waiter_count() const { return edges_.size(); }
-
-  const std::unordered_map<TxnId, std::vector<TxnId>>& edges() const {
-    return edges_;
-  }
 
   /// Returns one cycle as an ordered list of transactions (each waiting for
   /// the next, the last waiting for the first), or an empty vector if the
-  /// graph is acyclic. Deterministic: traversal visits waiters in ascending
-  /// TxnId order so the same snapshot always yields the same cycle.
-  std::vector<TxnId> FindCycle() const;
+  /// graph is acyclic. Deterministic: the DFS takes roots in ascending TxnId
+  /// order and each node's blockers in ascending order, so the same snapshot
+  /// always yields the same cycle, whatever order its edges were added in.
+  /// Sorts the edge list in place.
+  std::vector<TxnId> FindCycle();
 
  private:
-  std::unordered_map<TxnId, std::vector<TxnId>> edges_;
+  struct Edge {
+    TxnId waiter;
+    TxnId blocker;
+    friend auto operator<=>(const Edge&, const Edge&) = default;
+  };
+
+  std::vector<Edge> edges_;
+  // FindCycle scratch; a node is an index into nodes_.
+  std::vector<TxnId> nodes_;  ///< Every distinct id, ascending.
+  /// Node i's edges are edges_[first_edge_[i] .. first_edge_[i + 1]).
+  std::vector<size_t> first_edge_;
+  std::vector<int32_t> target_;  ///< Per edge: the blocker's node.
+  std::vector<uint8_t> color_;   ///< DFS color per node.
+  std::vector<int32_t> parent_;  ///< DFS tree parent per node.
+  std::vector<std::pair<int32_t, size_t>> stack_;  ///< (node, next edge).
 };
 
 }  // namespace ccsim

@@ -389,7 +389,9 @@ void LockManager::AuditCheck(Auditor* auditor, const SmallIdSet& doomed) const {
       detail << "object " << obj << " occupancy flag disagrees with contents";
       report(kInvalidTxn, detail.str());
     }
-    SmallIdSet seen_holders;
+    if (!nonempty) return;  // No holders or waiters to check.
+    SmallIdSet& seen_holders = audit_seen_;
+    seen_holders.clear();
     int exclusive_holders = 0;
     int holders = 0;
     ForEachHolder(entry, [&](const Holder& h) {
@@ -452,9 +454,11 @@ void LockManager::AuditCheck(Auditor* auditor, const SmallIdSet& doomed) const {
 
   // txns_ -> table_ direction.
   size_t waiting_seen = 0;
-  WaitsForSnapshot waits_for;
+  WaitsForSnapshot& waits_for = audit_waits_for_;
+  waits_for.Clear();
   txns_.ForEach([&](TxnId txn, const TxnRec& rec) {
-    SmallIdSet seen_objects;
+    SmallIdSet& seen_objects = audit_seen_;
+    seen_objects.clear();
     for (ObjectId obj : rec.held) {
       if (!seen_objects.insert(obj)) {
         std::ostringstream detail;
@@ -493,7 +497,8 @@ void LockManager::AuditCheck(Auditor* auditor, const SmallIdSet& doomed) const {
       report(txn, detail.str());
       return;
     }
-    std::vector<TxnId> blockers = BlockersOf(txn);
+    std::vector<TxnId>& blockers = audit_blockers_;
+    AppendBlockersOf(txn, &blockers);
     if (blockers.empty()) {
       // Prefix grants run at every release, so a waiter with nothing in its
       // way should have been granted already: its wake-up is lost.

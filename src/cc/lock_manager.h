@@ -29,6 +29,7 @@
 #include <optional>
 #include <vector>
 
+#include "audit/waits_for.h"
 #include "cc/types.h"
 #include "util/dense_table.h"
 
@@ -128,7 +129,8 @@ class LockManager {
   /// occupancy accounting, and waits-for acyclicity. `doomed` lists
   /// transactions already selected as deadlock/wound victims whose aborts
   /// are still in flight; cycles made only of doomed members are
-  /// in-resolution, not permanent blocks.
+  /// in-resolution, not permanent blocks. Reuses member scratch, so it
+  /// allocates nothing once warm.
   void AuditCheck(Auditor* auditor, const SmallIdSet& doomed) const;
 
  private:
@@ -232,6 +234,12 @@ class LockManager {
   std::vector<ObjectId> affected_scratch_;
   LockManagerStats stats_;
   Auditor* auditor_ = nullptr;
+  // AuditCheck scratch: one granule's holders or one transaction's held
+  // objects, one waiter's blockers, and the waits-for snapshot. Last, so
+  // the members every request touches keep their places.
+  mutable SmallIdSet audit_seen_;
+  mutable std::vector<TxnId> audit_blockers_;
+  mutable WaitsForSnapshot audit_waits_for_;
 };
 
 }  // namespace ccsim

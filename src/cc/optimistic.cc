@@ -119,7 +119,8 @@ void OptimisticCC::AuditCheck() const {
   // The flush claims must be exactly the write sets of the validated
   // transactions — a leaked claim blocks future validators forever, a lost
   // claim lets a stale read pass validation.
-  std::vector<std::pair<ObjectId, int>> expected;
+  std::vector<std::pair<ObjectId, int>>& expected = audit_expected_;
+  expected.clear();
   active_.ForEach([&](TxnId txn, const TxnState& state) {
     (void)txn;
     if (!state.validated) return;

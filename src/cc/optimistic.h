@@ -11,6 +11,7 @@
 #ifndef CCSIM_CC_OPTIMISTIC_H_
 #define CCSIM_CC_OPTIMISTIC_H_
 
+#include <utility>
 #include <vector>
 
 #include "cc/concurrency_control.h"
@@ -80,6 +81,9 @@ class OptimisticCC : public ConcurrencyControl {
   /// conflicts and restarts). A dormant slot with count 0 is equivalent to
   /// an absent entry.
   GranuleTable<FlushClaim> flushing_;
+  /// AuditCheck scratch: (object, validated writers) the flush claims must
+  /// match; reused so the check allocates nothing once warm.
+  mutable std::vector<std::pair<ObjectId, int>> audit_expected_;
 };
 
 }  // namespace ccsim

@@ -135,22 +135,14 @@ void ClosedSystem::SetupObservability() {
   registry_->AddGauge("active", [this] {
     return static_cast<double>(active_count_);
   });
-  auto count_state = [this](TxnState state) {
-    int64_t n = 0;
-    txns_.ForEach([&](TxnId id, const Txn& txn) {
-      (void)id;
-      if (txn.state == state) ++n;
-    });
-    return static_cast<double>(n);
-  };
-  registry_->AddGauge("blocked", [count_state] {
-    return count_state(TxnState::kBlocked);
+  registry_->AddGauge("blocked", [this] {
+    return static_cast<double>(StateCount(TxnState::kBlocked));
   });
-  registry_->AddGauge("thinking", [count_state] {
-    return count_state(TxnState::kIntThink);
+  registry_->AddGauge("thinking", [this] {
+    return static_cast<double>(StateCount(TxnState::kIntThink));
   });
-  registry_->AddGauge("restart_delay", [count_state] {
-    return count_state(TxnState::kRestartDelay);
+  registry_->AddGauge("restart_delay", [this] {
+    return static_cast<double>(StateCount(TxnState::kRestartDelay));
   });
   // Engine counters (cumulative; the sampler records them per tick so the
   // time series shows rates as slopes).
@@ -253,7 +245,8 @@ void ClosedSystem::SubmitFromTerminal(int terminal) {
   workload_.NextTransaction(&txn.spec);
   txn.spec.WriteSet(&txn.write_set);
   txn.first_submit = sim_->Now();
-  txn.state = TxnState::kReady;
+  // Insert left the slot kReady; SetState takes over from here.
+  ++state_counts_[static_cast<size_t>(TxnState::kReady)];
   if (obs_on_) txn.ready_since = sim_->Now();
   Trace(txn, TxnEvent::kSubmitted);
   ready_queue_.push_back(id);
@@ -285,7 +278,7 @@ void ClosedSystem::TryActivate() {
 void ClosedSystem::Activate(TxnId id) {
   Txn& txn = GetTxn(id);
   CCSIM_CHECK(txn.state == TxnState::kReady);
-  txn.state = TxnState::kRunning;
+  SetState(txn, TxnState::kRunning);
   txn.incarnation += 1;
   txn.incarnation_start = sim_->Now();
   txn.read_index = 0;
@@ -342,7 +335,7 @@ void ClosedSystem::Activate(TxnId id) {
       case CCDecision::kGranted:
         break;
       case CCDecision::kBlocked:
-        txn.state = TxnState::kBlocked;
+        SetState(txn, TxnState::kBlocked);
         if (obs_on_) {
           txn.blocked_since = sim_->Now();
           RecordBlockedEdge(id, sim_->Now());
@@ -444,7 +437,7 @@ void ClosedSystem::HandleCcRequest(TxnId id) {
         StartAccess(id);
         return;
       case CCDecision::kBlocked:
-        txn.state = TxnState::kBlocked;
+        SetState(txn, TxnState::kBlocked);
         if (obs_on_) {
           txn.blocked_since = sim_->Now();
           RecordBlockedEdge(id, sim_->Now());
@@ -472,7 +465,7 @@ void ClosedSystem::HandleCcRequest(TxnId id) {
         StartAccess(id);
         return;
       case CCDecision::kBlocked:
-        txn.state = TxnState::kBlocked;
+        SetState(txn, TxnState::kBlocked);
         if (obs_on_) {
           txn.blocked_since = sim_->Now();
           RecordBlockedEdge(id, sim_->Now());
@@ -602,7 +595,7 @@ void ClosedSystem::OnServiceDone(const ServiceRequest& request) {
 
 void ClosedSystem::StartInternalThink(TxnId id) {
   Txn& txn = GetTxn(id);
-  txn.state = TxnState::kIntThink;
+  SetState(txn, TxnState::kIntThink);
   Trace(txn, TxnEvent::kInternalThink);
   int incarnation = txn.incarnation;
   SimTime think = workload_.NextInternalThink();
@@ -612,7 +605,7 @@ void ClosedSystem::StartInternalThink(TxnId id) {
     CCSIM_CHECK(t.state == TxnState::kIntThink);
     t.pending_event = kInvalidEventId;
     t.think_done = true;
-    t.state = TxnState::kRunning;
+    SetState(t, TxnState::kRunning);
     if (obs_on_) t.ph_think += think;
     NextStep(id);
   });
@@ -757,6 +750,7 @@ void ClosedSystem::Complete(TxnId id) {
 
   int terminal = txn.terminal;
   Deactivate();
+  --state_counts_[static_cast<size_t>(txn.state)];
   txns_.Erase(id);
 
   if (config_.source_mode == SourceMode::kClosed) {
@@ -817,14 +811,14 @@ void ClosedSystem::Restart(TxnId id, RestartCause cause) {
   // between events, sim/simulator.h RunGuard) could ever interrupt it.
   SimTime delay = restart_policy_.NextDelay(&delay_rng_);
   if (obs_on_) txn.ph_restart_delay += delay;
-  txn.state = TxnState::kRestartDelay;
+  SetState(txn, TxnState::kRestartDelay);
   int incarnation = txn.incarnation;
   txn.pending_event = sim_->Schedule(delay, [this, id, incarnation] {
     CCSIM_CHECK(IsCurrent(id, incarnation));
     Txn& t = GetTxn(id);
     CCSIM_CHECK(t.state == TxnState::kRestartDelay);
     t.pending_event = kInvalidEventId;
-    t.state = TxnState::kReady;
+    SetState(t, TxnState::kReady);
     if (obs_on_) t.ready_since = sim_->Now();
     ready_queue_.push_back(id);
     TryActivate();
@@ -850,7 +844,7 @@ void ClosedSystem::OnGranted(TxnId id) {
     Txn& t = GetTxn(id);
     t.grant_inflight = false;
     if (t.state != TxnState::kBlocked) return;  // Stale grant.
-    t.state = TxnState::kRunning;
+    SetState(t, TxnState::kRunning);
     if (obs_on_) {
       const SimTime blocked = sim_->Now() - t.blocked_since;
       t.ph_cc_block += blocked;
@@ -898,14 +892,26 @@ void ClosedSystem::OnWound(TxnId id) {
 }
 
 namespace {
-/// Deep cc-algorithm checks are O(lock table), so they run on a sampled
-/// subset of transitions; the census and monotonicity checks run on all.
+/// Deep cc-algorithm checks are O(lock table) and the census walk is
+/// O(population), so they run on a sampled subset of transitions; the
+/// counted census and monotonicity checks run on all.
 constexpr int64_t kAuditDeepCheckPeriod = 64;
 }  // namespace
 
-void ClosedSystem::AuditTransition() {
-  if (auditor_ == nullptr) return;
-  auditor_->OnEventTime(sim_->Now());
+TxnCensus ClosedSystem::CountedCensus() const {
+  TxnCensus census;
+  census.total = static_cast<int64_t>(txns_.size());
+  census.ready = StateCount(TxnState::kReady);
+  census.running = StateCount(TxnState::kRunning);
+  census.blocked = StateCount(TxnState::kBlocked);
+  census.thinking = StateCount(TxnState::kIntThink);
+  census.restart_delay = StateCount(TxnState::kRestartDelay);
+  census.ready_queue = static_cast<int64_t>(ready_queue_.size());
+  census.active = active_count_;
+  return census;
+}
+
+TxnCensus ClosedSystem::WalkedCensus() const {
   TxnCensus census;
   census.total = static_cast<int64_t>(txns_.size());
   txns_.ForEach([&](TxnId id, const Txn& txn) {
@@ -920,8 +926,18 @@ void ClosedSystem::AuditTransition() {
   });
   census.ready_queue = static_cast<int64_t>(ready_queue_.size());
   census.active = active_count_;
+  return census;
+}
+
+void ClosedSystem::AuditTransition() {
+  if (auditor_ == nullptr) return;
+  auditor_->OnEventTime(sim_->Now());
+  const TxnCensus census = CountedCensus();
   auditor_->CheckConservation(census);
   if (++audit_transitions_ % kAuditDeepCheckPeriod == 0) {
+    // A state write that bypassed SetState leaves the counts permanently
+    // off, so this sampled walk (and always the final one) catches it.
+    auditor_->CheckCensusAgrees(census, WalkedCensus());
     cc_->AuditCheck();
     // Lost-wakeup check: every blocked transaction must still be tracked as
     // a waiter by the algorithm — unless it is doomed (its abort event is
@@ -950,6 +966,7 @@ void ClosedSystem::AuditFinal() {
   if (auditor_ == nullptr) return;
   cc_->AuditCheck();
   AuditTransition();
+  auditor_->CheckCensusAgrees(CountedCensus(), WalkedCensus());
   // Quiescence: with the event queue drained nothing can ever wake a
   // blocked transaction again — each one is permanently stuck.
   if (sim_->pending_events() == 0) {
@@ -1205,24 +1222,15 @@ MetricsReport ClosedSystem::RunExperiment(int batches, SimTime batch_length,
 }
 
 std::string ClosedSystem::DescribeCensus() const {
-  int64_t ready = 0, running = 0, blocked = 0, thinking = 0, delayed = 0;
-  txns_.ForEach([&](TxnId id, const Txn& txn) {
-    (void)id;
-    switch (txn.state) {
-      case TxnState::kReady: ++ready; break;
-      case TxnState::kRunning: ++running; break;
-      case TxnState::kBlocked: ++blocked; break;
-      case TxnState::kIntThink: ++thinking; break;
-      case TxnState::kRestartDelay: ++delayed; break;
-    }
-  });
   return StringPrintf(
       "census: %lld running, %lld blocked, %lld in internal think, "
       "%lld in restart delay, %lld ready (active=%d, lifetime commits=%lld, "
       "restarts=%lld)",
-      static_cast<long long>(running), static_cast<long long>(blocked),
-      static_cast<long long>(thinking), static_cast<long long>(delayed),
-      static_cast<long long>(ready), active_count_,
+      static_cast<long long>(StateCount(TxnState::kRunning)),
+      static_cast<long long>(StateCount(TxnState::kBlocked)),
+      static_cast<long long>(StateCount(TxnState::kIntThink)),
+      static_cast<long long>(StateCount(TxnState::kRestartDelay)),
+      static_cast<long long>(StateCount(TxnState::kReady)), active_count_,
       static_cast<long long>(lifetime_commits_),
       static_cast<long long>(lifetime_restarts_));
 }

@@ -203,6 +203,9 @@ class ClosedSystem : private ServiceSink {
     kIntThink,      ///< Active: intra-transaction (internal) think.
     kRestartDelay,  ///< Not active: sitting out a restart delay.
   };
+  static constexpr size_t kNumTxnStates = 5;
+  static_assert(static_cast<size_t>(TxnState::kRestartDelay) + 1 ==
+                kNumTxnStates);
 
   struct Txn {
     TxnId id = kInvalidTxn;
@@ -346,9 +349,28 @@ class ClosedSystem : private ServiceSink {
   void OnGranted(TxnId id);
   void OnWound(TxnId id);
 
+  // Transaction census.
+  /// The one writer of a counted transaction's state: moves it between the
+  /// per-state counts (state_counts_). A transaction is counted from its
+  /// submission (kReady) until Complete erases it.
+  void SetState(Txn& txn, TxnState state) {
+    --state_counts_[static_cast<size_t>(txn.state)];
+    ++state_counts_[static_cast<size_t>(state)];
+    txn.state = state;
+  }
+  int64_t StateCount(TxnState state) const {
+    return state_counts_[static_cast<size_t>(state)];
+  }
+  /// The census from the per-state counts: O(1), taken at every transition.
+  TxnCensus CountedCensus() const;
+  /// The same census from a walk over every live transaction: O(population),
+  /// the cross-check of the counts.
+  TxnCensus WalkedCensus() const;
+
   // Auditing (no-ops unless config.audit is set).
   /// Monotonicity + conservation census at every lifecycle transition; every
-  /// kAuditDeepCheckPeriod-th call also deep-checks the cc algorithm.
+  /// kAuditDeepCheckPeriod-th call also deep-checks the cc algorithm and
+  /// cross-checks the census counts against a walk.
   void AuditTransition();
   /// Cross-checks a newly blocked transaction against the algorithm's
   /// waiter bookkeeping.
@@ -414,6 +436,8 @@ class ClosedSystem : private ServiceSink {
   /// and each Txn's buffers with them.
   TxnSlotMap<Txn> txns_;
   RingQueue<TxnId> ready_queue_;
+  /// Live transactions per TxnState, kept by SetState audited or not.
+  int64_t state_counts_[kNumTxnStates] = {};
   int active_count_ = 0;
   TimeWeightedValue active_mpl_;
 

@@ -2,6 +2,8 @@
 // detected when injected, clean histories must pass, and a sweep of every
 // algorithm under full auditing must come back violation-free.
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -123,6 +125,47 @@ TEST(AuditorTest, DetectsReadyQueueMismatch) {
   EXPECT_TRUE(HasViolation(auditor, AuditInvariant::kTxnConservation));
 }
 
+// The engine keeps its census incrementally and, on sampled transitions and
+// at the end of a run, cross-checks it against a walk of the live
+// transactions.
+TEST(AuditorTest, AcceptsAgreeingCensusWithoutCountingACheck) {
+  Auditor auditor;
+  TxnCensus census;
+  census.total = 3;
+  census.ready = 1;
+  census.running = 1;
+  census.blocked = 1;
+  census.ready_queue = 1;
+  census.active = 2;
+  auditor.CheckCensusAgrees(census, census);
+  EXPECT_EQ(auditor.violation_count(), 0) << auditor.Summary();
+  // It re-verifies a census CheckConservation already counted.
+  EXPECT_EQ(auditor.checks_performed(), 0);
+}
+
+TEST(AuditorTest, DetectsCountedCensusDisagreeingWithWalk) {
+  Auditor auditor;
+  TxnCensus walked;
+  walked.total = 3;
+  walked.ready = 1;
+  walked.running = 1;
+  walked.blocked = 1;
+  walked.ready_queue = 1;
+  walked.active = 2;
+  // A state write that bypassed the counts: the counts still say running
+  // where the walk finds the transaction blocked. Both censuses balance on
+  // their own, so CheckConservation alone cannot see it.
+  TxnCensus counted = walked;
+  counted.running = 2;
+  counted.blocked = 0;
+  auditor.CheckConservation(counted);
+  EXPECT_EQ(auditor.violation_count(), 0) << auditor.Summary();
+  auditor.CheckCensusAgrees(counted, walked);  // Injected.
+  EXPECT_TRUE(HasViolation(auditor, AuditInvariant::kTxnConservation))
+      << auditor.Summary();
+  EXPECT_EQ(auditor.violation_count(), 1);
+}
+
 // --- Event-time monotonicity ---
 
 TEST(AuditorTest, DetectsTimeGoingBackwards) {
@@ -213,6 +256,72 @@ TEST(WaitsForSnapshotTest, FindsCycleMembers) {
   for (TxnId member : cycle) {
     EXPECT_TRUE(member == 1 || member == 2 || member == 3);
   }
+}
+
+TEST(WaitsForSnapshotTest, DuplicateEdgesChangeNothing) {
+  WaitsForSnapshot dag;
+  dag.AddEdge(1, 2);
+  dag.AddEdge(1, 2);
+  dag.AddEdge(2, 3);
+  dag.AddEdge(2, 3);
+  EXPECT_TRUE(dag.FindCycle().empty());
+
+  WaitsForSnapshot cyclic;
+  cyclic.AddEdge(2, 1);
+  cyclic.AddEdge(1, 2);
+  cyclic.AddEdge(2, 1);
+  cyclic.AddEdge(1, 2);
+  EXPECT_EQ(cyclic.FindCycle(), (std::vector<TxnId>{1, 2}));
+}
+
+TEST(WaitsForSnapshotTest, SparseLargeIds) {
+  // Transaction ids grow without bound over a run; the snapshot indexes
+  // only the ids it holds.
+  constexpr TxnId kA = 5;
+  constexpr TxnId kB = int64_t{1} << 40;
+  constexpr TxnId kC = int64_t{1} << 62;
+  WaitsForSnapshot graph;
+  graph.AddEdge(kC, kA);
+  graph.AddEdge(kB, kC);
+  graph.AddEdge(kA, kB);
+  graph.AddEdge(kA + 1, kC);  // Off-cycle spur.
+  // Root kA (the smallest waiter): kA -> kB -> kC -> kA.
+  EXPECT_EQ(graph.FindCycle(), (std::vector<TxnId>{kA, kB, kC}));
+}
+
+TEST(WaitsForSnapshotTest, ReusableAfterClear) {
+  WaitsForSnapshot graph;
+  graph.AddEdge(1, 2);
+  graph.AddEdge(2, 1);
+  EXPECT_EQ(graph.FindCycle(), (std::vector<TxnId>{1, 2}));
+  graph.Clear();
+  EXPECT_TRUE(graph.empty());
+  EXPECT_TRUE(graph.FindCycle().empty());
+  graph.AddEdge(7, 8);  // A DAG now: the old cycle must not linger.
+  graph.AddEdge(8, 9);
+  EXPECT_TRUE(graph.FindCycle().empty());
+  graph.Clear();
+  graph.AddEdge(30, 10);
+  graph.AddEdge(10, 20);
+  graph.AddEdge(20, 30);
+  EXPECT_EQ(graph.FindCycle(), (std::vector<TxnId>{10, 20, 30}));
+}
+
+TEST(WaitsForSnapshotTest, SameCycleOnEveryCallAndInsertionOrder) {
+  // Two disjoint cycles, and a root (1) that closes two cycles through its
+  // blockers 2 and 3: ascending roots and ascending blockers pick 1 -> 2.
+  const std::vector<std::pair<TxnId, TxnId>> edges = {
+      {9, 8}, {8, 9}, {1, 3}, {3, 1}, {1, 2}, {2, 1}, {4, 1}};
+  WaitsForSnapshot forward;
+  for (const auto& [waiter, blocker] : edges) forward.AddEdge(waiter, blocker);
+  WaitsForSnapshot backward;
+  for (auto it = edges.rbegin(); it != edges.rend(); ++it) {
+    backward.AddEdge(it->first, it->second);
+  }
+  const std::vector<TxnId> expected = {1, 2};
+  EXPECT_EQ(forward.FindCycle(), expected);
+  EXPECT_EQ(forward.FindCycle(), expected);  // Same snapshot, again.
+  EXPECT_EQ(backward.FindCycle(), expected);
 }
 
 // --- Lock-table deep check against a real deadlock ---

@@ -67,13 +67,14 @@ namespace {
 
 /// The paper's Table 2 workload at db_size 1000.
 EngineConfig PaperConfig(const std::string& algorithm, ResourceConfig res,
-                         int mpl) {
+                         int mpl, bool audit = false) {
   EngineConfig config;
   config.workload.db_size = 1000;
   config.workload.mpl = mpl;
   config.resources = res;
   config.algorithm = algorithm;
   config.seed = 42;
+  config.audit = audit;
   return config;
 }
 
@@ -136,6 +137,54 @@ TEST(EngineAllocTest, ImmediateRestartCancelsWithoutAllocating) {
 TEST(EngineAllocTest, OptimisticValidationRestarts) {
   WindowCounts counts = MeasureSteadyState(
       PaperConfig("optimistic", ResourceConfig::Infinite(), 50), 500, 3000);
+  EXPECT_GT(counts.commits, 50000);
+  EXPECT_GT(counts.restarts, 1000);
+  EXPECT_EQ(counts.news, 0u)
+      << "operator new calls over " << counts.commits << " commits";
+}
+
+// Audited runs: the auditor's census, lock-phase table, deep checks (every
+// 64th transition) and their waits-for snapshots reuse their storage too.
+
+TEST(EngineAllocTest, AuditedBlockingInfiniteResources) {
+  // The deep checks' scratch reaches its high-water mark later than the
+  // unaudited engine's buffers: for seed 42 the waits-for snapshot's
+  // scratch last grows between 2000 s and 2250 s.
+  WindowCounts counts = MeasureSteadyState(
+      PaperConfig("blocking", ResourceConfig::Infinite(), 50, /*audit=*/true),
+      2500, 2000);
+  EXPECT_GT(counts.commits, 50000);
+  EXPECT_EQ(counts.news, 0u)
+      << "operator new calls over " << counts.commits << " commits";
+}
+
+TEST(EngineAllocTest, AuditedBlockingFiniteResourcesFullQueues) {
+  WindowCounts counts = MeasureSteadyState(
+      PaperConfig("blocking", ResourceConfig::Finite(1, 2), 200,
+                  /*audit=*/true),
+      8500, 4500);
+  EXPECT_GT(counts.commits, 5000);
+  EXPECT_GT(counts.restarts, 5000);
+  EXPECT_EQ(counts.news, 0u)
+      << "operator new calls over " << counts.commits << " commits";
+}
+
+TEST(EngineAllocTest, AuditedImmediateRestart) {
+  WindowCounts counts = MeasureSteadyState(
+      PaperConfig("immediate_restart", ResourceConfig::Infinite(), 50,
+                  /*audit=*/true),
+      1500, 3000);
+  EXPECT_GT(counts.commits, 50000);
+  EXPECT_GT(counts.restarts, 1000);
+  EXPECT_EQ(counts.news, 0u)
+      << "operator new calls over " << counts.commits << " commits";
+}
+
+TEST(EngineAllocTest, AuditedOptimistic) {
+  WindowCounts counts = MeasureSteadyState(
+      PaperConfig("optimistic", ResourceConfig::Infinite(), 50,
+                  /*audit=*/true),
+      500, 3000);
   EXPECT_GT(counts.commits, 50000);
   EXPECT_GT(counts.restarts, 1000);
   EXPECT_EQ(counts.news, 0u)

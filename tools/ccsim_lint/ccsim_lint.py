@@ -45,15 +45,17 @@ Rules (docs/VERIFICATION.md):
                    "<pool>_busy" etc. — are documented as families in the
                    same catalog but cannot be checked mechanically.)
   R8 dense-state   No std::unordered_map / std::unordered_set (use or
-                   include) in the cc hot path (src/cc, src/core): per-granule
-                   and per-transaction state lives in the dense containers of
-                   util/dense_table.h, which are both faster (direct indexing,
-                   slot reuse) and deterministic to iterate
-                   (docs/PERFORMANCE.md "Dense CC state"). Allowlisted:
+                   include) in the per-decision hot path (src/cc, src/core,
+                   src/audit): per-granule and per-transaction state lives in
+                   the dense containers of util/dense_table.h, which are both
+                   faster (direct indexing, slot reuse) and deterministic to
+                   iterate (docs/PERFORMANCE.md "Dense CC state"). src/audit
+                   is in scope because the auditor's hooks run at every
+                   lifecycle transition of an audited run. Allowlisted:
                    core/history.{h,cc} — the offline serialization-graph
-                   checker runs between batches, not per decision. (Offline
-                   checkers in audit/ and verify/ and the observability layer
-                   are outside the rule's directories.)
+                   checker runs between batches, not per decision. (The
+                   offline schedule-space verifier in verify/ and the
+                   observability layer are outside the rule's directories.)
 
 Usage: ccsim_lint.py [--root REPO] [--self-test]
 Exit status: 0 clean, 1 violations found, 2 usage error.
@@ -118,7 +120,7 @@ R6_ALLOWLIST = {
     "src/verify/explorer.cc": 1,  # throw PrunedRunError (backtrack signal).
 }
 
-R8_HOT_DIRS = ("src/cc", "src/core")
+R8_HOT_DIRS = ("src/cc", "src/core", "src/audit")
 R8_TOKEN = re.compile(
     r"\bstd::unordered_(?:map|set)\b|#include\s*<unordered_(?:map|set)>"
 )
@@ -417,7 +419,7 @@ class Linter:
                     rel,
                     line_of(code, match.start()),
                     "R8",
-                    "unordered_map/unordered_set in the cc hot path; use the "
+                    "unordered_map/unordered_set in the hot path; use the "
                     "dense containers of util/dense_table.h (GranuleTable, "
                     "TxnSlotMap, SmallIdSet) — faster and deterministic to "
                     'iterate (docs/PERFORMANCE.md "Dense CC state")',
@@ -477,6 +479,7 @@ SELF_TEST_SNIPPETS = {
         "// std::unordered_map in a comment must not fire\n"
     ),
     "R8_exempt": "#include <unordered_set>\nstd::unordered_map<int, int> m_;\n",
+    "R8_audit": "std::unordered_map<TxnId, TxnLockState> lock_states_;\n",
 }
 
 
@@ -537,6 +540,11 @@ def self_test(tmp_root):
         # R8: an include and a usage in the hot path fire; the comment and
         # the allowlisted offline checker stay silent.
         (root / "src/cc/bad_hash_map.h").write_text(SELF_TEST_SNIPPETS["R8"])
+        # The auditor's per-transition hooks are hot path too.
+        (root / "src/audit").mkdir(parents=True)
+        (root / "src/audit/bad_audit.h").write_text(
+            SELF_TEST_SNIPPETS["R8_audit"]
+        )
         (root / "src/core/history.cc").write_text(
             SELF_TEST_SNIPPETS["R8_exempt"]
         )
@@ -570,7 +578,8 @@ def self_test(tmp_root):
         expect("[R7]", 3)  # undocumented_counter + both "dup" sites.
         expect("undocumented_counter", 1)
         expect("documented_gauge", 0)  # Catalogued: silent.
-        expect("[R8]", 2)  # The include + the usage; not the comment.
+        expect("[R8]", 3)  # Include + usage + the audit/ plant; not comments.
+        expect("bad_audit.h", 1)  # audit/ is in the rule's scope.
         expect("history.cc", 0)  # Offline checker: allowlisted.
     if failures:
         for f in failures:
