@@ -126,6 +126,27 @@ void BM_DeadlockDetectionChain(benchmark::State& state) {
 }
 BENCHMARK(BM_DeadlockDetectionChain)->Arg(4)->Arg(32)->Arg(128);
 
+void BM_DeadlockDetectionNoWaiters(benchmark::State& state) {
+  // The same wait chain without the closing edge, plus a requester N+1
+  // blocked on N's object: nobody waits for the requester, so no cycle can
+  // pass through it and detection answers without walking the chain.
+  const int n = static_cast<int>(state.range(0));
+  LockManager lm;
+  for (TxnId t = 1; t <= n; ++t) {
+    lm.Request(t, t, LockMode::kExclusive, true);
+  }
+  for (TxnId t = 2; t <= n; ++t) {
+    lm.Request(t, t - 1, LockMode::kExclusive, true);  // t waits on t-1.
+  }
+  lm.Request(n + 1, n, LockMode::kExclusive, true);  // The requester.
+  DeadlockDetector detector(&lm, VictimPolicy::kYoungest);
+  for (auto _ : state) {
+    auto cycle = detector.FindCycle(n + 1, {});
+    benchmark::DoNotOptimize(cycle);
+  }
+}
+BENCHMARK(BM_DeadlockDetectionNoWaiters)->Arg(4)->Arg(32)->Arg(128);
+
 void BM_OptimisticValidate(benchmark::State& state) {
   // Validation cost against a populated committed-writes table.
   OptimisticCC cc;

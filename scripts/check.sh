@@ -13,12 +13,14 @@
 #   5. observability smoke: one figure point with the sampler + Perfetto
 #      trace on; validates the trace parses and the time-series CSV is
 #      non-empty and time-monotone (docs/OBSERVABILITY.md)
-#   6. ccsim-lint: project-rule linter (determinism, env-knob, observability
+#   6. perfbench pins: each benchmark workload run briefly at seed 42 must
+#      reproduce perfbench/pins.json (scripts/perfbench_pins.sh)
+#   7. ccsim-lint: project-rule linter (determinism, env-knob, observability
 #      and layering rules — docs/VERIFICATION.md), self-test first
-#   7. deep schedule-space verification: verify_test re-run with
+#   8. deep schedule-space verification: verify_test re-run with
 #      CCSIM_VERIFY_DEPTH=8 (the full ctest pass above ran the shallow
 #      PR-lane depth); skipped with --fast
-#   8. clang-tidy over src/ (skipped with a notice if clang-tidy is absent —
+#   9. clang-tidy over src/ (skipped with a notice if clang-tidy is absent —
 #      the local toolchain may be gcc-only; CI still enforces it)
 #
 # Usage: scripts/check.sh [--fast]
@@ -56,6 +58,9 @@ scripts/bench_smoke.sh build-plain
 
 echo "=== observability smoke (sampler + trace artifacts validated) ==="
 scripts/obs_smoke.sh ./build-plain/bench/fig03_04_low_conflict
+
+echo "=== perfbench pins (three workloads, seed 42) ==="
+scripts/perfbench_pins.sh
 
 echo "=== ccsim-lint (self-test, then the tree) ==="
 python3 tools/ccsim_lint/ccsim_lint.py --self-test

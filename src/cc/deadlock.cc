@@ -1,6 +1,6 @@
 #include "cc/deadlock.h"
 
-#include <algorithm>
+#include <optional>
 
 #include "sim/choice.h"
 #include "util/check.h"
@@ -13,6 +13,11 @@ namespace {
 constexpr int kMaxVictimAlternatives = 6;
 }  // namespace
 
+void DeadlockDetector::Reserve(size_t num_txns) {
+  stack_.reserve(num_txns);
+  visited_.reserve(num_txns);
+}
+
 std::vector<TxnId> DeadlockDetector::FindCycle(
     TxnId start, const SmallIdSet& excluded) const {
   std::vector<TxnId> cycle;
@@ -22,38 +27,35 @@ std::vector<TxnId> DeadlockDetector::FindCycle(
 
 bool DeadlockDetector::FindCycle(TxnId start, const SmallIdSet& excluded,
                                  std::vector<TxnId>* cycle) const {
-  // Iterative DFS over the waits-for relation looking for a path back to
-  // `start`. Path state lets us return the cycle members themselves. Frames
-  // (and their blocker buffers) are pooled by depth, so a search that finds
-  // no cycle allocates nothing once the pool is warm.
-  size_t depth = 0;
-  auto push = [&](TxnId txn) {
-    if (depth == frames_.size()) frames_.emplace_back();
-    Frame& frame = frames_[depth++];
-    frame.txn = txn;
-    frame.next = 0;
-    locks_->AppendBlockersOf(txn, &frame.blockers);
-    frame.blockers.erase(
-        std::remove_if(frame.blockers.begin(), frame.blockers.end(),
-                       [&](TxnId b) { return excluded.count(b) > 0; }),
-        frame.blockers.end());
-  };
-
   cycle->clear();
+  // A cycle through `start` needs a non-excluded waiter that `start` blocks
+  // (header comment); without one the walk below would find nothing.
+  if (!locks_->HasWaitersBlockedBy(start, excluded)) return false;
+
+  // Iterative DFS over the waits-for relation looking for a path back to
+  // `start`; the path state is the cycle body when one is found. Blockers
+  // are tried in ascending id order, excluded ones skipped. A transaction
+  // that is not waiting has no blockers, so it gets no frame.
+  auto push = [&](TxnId txn) {
+    const std::optional<ObjectId> obj = locks_->WaitingOn(txn);
+    if (obj.has_value()) stack_.push_back(Frame{txn, *obj, kInvalidTxn});
+  };
+  stack_.clear();
   visited_.clear();
   visited_.insert(start);
   push(start);
 
-  while (depth > 0) {
-    Frame& frame = frames_[depth - 1];
-    if (frame.next >= frame.blockers.size()) {
-      --depth;
+  while (!stack_.empty()) {
+    Frame& frame = stack_.back();
+    const TxnId next =
+        locks_->NextBlocker(frame.txn, frame.obj, frame.last, excluded);
+    if (next == kInvalidTxn) {
+      stack_.pop_back();
       continue;
     }
-    TxnId next = frame.blockers[frame.next++];
+    frame.last = next;
     if (next == start) {
-      // Found a cycle: the current DFS path is the cycle body.
-      for (size_t i = 0; i < depth; ++i) cycle->push_back(frames_[i].txn);
+      for (const Frame& member : stack_) cycle->push_back(member.txn);
       return true;
     }
     if (visited_.insert(next)) push(next);

@@ -6,7 +6,12 @@
 // enqueues an upgrade, whose new edges all touch the upgrader), any new cycle
 // must pass through the newly blocked transaction — so detection searches
 // only cycles through the requester, and the graph is acyclic between
-// detections.
+// detections. A cycle through the requester must also enter it: the search
+// reports a cycle only on an edge w -> requester from a transaction w it
+// reached, which is never excluded and never the requester itself (nobody
+// blocks itself). So when no waiter outside the excluded set is blocked by
+// the requester (LockManager::HasWaitersBlockedBy), detection answers "no
+// cycle" without walking the graph — exactly the answer the walk would give.
 #ifndef CCSIM_CC_DEADLOCK_H_
 #define CCSIM_CC_DEADLOCK_H_
 
@@ -48,14 +53,19 @@ struct DeadlockResolution {
 };
 
 /// Detector over a LockManager's waits-for relation. Logically stateless:
-/// the mutable members are pooled scratch (DFS frames, visited/excluded
-/// sets, the cycle and the resolution) reused across searches, so detection
-/// allocates nothing once the pools have grown to working size — with or
-/// without a cycle.
+/// the mutable members are scratch (the DFS stack, visited/excluded sets,
+/// the cycle and the resolution) reused across searches. A DFS frame is
+/// three ids, and the stack and visited set hold at most one entry per live
+/// transaction, so Reserve bounds their growth up front: the search
+/// allocates nothing in steady state however wide it runs.
 class DeadlockDetector {
  public:
   DeadlockDetector(const LockManager* locks, VictimPolicy policy)
       : locks_(locks), policy_(policy) {}
+
+  /// Capacity hint: the live transaction population. Pre-sizes the DFS
+  /// stack and visited set; no behavioral effect.
+  void Reserve(size_t num_txns);
 
   /// Repeatedly finds a cycle through `requester` and selects a victim until
   /// no such cycle remains. Transactions in `doomed` (victims already chosen
@@ -71,12 +81,12 @@ class DeadlockDetector {
   std::vector<TxnId> FindCycle(TxnId start, const SmallIdSet& excluded) const;
 
  private:
-  /// DFS path frame; `blockers` keeps its capacity across searches (frames
-  /// are pooled by depth).
+  /// DFS path frame: a waiting transaction, the object it waits on, and the
+  /// last blocker tried (the next one comes from LockManager::NextBlocker).
   struct Frame {
-    TxnId txn = kInvalidTxn;
-    std::vector<TxnId> blockers;
-    size_t next = 0;
+    TxnId txn;
+    ObjectId obj;
+    TxnId last;
   };
 
   /// FindCycle into `*cycle` (cleared first); returns whether one was found.
@@ -87,7 +97,7 @@ class DeadlockDetector {
 
   const LockManager* locks_;
   VictimPolicy policy_;
-  mutable std::vector<Frame> frames_;  ///< Pooled DFS stack.
+  mutable std::vector<Frame> stack_;  ///< DFS path.
   mutable SmallIdSet visited_;
   mutable SmallIdSet excluded_scratch_;  ///< doomed ∪ victims-so-far.
   mutable std::vector<TxnId> cycle_;

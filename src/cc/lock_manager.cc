@@ -15,6 +15,13 @@ bool ModeConflicts(LockMode held, LockMode wanted) {
   return held == LockMode::kExclusive || wanted == LockMode::kExclusive;
 }
 
+/// True if another transaction's `held` lock blocks a queued request for
+/// `wanted`: an upgrade waits for every other holder, an ordinary request
+/// for the conflicting ones.
+bool HoldBlocksRequest(LockMode held, LockMode wanted, bool upgrade) {
+  return upgrade || ModeConflicts(held, wanted);
+}
+
 }  // namespace
 
 void LockManager::Reserve(size_t num_objects, size_t num_txns) {
@@ -318,31 +325,86 @@ std::vector<TxnId> LockManager::BlockersOf(TxnId txn) const {
   return blockers;
 }
 
+template <typename Fn>
+void LockManager::ForEachBlocker(const Entry& entry, TxnId txn,
+                                 Fn&& fn) const {
+  // Every earlier waiter blocks us (prefix-grant policy).
+  int32_t cur = entry.queue_head;
+  while (cur >= 0 && nodes_[static_cast<size_t>(cur)].w.txn != txn) {
+    fn(nodes_[static_cast<size_t>(cur)].w.txn);
+    cur = nodes_[static_cast<size_t>(cur)].next;
+  }
+  CCSIM_CHECK_GE(cur, 0);
+  // Conflicting holders block us.
+  const Waiter& mine = nodes_[static_cast<size_t>(cur)].w;
+  ForEachHolder(entry, [&](const Holder& h) {
+    if (h.txn != txn && HoldBlocksRequest(h.mode, mine.mode, mine.upgrade)) {
+      fn(h.txn);
+    }
+    return true;
+  });
+}
+
 void LockManager::AppendBlockersOf(TxnId txn, std::vector<TxnId>* out) const {
   out->clear();
   const TxnRec* rec = txns_.Find(txn);
   if (rec == nullptr || rec->waiting_on < 0) return;
   const Entry* entry = table_.Find(rec->waiting_on);
   CCSIM_CHECK(entry != nullptr);
-
-  // Every earlier waiter blocks us (prefix-grant policy).
-  int32_t cur = entry->queue_head;
-  while (cur >= 0 && nodes_[static_cast<size_t>(cur)].w.txn != txn) {
-    out->push_back(nodes_[static_cast<size_t>(cur)].w.txn);
-    cur = nodes_[static_cast<size_t>(cur)].next;
-  }
-  CCSIM_CHECK_GE(cur, 0);
-  // Conflicting holders block us.
-  const Waiter& mine = nodes_[static_cast<size_t>(cur)].w;
-  ForEachHolder(*entry, [&](const Holder& h) {
-    if (h.txn != txn && (mine.upgrade || ModeConflicts(h.mode, mine.mode))) {
-      out->push_back(h.txn);
-    }
-    return true;
-  });
+  ForEachBlocker(*entry, txn, [out](TxnId blocker) { out->push_back(blocker); });
   // De-duplicate (a txn could be both holder and earlier waiter on upgrades).
   std::sort(out->begin(), out->end());
   out->erase(std::unique(out->begin(), out->end()), out->end());
+}
+
+TxnId LockManager::NextBlocker(TxnId txn, ObjectId obj, TxnId after,
+                               const SmallIdSet& excluded) const {
+  const Entry* entry = table_.Find(obj);
+  CCSIM_CHECK(entry != nullptr);
+  TxnId best = kInvalidTxn;
+  ForEachBlocker(*entry, txn, [&](TxnId blocker) {
+    if (blocker > after && (best == kInvalidTxn || blocker < best) &&
+        !excluded.contains(blocker)) {
+      best = blocker;
+    }
+  });
+  return best;
+}
+
+bool LockManager::HasWaitersBlockedBy(TxnId txn,
+                                      const SmallIdSet& excluded) const {
+  const TxnRec* rec = txns_.Find(txn);
+  if (rec == nullptr) return false;
+  // Waiters queued behind txn on the object it waits for.
+  if (rec->waiting_on >= 0) {
+    const Entry* entry = table_.Find(rec->waiting_on);
+    CCSIM_CHECK(entry != nullptr);
+    bool behind = false;
+    for (int32_t cur = entry->queue_head; cur >= 0;
+         cur = nodes_[static_cast<size_t>(cur)].next) {
+      const TxnId waiter = nodes_[static_cast<size_t>(cur)].w.txn;
+      if (behind && !excluded.contains(waiter)) return true;
+      behind |= waiter == txn;
+    }
+  }
+  // Waiters on objects txn holds whose request its hold blocks.
+  for (ObjectId obj : rec->held) {
+    const Entry* entry = table_.Find(obj);
+    CCSIM_CHECK(entry != nullptr);
+    if (entry->queue_head < 0) continue;
+    const int32_t held = FindHolder(*entry, txn);
+    CCSIM_CHECK_GE(held, 0);
+    const LockMode mode = holder_nodes_[static_cast<size_t>(held)].h.mode;
+    for (int32_t cur = entry->queue_head; cur >= 0;
+         cur = nodes_[static_cast<size_t>(cur)].next) {
+      const Waiter& w = nodes_[static_cast<size_t>(cur)].w;
+      if (w.txn != txn && HoldBlocksRequest(mode, w.mode, w.upgrade) &&
+          !excluded.contains(w.txn)) {
+        return true;
+      }
+    }
+  }
+  return false;
 }
 
 std::vector<TxnId> LockManager::HoldersOf(ObjectId obj) const {

@@ -97,9 +97,23 @@ class LockManager {
   std::vector<TxnId> BlockersOf(TxnId txn) const;
 
   /// Allocation-free variant: clears `out`, then appends the same sorted,
-  /// de-duplicated blocker set BlockersOf returns. Lets callers (the
-  /// deadlock detector's DFS frames, wound-wait) reuse their buffers.
+  /// de-duplicated blocker set BlockersOf returns. Lets callers (wound-wait,
+  /// blame attribution) reuse their buffers.
   void AppendBlockersOf(TxnId txn, std::vector<TxnId>* out) const;
+
+  /// The smallest blocker of `txn`, which waits on `obj`, that is greater
+  /// than `after` and not in `excluded`; kInvalidTxn if none. Walking it
+  /// from kInvalidTxn yields BlockersOf(txn) minus `excluded` in ascending
+  /// order without materializing the set (the deadlock detector's DFS).
+  TxnId NextBlocker(TxnId txn, ObjectId obj, TxnId after,
+                    const SmallIdSet& excluded) const;
+
+  /// True iff some waiter outside `excluded` has `txn` in its BlockersOf
+  /// set: a waiter on an object `txn` holds that is an upgrade or conflicts
+  /// with `txn`'s hold, or any waiter queued behind `txn` on the object it
+  /// waits for. Without one, no waits-for cycle avoiding `excluded` can
+  /// pass through `txn`.
+  bool HasWaitersBlockedBy(TxnId txn, const SmallIdSet& excluded) const;
 
   /// Current holders of `obj`, in acquisition order; empty if unlocked.
   /// (Blame attribution for denied requests, which leave no queue trace.)
@@ -191,6 +205,12 @@ class LockManager {
     }
     return true;
   }
+  /// Visits every blocker of `txn`, which waits on `entry`, as fn(TxnId):
+  /// the earlier waiters in queue order, then the holders its request
+  /// conflicts with. An upgrader ahead of `txn` that also holds the object
+  /// is visited twice. The one definition of "blocker".
+  template <typename Fn>
+  void ForEachBlocker(const Entry& entry, TxnId txn, Fn&& fn) const;
   /// holder_nodes_ index of `txn`'s holder record on `entry`, or -1.
   int32_t FindHolder(const Entry& entry, TxnId txn) const;
   /// Appends a holder at the back of `entry`'s list.

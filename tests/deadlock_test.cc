@@ -1,6 +1,7 @@
 // Unit tests for waits-for cycle detection and victim selection.
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -158,6 +159,26 @@ TEST(DeadlockTest, QueueOrderDeadlockIsDetected) {
   DeadlockDetector detector(&lm, VictimPolicy::kYoungest);
   auto cycle = detector.FindCycle(kT3, {});
   EXPECT_EQ(cycle.size(), 3u) << "queue-order edge missed";
+}
+
+TEST(DeadlockTest, QueuePositionInEdgeIntoUpgraderIsFound) {
+  // The only live edge into T1 comes from T4, whose shared request is
+  // compatible with T1's shared hold but queued behind T1's upgrade. A
+  // search that looked only at waiters conflicting with T1's holds would
+  // miss the cycle T1 -> T2 -> T4 -> T1.
+  constexpr TxnId kT4 = 4;
+  LockManager lm;
+  lm.Request(kT1, kA, LockMode::kShared, true);
+  lm.Request(kT2, kA, LockMode::kShared, true);
+  lm.Request(kT4, kB, LockMode::kExclusive, true);
+  lm.Request(kT3, kA, LockMode::kExclusive, true);  // T3 waits on T1, T2.
+  lm.Request(kT4, kA, LockMode::kShared, true);     // T4 waits behind T3.
+  lm.Request(kT2, kB, LockMode::kExclusive, true);  // T2 waits on T4.
+  lm.Request(kT1, kA, LockMode::kExclusive, true);  // Upgrade: ahead of T3.
+
+  DeadlockDetector detector(&lm, VictimPolicy::kYoungest);
+  EXPECT_EQ(detector.FindCycle(kT1, {kT3}), (std::vector<TxnId>{1, 2, 4}));
+  EXPECT_TRUE(detector.FindCycle(kT1, {kT3, kT4}).empty());
 }
 
 TEST(DeadlockTest, MultipleCyclesThroughRequesterAllResolved) {

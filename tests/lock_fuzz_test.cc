@@ -2,6 +2,8 @@
 // locking table: long random sequences of requests and releases, with
 // invariants checked after every step. Deterministic seeds keep failures
 // reproducible.
+#include <algorithm>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -20,10 +22,14 @@ namespace {
 ///    prefix-grant rule should have granted it),
 ///  * grants returned by ReleaseAll were actually waiting beforehand,
 ///  * a granted waiter holds the lock it asked for,
-///  * no transaction both waits and is absent from the blocker relation.
+///  * no transaction both waits and is absent from the blocker relation,
+///  * against a random excluded subset, HasWaitersBlockedBy and NextBlocker
+///    agree with their brute-force definitions over BlockersOf.
 class LockFuzzer {
  public:
-  explicit LockFuzzer(uint64_t seed) : rng_(seed) {}
+  // The subsets draw from their own stream, so the op sequence of a seed
+  // does not depend on how many subsets are drawn.
+  explicit LockFuzzer(uint64_t seed) : rng_(seed), subset_rng_(~seed) {}
 
   void Run(int steps, int num_txns, int num_objects) {
     for (int step = 0; step < steps; ++step) {
@@ -84,9 +90,46 @@ class LockFuzzer {
         EXPECT_FALSE(lm_.IsWaiting(txn));
       }
     }
+    CheckBlockerQueries(num_txns);
+  }
+
+  /// The detector's two lock-table queries against brute force over the
+  /// materialized BlockersOf sets, for every transaction.
+  void CheckBlockerQueries(int num_txns) {
+    SmallIdSet excluded;
+    for (TxnId txn = 1; txn <= num_txns; ++txn) {
+      if (subset_rng_.Bernoulli(0.3)) excluded.insert(txn);
+    }
+    std::unordered_map<TxnId, std::vector<TxnId>> blockers;
+    for (TxnId waiter : waiting_) blockers[waiter] = lm_.BlockersOf(waiter);
+    for (TxnId txn = 1; txn <= num_txns; ++txn) {
+      bool blocks_a_waiter = false;
+      for (const auto& [waiter, of_waiter] : blockers) {
+        blocks_a_waiter |=
+            excluded.count(waiter) == 0 &&
+            std::find(of_waiter.begin(), of_waiter.end(), txn) !=
+                of_waiter.end();
+      }
+      EXPECT_EQ(lm_.HasWaitersBlockedBy(txn, excluded), blocks_a_waiter)
+          << "txn " << txn;
+
+      const std::optional<ObjectId> obj = lm_.WaitingOn(txn);
+      if (!obj.has_value()) continue;
+      std::vector<TxnId> expected;
+      for (TxnId blocker : blockers.at(txn)) {
+        if (excluded.count(blocker) == 0) expected.push_back(blocker);
+      }
+      std::vector<TxnId> walked;
+      for (TxnId b = lm_.NextBlocker(txn, *obj, kInvalidTxn, excluded);
+           b != kInvalidTxn; b = lm_.NextBlocker(txn, *obj, b, excluded)) {
+        walked.push_back(b);
+      }
+      EXPECT_EQ(walked, expected) << "txn " << txn;
+    }
   }
 
   Rng rng_;
+  Rng subset_rng_;
   LockManager lm_;
   std::unordered_set<TxnId> waiting_;
   std::unordered_map<TxnId, std::pair<ObjectId, LockMode>> wanted_;
@@ -108,6 +151,113 @@ TEST(LockFuzzTest, MultipleSeeds) {
   for (uint64_t seed = 10; seed < 18; ++seed) {
     LockFuzzer(seed).Run(1500, 12, 5);
   }
+}
+
+/// Reference cycle search: the straightforward DFS over materialized
+/// BlockersOf sets (ascending, excluded ones removed), testing `next ==
+/// start` before the visited set. The detector must agree with it exactly.
+std::vector<TxnId> ReferenceFindCycle(const LockManager& lm, TxnId start,
+                                      const SmallIdSet& excluded) {
+  struct Frame {
+    TxnId txn;
+    std::vector<TxnId> blockers;
+    size_t next = 0;
+  };
+  std::vector<Frame> path;
+  SmallIdSet visited = {start};
+  auto push = [&](TxnId txn) {
+    Frame frame{txn, lm.BlockersOf(txn)};
+    std::erase_if(frame.blockers,
+                  [&](TxnId b) { return excluded.count(b) > 0; });
+    path.push_back(std::move(frame));
+  };
+  push(start);
+  while (!path.empty()) {
+    Frame& frame = path.back();
+    if (frame.next == frame.blockers.size()) {
+      path.pop_back();
+      continue;
+    }
+    const TxnId next = frame.blockers[frame.next++];
+    if (next == start) {
+      std::vector<TxnId> cycle;
+      for (const Frame& member : path) cycle.push_back(member.txn);
+      return cycle;
+    }
+    if (visited.insert(next)) push(next);
+  }
+  return {};
+}
+
+/// Exactness fuzz: on random lock tables (built without resolving, so
+/// cycles need not pass through the last requester) and random doomed sets,
+/// FindCycle must return the reference's cycle for every transaction, and
+/// Resolve must find the same cycles and pick the same victims as the
+/// reference loop (youngest member, ties to the larger id).
+TEST(DeadlockFuzzTest, MatchesReferenceSearchCycleForCycle) {
+  Rng rng(7);
+  int cycles_seen = 0;
+  for (int round = 0; round < 300; ++round) {
+    LockManager lm;
+    DeadlockDetector detector(&lm, VictimPolicy::kYoungest);
+    const int txns = static_cast<int>(rng.UniformInt(2, 10));
+    const int objects = static_cast<int>(rng.UniformInt(1, 5));
+    std::unordered_map<TxnId, SimTime> starts;
+    for (TxnId t = 1; t <= txns; ++t) starts[t] = rng.UniformInt(0, 4);
+    VictimContext context{
+        [&starts](TxnId t) { return starts.at(t); },
+        [&lm](TxnId t) { return lm.NumHeld(t); },
+    };
+    for (int step = 0; step < 40; ++step) {
+      const TxnId txn = rng.UniformInt(1, txns);
+      if (lm.IsWaiting(txn)) continue;
+      lm.Request(txn, rng.UniformInt(1, objects),
+                 rng.Bernoulli(0.4) ? LockMode::kExclusive : LockMode::kShared,
+                 true);
+    }
+    SmallIdSet doomed;
+    for (TxnId t = 1; t <= txns; ++t) {
+      if (rng.Bernoulli(0.2)) doomed.insert(t);
+    }
+
+    for (TxnId txn = 1; txn <= txns; ++txn) {
+      ASSERT_EQ(detector.FindCycle(txn, doomed),
+                ReferenceFindCycle(lm, txn, doomed))
+          << "round " << round << " txn " << txn;
+
+      const DeadlockResolution resolution =
+          detector.Resolve(txn, doomed, context);
+      SmallIdSet excluded = doomed;
+      std::vector<int> lengths;
+      std::vector<TxnId> victims;
+      bool requester_is_victim = false;
+      for (;;) {
+        const std::vector<TxnId> cycle = ReferenceFindCycle(lm, txn, excluded);
+        if (cycle.empty()) break;
+        EXPECT_EQ(detector.FindCycle(txn, excluded), cycle);
+        ++cycles_seen;
+        lengths.push_back(static_cast<int>(cycle.size()));
+        TxnId victim = cycle.front();
+        for (TxnId member : cycle) {
+          if (starts.at(member) > starts.at(victim) ||
+              (starts.at(member) == starts.at(victim) && member > victim)) {
+            victim = member;
+          }
+        }
+        if (victim == txn) {
+          requester_is_victim = true;
+          break;
+        }
+        victims.push_back(victim);
+        excluded.insert(victim);
+      }
+      EXPECT_EQ(resolution.cycles_found, static_cast<int>(lengths.size()));
+      EXPECT_EQ(resolution.cycle_lengths, lengths);
+      EXPECT_EQ(resolution.victims, victims);
+      EXPECT_EQ(resolution.requester_is_victim, requester_is_victim);
+    }
+  }
+  EXPECT_GT(cycles_seen, 100) << "the fuzz built too few deadlocks";
 }
 
 /// Deadlock-detector fuzz: build random wait graphs via the lock manager,
