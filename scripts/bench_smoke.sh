@@ -8,7 +8,14 @@
 #   2. Runs every bench/micro_substrates microbenchmark briefly: a smoke
 #      that each one still runs to completion (one whose setup breaks a cc
 #      invariant aborts on a CCSIM_CHECK), not a measurement.
-#   3. Gates the run with the noise-aware perf-regression gate
+#   3. Regenerates the fig03/fig04 CSVs with the pinned short-batch
+#      configuration and requires them byte-identical to the committed
+#      references (bench/reference/). Simulated results depend only on the
+#      seed and run lengths, never on the host or job count, so any diff is
+#      a real behavior change in the engine — see docs/PERFORMANCE.md. This
+#      deterministic check runs before the wall-clock gate so that a gate
+#      failure cannot hide it.
+#   4. Gates the run with the noise-aware perf-regression gate
 #      (tools/ccsim_perf/ccsim_perf.py) against a scratch copy of the
 #      committed trajectory (bench/BENCH_trajectory.jsonl): the gate's
 #      self-test must catch a planted slowdown, the fresh run must not
@@ -17,11 +24,6 @@
 #      CI machines from polluting the committed history — wall-clock
 #      rates are only comparable within one machine class
 #      (docs/PERFORMANCE.md).
-#   4. Regenerates the fig03/fig04 CSVs with the pinned short-batch
-#      configuration and requires them byte-identical to the committed
-#      references (bench/reference/). Simulated results depend only on the
-#      seed and run lengths, never on the host or job count, so any diff is
-#      a real behavior change in the engine — see docs/PERFORMANCE.md.
 #
 # Usage: scripts/bench_smoke.sh <build-dir>   (default: build)
 set -euo pipefail
@@ -62,6 +64,13 @@ echo "--- micro_substrates smoke ---"
 "${BUILD}/bench/micro_substrates" --benchmark_min_time=0.01 >/dev/null
 echo "micro_substrates: every benchmark ran"
 
+echo "--- fig03/fig04 determinism vs committed references ---"
+CCSIM_CSV_DIR="${TMP}" CCSIM_BATCHES=2 CCSIM_BATCH_SECONDS=1 \
+  CCSIM_WARMUP_SECONDS=1 "${BUILD}/bench/fig03_04_low_conflict" >/dev/null
+diff "${TMP}/fig03.csv" bench/reference/fig03.csv
+diff "${TMP}/fig04.csv" bench/reference/fig04.csv
+echo "fig03/fig04 CSVs byte-identical to bench/reference/"
+
 echo "--- perf-regression gate (ccsim-perf, Student-t noise model) ---"
 python3 tools/ccsim_perf/ccsim_perf.py --self-test
 # Gate against a scratch copy of the committed history: CI hardware differs
@@ -73,10 +82,3 @@ python3 tools/ccsim_perf/ccsim_perf.py \
   --bench "${TMP}/BENCH_sim.json" \
   --trajectory "${TMP}/BENCH_trajectory.jsonl" --append
 python3 tools/ccsim_perf/ccsim_perf.py --validate bench/BENCH_trajectory.jsonl
-
-echo "--- fig03/fig04 determinism vs committed references ---"
-CCSIM_CSV_DIR="${TMP}" CCSIM_BATCHES=2 CCSIM_BATCH_SECONDS=1 \
-  CCSIM_WARMUP_SECONDS=1 "${BUILD}/bench/fig03_04_low_conflict" >/dev/null
-diff "${TMP}/fig03.csv" bench/reference/fig03.csv
-diff "${TMP}/fig04.csv" bench/reference/fig04.csv
-echo "fig03/fig04 CSVs byte-identical to bench/reference/"

@@ -6,10 +6,9 @@
 #      under CCSIM_JOBS=8 (the threaded sweep path under TSan)
 #   4. bench smoke: one figure binary, short batches, CCSIM_JOBS=4, then
 #      the microbench smoke (BENCH_sim.json validation, a brief run of every
-#      micro_substrates benchmark, the ccsim-perf
-#      noise-aware regression gate against bench/BENCH_trajectory.jsonl,
-#      and byte-identical fig03 CSV vs the committed reference —
-#      scripts/bench_smoke.sh)
+#      micro_substrates benchmark, byte-identical fig03/fig04 CSVs vs the
+#      committed references, then the ccsim-perf noise-aware regression
+#      gate against bench/BENCH_trajectory.jsonl — scripts/bench_smoke.sh)
 #   5. observability smoke: one figure point with the sampler + Perfetto
 #      trace on; validates the trace parses and the time-series CSV is
 #      non-empty and time-monotone (docs/OBSERVABILITY.md)
@@ -23,60 +22,73 @@
 #   9. clang-tidy over src/ (skipped with a notice if clang-tidy is absent —
 #      the local toolchain may be gcc-only; CI still enforces it)
 #
+# Every step runs even when an earlier one fails (a failing wall-clock gate
+# must not hide the deterministic checks after it); the failed steps are
+# listed at the end and the script exits 1 if there were any.
+#
 # Usage: scripts/check.sh [--fast]
 #   --fast   skip the sanitizer builds and the deep verification pass
-set -euo pipefail
+set -uo pipefail
 
 cd "$(dirname "$0")/.."
 JOBS=$(($(nproc) > 1 ? $(nproc) : 2))
 FAST=0
 [[ "${1:-}" == "--fast" ]] && FAST=1
+FAILED=()
+
+# step <name> <command...>: runs one step, recording it if it fails.
+step() {
+  local name="$1"; shift
+  echo "=== ${name} ==="
+  "$@" || FAILED+=("${name}")
+}
 
 run_config() {
   local name="$1"; shift
-  echo "=== ${name} ==="
-  cmake -B "build-${name}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo "$@"
-  cmake --build "build-${name}" -j "${JOBS}"
-  ctest --test-dir "build-${name}" --output-on-failure -j "${JOBS}"
+  cmake -B "build-${name}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo "$@" &&
+    cmake --build "build-${name}" -j "${JOBS}" &&
+    ctest --test-dir "build-${name}" --output-on-failure -j "${JOBS}"
 }
 
-run_config plain
+fig03_smoke() {
+  CCSIM_JOBS=4 CCSIM_BATCHES=2 CCSIM_BATCH_SECONDS=1 CCSIM_WARMUP_SECONDS=1 \
+    ./build-plain/bench/fig03_04_low_conflict >/dev/null
+}
+
+step plain run_config plain
 if [[ "${FAST}" -eq 0 ]]; then
-  run_config asan -DCCSIM_SAN=address,undefined
-  run_config tsan -DCCSIM_SAN=thread
-  echo "=== parallel-runner tests under TSan, CCSIM_JOBS=8 ==="
-  CCSIM_JOBS=8 ctest --test-dir build-tsan --output-on-failure \
+  step asan run_config asan -DCCSIM_SAN=address,undefined
+  step tsan run_config tsan -DCCSIM_SAN=thread
+  step "parallel-runner tests under TSan, CCSIM_JOBS=8" \
+    env CCSIM_JOBS=8 ctest --test-dir build-tsan --output-on-failure \
     -R '(ParallelSweep|ParallelReplication|RunPoints|ThreadPool|ParallelFor|Jobs)'
 fi
 
-echo "=== bench smoke (fig03_04, short batches, CCSIM_JOBS=4) ==="
-CCSIM_JOBS=4 CCSIM_BATCHES=2 CCSIM_BATCH_SECONDS=1 CCSIM_WARMUP_SECONDS=1 \
-  ./build-plain/bench/fig03_04_low_conflict >/dev/null
-
-echo "=== microbench smoke (BENCH_sim.json + perf gate + fig03/04 diff) ==="
-scripts/bench_smoke.sh build-plain
-
-echo "=== observability smoke (sampler + trace artifacts validated) ==="
-scripts/obs_smoke.sh ./build-plain/bench/fig03_04_low_conflict
-
-echo "=== perfbench pins (three workloads, seed 42) ==="
-scripts/perfbench_pins.sh
-
-echo "=== ccsim-lint (self-test, then the tree) ==="
-python3 tools/ccsim_lint/ccsim_lint.py --self-test
-python3 tools/ccsim_lint/ccsim_lint.py
+step "bench smoke (fig03_04, short batches, CCSIM_JOBS=4)" fig03_smoke
+step "microbench smoke (BENCH_sim.json + fig03/04 diff + perf gate)" \
+  scripts/bench_smoke.sh build-plain
+step "observability smoke (sampler + trace artifacts validated)" \
+  scripts/obs_smoke.sh ./build-plain/bench/fig03_04_low_conflict
+step "perfbench pins (three workloads, seed 42)" scripts/perfbench_pins.sh
+step "ccsim-lint self-test" python3 tools/ccsim_lint/ccsim_lint.py --self-test
+step "ccsim-lint" python3 tools/ccsim_lint/ccsim_lint.py
 
 if [[ "${FAST}" -eq 0 ]]; then
-  echo "=== deep schedule-space verification (CCSIM_VERIFY_DEPTH=8) ==="
-  CCSIM_VERIFY_DEPTH=8 ctest --test-dir build-plain --output-on-failure \
-    --no-tests=error -R '(MatrixTest|ExplorerTest|MutationTest)'
+  step "deep schedule-space verification (CCSIM_VERIFY_DEPTH=8)" \
+    env CCSIM_VERIFY_DEPTH=8 ctest --test-dir build-plain \
+    --output-on-failure --no-tests=error \
+    -R '(MatrixTest|ExplorerTest|MutationTest)'
 fi
 
 if command -v clang-tidy >/dev/null 2>&1; then
-  echo "=== clang-tidy ==="
-  cmake --build build-plain --target tidy
+  step clang-tidy cmake --build build-plain --target tidy
 else
   echo "=== clang-tidy not installed; skipped (CI runs it) ==="
 fi
 
+if ((${#FAILED[@]} > 0)); then
+  echo "FAILED steps:"
+  printf '  %s\n' "${FAILED[@]}"
+  exit 1
+fi
 echo "All checks passed."

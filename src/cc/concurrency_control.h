@@ -19,16 +19,6 @@ namespace ccsim {
 class Auditor;
 class StatsRegistry;
 
-/// Algorithm-level counters (the engine keeps workload-level ones).
-struct CCStats {
-  int64_t deadlocks_detected = 0;    ///< Cycles found by the detector.
-  int64_t deadlock_victims = 0;      ///< Victim restarts (incl. requester).
-  int64_t lock_conflicts = 0;        ///< Denials/blocks at request time.
-  int64_t validation_failures = 0;   ///< Optimistic validation rejections.
-  int64_t wounds = 0;                ///< Wound-wait wounds issued.
-  int64_t timestamp_rejections = 0;  ///< T/O too-late read/write rejections.
-};
-
 /// Abstract concurrency control algorithm.
 ///
 /// Threading/reentrancy contract: the engine calls these methods from event

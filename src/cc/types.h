@@ -37,6 +37,16 @@ enum class BlameKind {
   kTimestamp,   ///< Victim rejected by a timestamp rule the opponent set.
 };
 
+/// Algorithm-level counters (the engine keeps workload-level ones).
+struct CCStats {
+  int64_t deadlocks_detected = 0;    ///< Cycles found by the detector.
+  int64_t deadlock_victims = 0;      ///< Victim restarts (incl. requester).
+  int64_t lock_conflicts = 0;        ///< Denials/blocks at request time.
+  int64_t validation_failures = 0;   ///< Optimistic validation rejections.
+  int64_t wounds = 0;                ///< Wound-wait wounds issued.
+  int64_t timestamp_rejections = 0;  ///< T/O too-late read/write rejections.
+};
+
 /// Engine services available to concurrency control algorithms.
 ///
 /// Algorithms never mutate engine state directly; they signal through these

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/audit_listener.h"
+#include "obs/obs_listener.h"
 #include "sim/choice.h"
 #include "util/check.h"
 #include "util/logging.h"
@@ -21,15 +23,6 @@ Rng NthStream(uint64_t seed, int n) {
   for (int i = 0; i < n; ++i) stream = factory.MakeStream();
   return stream;
 }
-
-/// Hot-granule sketch size: far above any workload's true heavy-hitter count
-/// yet O(1) memory regardless of db_size (obs/contention.h).
-constexpr size_t kHotGranuleCapacity = 4096;
-/// Rows written to the hot_<algo>_mpl<N>.csv table.
-constexpr size_t kHotGranuleTopK = 64;
-/// Chain-depth walks stop here; a depth this large means a waits-for cycle
-/// whose victim has not been chosen yet.
-constexpr int kMaxChainWalk = 64;
 
 }  // namespace
 
@@ -51,7 +44,8 @@ ClosedSystem::ClosedSystem(Simulator* sim, const EngineConfig& config)
       delay_rng_(NthStream(config.seed, 3)),
       arrival_rng_(NthStream(config.seed, 4)),
       buffer_rng_(NthStream(config.seed, 5)),
-      active_mpl_(sim->Now()) {
+      active_mpl_(sim->Now()),
+      history_(config.lock_granule_size) {
   if (config_.source_mode == SourceMode::kOpen) {
     CCSIM_CHECK_GT(config_.arrival_rate, 0.0)
         << "open-system mode requires a positive arrival_rate";
@@ -83,12 +77,17 @@ ClosedSystem::ClosedSystem(Simulator* sim, const EngineConfig& config)
   // headroom; open mode grows past the hint amortized.
   txns_.Reserve(static_cast<size_t>(
       std::max(config_.workload.num_terms, config_.workload.mpl)));
-  waits_for_obs_.Reserve(static_cast<size_t>(config_.workload.mpl));
   terminal_commits_.assign(
       static_cast<size_t>(std::max(config_.workload.num_terms, 1)), 0);
   class_response_.resize(static_cast<size_t>(config_.workload.ClassCount()));
   class_commits_.assign(class_response_.size(), 0);
   class_restarts_.assign(class_response_.size(), 0);
+  AttachListeners();
+}
+
+ClosedSystem::~ClosedSystem() = default;
+
+void ClosedSystem::AttachListeners() {
   CCCallbacks callbacks{
       [this](TxnId id) { OnGranted(id); },
       [this](TxnId id) { OnWound(id); },
@@ -96,102 +95,75 @@ ClosedSystem::ClosedSystem(Simulator* sim, const EngineConfig& config)
       nullptr,
       nullptr,
   };
+  if (config_.audit) {
+    audit_ = std::make_unique<AuditListener>(this, sim_);
+    cc_->SetAuditor(&audit_->auditor());
+    listeners_.push_back(audit_.get());
+  }
   if (config_.record_history) {
+    listeners_.push_back(&history_);
     callbacks.on_version_read = [this](TxnId id, ObjectId obj, TxnId writer) {
-      history_.RecordVersionRead(id, GetTxn(id).incarnation, obj, writer);
+      Dispatch(EngineEventKind::kVersionRead, &GetTxn(id),
+               {.object = obj, .opponent = writer});
     };
   }
+  if (config_.lifecycle_sink != nullptr) {
+    lifecycle_ = std::make_unique<TraceSinkListener>(config_.lifecycle_sink);
+    listeners_.push_back(lifecycle_.get());
+  }
   if (config_.obs.enabled) {
+    AttachObservability();
+    listeners_.push_back(obs_.get());
     callbacks.on_blame = [this](TxnId victim, TxnId opponent, ObjectId obj,
                                 BlameKind kind) {
-      OnBlame(victim, opponent, obj, kind);
+      Dispatch(EngineEventKind::kBlame, nullptr,
+               {.txn = victim, .object = obj, .opponent = opponent,
+                .blame = kind});
     };
   }
   cc_->SetCallbacks(std::move(callbacks));
-  if (config_.audit) {
-    auditor_ = std::make_unique<Auditor>(AuditorOptions{},
-                                         [this] { return sim_->Now(); });
-    cc_->SetAuditor(auditor_.get());
-  }
-  if (config_.lifecycle_sink != nullptr) trace_ = config_.lifecycle_sink;
-  SetupObservability();
 }
 
-void ClosedSystem::SetupObservability() {
-  obs_on_ = config_.obs.enabled;
-  if (!obs_on_) return;
+void ClosedSystem::Dispatch(EngineEventKind kind, const Txn* txn,
+                            EngineEvent event) {
+  event.kind = kind;
+  event.time = sim_->Now();
+  if (txn != nullptr) {
+    event.txn = txn->id;
+    event.incarnation = txn->incarnation;
+  }
+  for (EngineListener* listener : listeners_) listener->OnEvent(event);
+}
+
+void ClosedSystem::AttachObservability() {
   // Direct construction (tests, examples) may carry unresolved directory
   // fields; the experiment runner resolves per-point paths up front, in
   // which case this is a no-op.
   ResolveObsPaths(&config_.obs, config_.algorithm, config_.workload.mpl,
                   config_.seed);
-
-  registry_ = std::make_unique<StatsRegistry>();
+  auto registry = std::make_unique<StatsRegistry>();
   // Engine gauges: the population split the paper's dynamics arguments are
   // about. Gauges are evaluated only when the sampler fires.
-  registry_->AddGauge("ready_queue", [this] {
+  auto population = [this](TxnState state) {
+    return [this, state] { return static_cast<double>(StateCount(state)); };
+  };
+  registry->AddGauge("ready_queue", [this] {
     return static_cast<double>(ready_queue_.size());
   });
-  registry_->AddGauge("active", [this] {
+  registry->AddGauge("active", [this] {
     return static_cast<double>(active_count_);
   });
-  registry_->AddGauge("blocked", [this] {
-    return static_cast<double>(StateCount(TxnState::kBlocked));
-  });
-  registry_->AddGauge("thinking", [this] {
-    return static_cast<double>(StateCount(TxnState::kIntThink));
-  });
-  registry_->AddGauge("restart_delay", [this] {
-    return static_cast<double>(StateCount(TxnState::kRestartDelay));
-  });
-  // Engine counters (cumulative; the sampler records them per tick so the
-  // time series shows rates as slopes).
-  ctr_commits_ = registry_->AddCounter("commits");
-  ctr_restarts_wound_ = registry_->AddCounter("restarts_wound");
-  ctr_restarts_decision_ = registry_->AddCounter("restarts_decision");
-  ctr_restarts_validation_ = registry_->AddCounter("restarts_validation");
-  ctr_cc_granted_ = registry_->AddCounter("cc_granted");
-  ctr_cc_blocked_ = registry_->AddCounter("cc_blocked");
-  ctr_cc_denied_ = registry_->AddCounter("cc_denied");
-  ctr_wasted_cpu_us_ = registry_->AddCounter("wasted_cpu_us");
-  ctr_wasted_disk_us_ = registry_->AddCounter("wasted_disk_us");
-  // Generic cc-algorithm gauges over CCStats (every algorithm), then the
-  // algorithm's own instruments (lock-table occupancy, deadlock searches,
-  // cycle lengths, ...).
-  const CCStats* cc_stats = &cc_->stats();
-  registry_->AddGauge("cc_deadlocks", [cc_stats] {
-    return static_cast<double>(cc_stats->deadlocks_detected);
-  });
-  registry_->AddGauge("cc_lock_conflicts", [cc_stats] {
-    return static_cast<double>(cc_stats->lock_conflicts);
-  });
-  registry_->AddGauge("cc_validation_failures", [cc_stats] {
-    return static_cast<double>(cc_stats->validation_failures);
-  });
-  registry_->AddGauge("cc_wounds", [cc_stats] {
-    return static_cast<double>(cc_stats->wounds);
-  });
-  registry_->AddGauge("cc_ts_rejections", [cc_stats] {
-    return static_cast<double>(cc_stats->timestamp_rejections);
-  });
-  // Blame / contention telemetry (obs/blame.h, obs/contention.h).
-  chain_depth_hist_ =
-      registry_->AddHistogram("block_chain_depth", 1.0, 33.0, 32);
-  genealogy_hist_ =
-      registry_->AddHistogram("restart_genealogy", 1.0, 33.0, 32);
-  contention_ = std::make_unique<ContentionProfiler>(kHotGranuleCapacity);
-  cc_->RegisterStats(registry_.get());
-  resources_.RegisterStats(registry_.get());
-
-  if (config_.obs.TracingOn()) {
-    CCSIM_CHECK(!config_.obs.trace_path.empty())
-        << "tracing requested but no trace_path/trace_dir configured";
-    trace_writer_ = std::make_unique<TraceEventWriter>(config_.obs.trace_path);
-    CCSIM_CHECK(trace_writer_->ok())
-        << "cannot open trace file " << config_.obs.trace_path;
-    perfetto_ = std::make_unique<EngineTracer>(trace_writer_.get());
-    resources_.AttachSpanSink(perfetto_.get());
-  }
+  registry->AddGauge("blocked", population(TxnState::kBlocked));
+  registry->AddGauge("thinking", population(TxnState::kIntThink));
+  registry->AddGauge("restart_delay", population(TxnState::kRestartDelay));
+  obs_ = std::make_unique<ObsListener>(sim_, config_.obs, std::move(registry),
+                                       &cc_->stats());
+  // The algorithm's own instruments (lock-table occupancy, deadlock
+  // searches, cycle lengths, ...), then the resource pools'.
+  cc_->RegisterStats(obs_->registry());
+  resources_.RegisterStats(obs_->registry());
+  ServiceSpanSink* spans = obs_->span_sink();  // Non-null when tracing.
+  if (spans != nullptr) resources_.AttachSpanSink(spans);
 }
 
 double ClosedSystem::BootstrapResponseSeconds() const {
@@ -207,16 +179,7 @@ double ClosedSystem::BootstrapResponseSeconds() const {
 void ClosedSystem::Prime() {
   CCSIM_CHECK(!primed_) << "Prime() called twice";
   primed_ = true;
-  if (obs_on_ && config_.obs.SamplingOn()) {
-    CCSIM_CHECK(!config_.obs.sample_path.empty())
-        << "sampling requested but no sample_path/sample_dir configured";
-    sampler_ = std::make_unique<TimeSeriesSampler>(
-        sim_, registry_.get(), config_.obs.sample_path,
-        config_.obs.sample_interval);
-    CCSIM_CHECK(sampler_->ok())
-        << "cannot open time-series csv " << config_.obs.sample_path;
-    sampler_->Start();
-  }
+  Emit(EngineEventKind::kRunStart);
   if (config_.source_mode == SourceMode::kOpen) {
     ScheduleNextArrival();
     return;
@@ -247,8 +210,7 @@ void ClosedSystem::SubmitFromTerminal(int terminal) {
   txn.first_submit = sim_->Now();
   // Insert left the slot kReady; SetState takes over from here.
   ++state_counts_[static_cast<size_t>(TxnState::kReady)];
-  if (obs_on_) txn.ready_since = sim_->Now();
-  Trace(txn, TxnEvent::kSubmitted);
+  Emit(EngineEventKind::kSubmit, &txn);
   ready_queue_.push_back(id);
   TryActivate();
 }
@@ -291,25 +253,10 @@ void ClosedSystem::Activate(TxnId id) {
   txn.disk_used = 0;
   txn.read_granules.clear();
   txn.write_granules.clear();
-  if (obs_on_) {
-    txn.ph_ready += sim_->Now() - txn.ready_since;
-    txn.ph_cc_block = 0;
-    txn.ph_cpu = 0;
-    txn.ph_disk = 0;
-    txn.ph_res_wait = 0;
-    txn.ph_think = 0;
-    txn.blame_opponent = kInvalidTxn;
-    txn.blame_block_opponent = kInvalidTxn;
-    txn.blame_block_charges.clear();
-  }
   ++active_count_;
   active_mpl_.Add(sim_->Now(), +1.0);
-  if (config_.record_history) history_.RecordActivation(id, txn.incarnation);
-  Trace(txn, TxnEvent::kActivated);
-  if (auditor_ != nullptr) {
-    auditor_->OnTxnAdmitted(id, txn.incarnation);
-    AuditFold(AuditOp::kBegin, id, txn.incarnation, 0);
-  }
+  // Before OnBegin: the auditor admits the incarnation ahead of its locks.
+  Emit(EngineEventKind::kActivate, &txn);
   cc_->OnBegin(id, txn.first_submit, txn.incarnation_start);
   if (cc_->needs_predeclaration()) {
     auto granules_of = [this](const std::vector<ObjectId>& objects,
@@ -327,34 +274,37 @@ void ClosedSystem::Activate(TxnId id) {
     granules_of(txn.write_set, &predeclare_writes_);
     CCDecision decision =
         cc_->Predeclare(id, predeclare_reads_, predeclare_writes_);
-    AuditFold(AuditOp::kPredeclare, id, static_cast<int64_t>(decision),
-              static_cast<int64_t>(predeclare_reads_.size() +
-                                   predeclare_writes_.size()));
-    CountDecision(decision);
-    switch (decision) {
-      case CCDecision::kGranted:
-        break;
-      case CCDecision::kBlocked:
-        SetState(txn, TxnState::kBlocked);
-        if (obs_on_) {
-          txn.blocked_since = sim_->Now();
-          RecordBlockedEdge(id, sim_->Now());
-        }
-        ++batch_blocks_;
-        ++measured_blocks_;
-        Trace(txn, TxnEvent::kBlocked);
-        AuditBlocked(id);
-        return;
-      case CCDecision::kRestart:
-        Restart(id, RestartCause::kDecision);
-        return;
+    if (observed()) {
+      Dispatch(EngineEventKind::kCcDecision, &txn,
+               {.op = CcOp::kPredeclare,
+                .decision = decision,
+                .count = static_cast<int64_t>(predeclare_reads_.size() +
+                                              predeclare_writes_.size())});
     }
+    if (!Proceed(txn, decision)) return;
   }
   NextStep(id);
 }
 
+bool ClosedSystem::Proceed(Txn& txn, CCDecision decision) {
+  switch (decision) {
+    case CCDecision::kGranted:
+      return true;
+    case CCDecision::kBlocked:
+      SetState(txn, TxnState::kBlocked);
+      ++batch_blocks_;
+      ++measured_blocks_;
+      Emit(EngineEventKind::kBlock, &txn);
+      return false;
+    case CCDecision::kRestart:
+      Restart(txn.id, RestartCause::kDecision);
+      return false;
+  }
+  return false;
+}
+
 void ClosedSystem::NextStep(TxnId id) {
-  AuditTransition();
+  Emit(EngineEventKind::kSettled);
   Txn& txn = GetTxn(id);
   CCSIM_CHECK(txn.state == TxnState::kRunning);
   if (txn.doomed) {
@@ -417,73 +367,41 @@ void ClosedSystem::HandleCcRequest(TxnId id) {
         txn.spec.writes[static_cast<size_t>(txn.read_index)];
     CCDecision decision = write_intent ? cc_->WriteRequest(id, granule)
                                        : cc_->ReadRequest(id, granule);
-    AuditFold(write_intent ? AuditOp::kWrite : AuditOp::kRead, id, granule,
-              static_cast<int64_t>(decision));
-    CountDecision(decision);
-    switch (decision) {
-      case CCDecision::kGranted:
-        if (config_.lock_granule_size > 1) {
-          (write_intent ? txn.write_granules : txn.read_granules)
-              .insert(granule);
-        }
-        // History records the read at the grant, not after the read I/O
-        // lands: the grant is the instant the cc algorithm fixes which
-        // version this read observes. Recording after the I/O would let a
-        // newer writer commit (and record its writes) inside the lag, and
-        // the conflict checker would misorder the pair.
-        if (config_.record_history) {
-          history_.RecordRead(id, txn.incarnation, granule, sim_->Now());
-        }
-        StartAccess(id);
-        return;
-      case CCDecision::kBlocked:
-        SetState(txn, TxnState::kBlocked);
-        if (obs_on_) {
-          txn.blocked_since = sim_->Now();
-          RecordBlockedEdge(id, sim_->Now());
-        }
-        ++batch_blocks_;
-        ++measured_blocks_;
-        Trace(txn, TxnEvent::kBlocked);
-        AuditBlocked(id);
-        return;
-      case CCDecision::kRestart:
-        Restart(id, RestartCause::kDecision);
-        return;
+    if (observed()) {
+      Dispatch(EngineEventKind::kCcDecision, &txn,
+               {.op = write_intent ? CcOp::kWriteIntent : CcOp::kRead,
+                .decision = decision,
+                .object = granule});
     }
+    if (!Proceed(txn, decision)) return;
+    if (config_.lock_granule_size > 1) {
+      (write_intent ? txn.write_granules : txn.read_granules).insert(granule);
+    }
+    StartAccess(id);
+    return;
   }
 
   if (txn.write_index < static_cast<int>(txn.write_set.size())) {
     ObjectId granule =
         GranuleOf(txn.write_set[static_cast<size_t>(txn.write_index)]);
     CCDecision decision = cc_->WriteRequest(id, granule);
-    AuditFold(AuditOp::kWrite, id, granule, static_cast<int64_t>(decision));
-    CountDecision(decision);
-    switch (decision) {
-      case CCDecision::kGranted:
-        if (config_.lock_granule_size > 1) txn.write_granules.insert(granule);
-        StartAccess(id);
-        return;
-      case CCDecision::kBlocked:
-        SetState(txn, TxnState::kBlocked);
-        if (obs_on_) {
-          txn.blocked_since = sim_->Now();
-          RecordBlockedEdge(id, sim_->Now());
-        }
-        ++batch_blocks_;
-        ++measured_blocks_;
-        Trace(txn, TxnEvent::kBlocked);
-        AuditBlocked(id);
-        return;
-      case CCDecision::kRestart:
-        Restart(id, RestartCause::kDecision);
-        return;
+    if (observed()) {
+      Dispatch(EngineEventKind::kCcDecision, &txn,
+               {.op = CcOp::kWrite, .decision = decision, .object = granule});
     }
+    if (!Proceed(txn, decision)) return;
+    if (config_.lock_granule_size > 1) txn.write_granules.insert(granule);
+    StartAccess(id);
+    return;
   }
 
   // Validation at the commit point.
   bool valid = cc_->Validate(id);
-  AuditFold(AuditOp::kValidate, id, valid ? 1 : 0, 0);
+  if (observed()) {
+    Dispatch(EngineEventKind::kCcDecision, &txn,
+             {.op = CcOp::kValidate,
+              .decision = valid ? CCDecision::kGranted : CCDecision::kRestart});
+  }
   if (valid) {
     BeginUpdates(id);
   } else {
@@ -553,38 +471,38 @@ void ClosedSystem::OnServiceDone(const ServiceRequest& request) {
   Txn* txn = txns_.Find(id);
   CCSIM_CHECK(txn != nullptr && txn->incarnation == request.incarnation);
   const SimTime service = request.service;
+  if (observed()) {
+    Dispatch(EngineEventKind::kServiceDone, txn,
+             {.service = kind,
+              .duration = service,
+              .requested_at = request.requested_at});
+  }
   switch (kind) {
     case ServiceKind::kCcCpu:
       txn->cpu_used += service;
-      ChargePhase(*txn, &Txn::ph_cpu, service, request.requested_at);
       HandleCcRequest(id);
       return;
     case ServiceKind::kReadDisk:
       txn->disk_used += service;
-      ChargePhase(*txn, &Txn::ph_disk, service, request.requested_at);
       Serve(ServiceKind::kReadCpu, id, txn->incarnation,
             config_.workload.obj_cpu);
       return;
     case ServiceKind::kReadCpu:
       txn->cpu_used += service;
-      ChargePhase(*txn, &Txn::ph_cpu, service, request.requested_at);
       // The logical read was already recorded at its cc grant.
       ++txn->read_index;
       NextStep(id);
       return;
     case ServiceKind::kWriteCpu:
       txn->cpu_used += service;
-      ChargePhase(*txn, &Txn::ph_cpu, service, request.requested_at);
       ++txn->write_index;
       NextStep(id);
       return;
     case ServiceKind::kLog:
-      ChargePhase(*txn, &Txn::ph_disk, service, request.requested_at);
       NextUpdate(id);
       return;
     case ServiceKind::kUpdateDisk:
       txn->disk_used += service;
-      ChargePhase(*txn, &Txn::ph_disk, service, request.requested_at);
       ++txn->update_index;
       NextUpdate(id);
       return;
@@ -596,7 +514,7 @@ void ClosedSystem::OnServiceDone(const ServiceRequest& request) {
 void ClosedSystem::StartInternalThink(TxnId id) {
   Txn& txn = GetTxn(id);
   SetState(txn, TxnState::kIntThink);
-  Trace(txn, TxnEvent::kInternalThink);
+  Emit(EngineEventKind::kThinkStart, &txn);
   int incarnation = txn.incarnation;
   SimTime think = workload_.NextInternalThink();
   txn.pending_event = sim_->Schedule(think, [this, id, incarnation, think] {
@@ -606,7 +524,9 @@ void ClosedSystem::StartInternalThink(TxnId id) {
     t.pending_event = kInvalidEventId;
     t.think_done = true;
     SetState(t, TxnState::kRunning);
-    if (obs_on_) t.ph_think += think;
+    if (observed()) {
+      Dispatch(EngineEventKind::kThinkEnd, &t, {.duration = think});
+    }
     NextStep(id);
   });
 }
@@ -692,61 +612,14 @@ void ClosedSystem::Complete(TxnId id) {
   if (progress_ != nullptr) {
     progress_->commits.store(lifetime_commits_, std::memory_order_relaxed);
   }
-  if (obs_on_) {
-    ctr_commits_->Inc();
-    // Phase decomposition of the full response, folded at commit so the sums
-    // cover exactly the measured population. The final incarnation's active
-    // time that no bucket claims (group-commit window waits, zero-delay
-    // scheduling hops) lands in `other`, keeping the identity
-    //   response = ready + restart_delay + wasted + cc_block + cpu + disk
-    //            + res_wait + think + other
-    // exact in integer microseconds.
-    phase_sums_.ready += txn.ph_ready;
-    phase_sums_.restart_delay += txn.ph_restart_delay;
-    phase_sums_.wasted += txn.ph_wasted;
-    phase_sums_.cc_block += txn.ph_cc_block;
-    phase_sums_.cpu += txn.ph_cpu;
-    phase_sums_.disk += txn.ph_disk;
-    phase_sums_.res_wait += txn.ph_res_wait;
-    phase_sums_.think += txn.ph_think;
-    SimTime final_active = sim_->Now() - txn.incarnation_start;
-    phase_sums_.other += final_active -
-                         (txn.ph_cc_block + txn.ph_cpu + txn.ph_disk +
-                          txn.ph_res_wait + txn.ph_think);
-    // Blame folds at the same instant as the phase sums, over the same
-    // charges that produced ph_wasted / ph_cc_block, so attribution and
-    // phase totals agree in exact integer µs (obs/blame.h).
-    for (const auto& [aborter, us] : txn.blame_wasted_charges) {
-      blame_ledger_.ChargeWasted(aborter, us);
-    }
-    for (const auto& [holder, us] : txn.blame_block_charges) {
-      blame_ledger_.ChargeBlocked(holder, us);
-    }
-    blame_ledger_.AddGenealogy(txn.incarnation);
-    genealogy_hist_->Add(static_cast<double>(txn.incarnation));
-  }
-
-  // History records deferred writes at commit, when they become visible, not
-  // when the update I/O physically lands. Algorithms that let an *older*
-  // reader proceed past a newer transaction's pending write (e.g. basic T/O,
-  // where such a read legitimately returns the still-committed value) would
-  // otherwise produce apply-before-read op sequences that the single-version
-  // conflict checker misreads as writer-before-reader edges — false cycles in
-  // a perfectly serializable execution. Writes must land before cc_->Commit:
-  // publishing wakes waiting readers synchronously, and their reads of the
-  // new value have to sequence after the writes they observe.
-  if (config_.record_history) {
-    for (ObjectId obj : txn.write_set) {
-      history_.RecordWrite(id, txn.incarnation, GranuleOf(obj), sim_->Now());
-    }
+  // The deferred writes become visible before the algorithm's Commit, whose
+  // publishing may wake readers synchronously (history.h).
+  if (observed()) {
+    Dispatch(EngineEventKind::kCommitting, &txn,
+             {.write_set = &txn.write_set});
   }
   cc_->Commit(id);
-  if (config_.record_history) history_.RecordCommit(id, txn.incarnation);
-  Trace(txn, TxnEvent::kCommitted);
-  if (auditor_ != nullptr) {
-    AuditFold(AuditOp::kCommit, id, txn.incarnation, 0);
-    auditor_->OnTxnFinished(id);
-  }
+  Emit(EngineEventKind::kCommit, &txn);
 
   int terminal = txn.terminal;
   Deactivate();
@@ -758,7 +631,7 @@ void ClosedSystem::Complete(TxnId id) {
     sim_->Schedule(think, [this, terminal] { SubmitFromTerminal(terminal); });
   }
   TryActivate();
-  AuditTransition();
+  Emit(EngineEventKind::kSettled);
 }
 
 void ClosedSystem::Restart(TxnId id, RestartCause cause) {
@@ -774,33 +647,7 @@ void ClosedSystem::Restart(TxnId id, RestartCause cause) {
   ++measured_restarts_;
   ++lifetime_restarts_;
   ++class_restarts_[static_cast<size_t>(txn.spec.class_index)];
-  if (obs_on_) {
-    // The whole aborted incarnation is wasted work, wall-to-wall: service,
-    // waits, and thinks alike are repeated by the replay.
-    const SimTime wasted = sim_->Now() - txn.incarnation_start;
-    txn.ph_wasted += wasted;
-    // Charge the incarnation to the opponent of the conflict that killed it
-    // (kInvalidTxn when the algorithm could not name one); the charge folds
-    // only if this transaction eventually commits in the window, mirroring
-    // ph_wasted exactly.
-    txn.blame_wasted_charges.emplace_back(txn.blame_opponent, wasted);
-    waits_for_obs_.Erase(id);
-    switch (cause) {
-      case RestartCause::kWound: ctr_restarts_wound_->Inc(); break;
-      case RestartCause::kDecision: ctr_restarts_decision_->Inc(); break;
-      case RestartCause::kValidation: ctr_restarts_validation_->Inc(); break;
-    }
-    ctr_wasted_cpu_us_->Add(txn.cpu_used);
-    ctr_wasted_disk_us_->Add(txn.disk_used);
-  }
-  Trace(txn, TxnEvent::kRestarted);
-
   cc_->Abort(id);
-  if (config_.record_history) history_.RecordAbort(id, txn.incarnation);
-  if (auditor_ != nullptr) {
-    AuditFold(AuditOp::kRestart, id, txn.incarnation, 0);
-    auditor_->OnTxnFinished(id);
-  }
   Deactivate();
 
   // Re-entry always goes through an event, even at zero delay. A synchronous
@@ -810,7 +657,6 @@ void ClosedSystem::Restart(TxnId id, RestartCause cause) {
   // where neither the event budget nor the wall-clock watchdog (both checked
   // between events, sim/simulator.h RunGuard) could ever interrupt it.
   SimTime delay = restart_policy_.NextDelay(&delay_rng_);
-  if (obs_on_) txn.ph_restart_delay += delay;
   SetState(txn, TxnState::kRestartDelay);
   int incarnation = txn.incarnation;
   txn.pending_event = sim_->Schedule(delay, [this, id, incarnation] {
@@ -819,11 +665,17 @@ void ClosedSystem::Restart(TxnId id, RestartCause cause) {
     CCSIM_CHECK(t.state == TxnState::kRestartDelay);
     t.pending_event = kInvalidEventId;
     SetState(t, TxnState::kReady);
-    if (obs_on_) t.ready_since = sim_->Now();
     ready_queue_.push_back(id);
     TryActivate();
   });
-  AuditTransition();
+  if (observed()) {
+    Dispatch(EngineEventKind::kRestart, &txn,
+             {.duration = delay,
+              .cause = cause,
+              .cpu_used = txn.cpu_used,
+              .disk_used = txn.disk_used});
+  }
+  Emit(EngineEventKind::kSettled);
 }
 
 void ClosedSystem::Deactivate() {
@@ -845,15 +697,8 @@ void ClosedSystem::OnGranted(TxnId id) {
     t.grant_inflight = false;
     if (t.state != TxnState::kBlocked) return;  // Stale grant.
     SetState(t, TxnState::kRunning);
-    if (obs_on_) {
-      const SimTime blocked = sim_->Now() - t.blocked_since;
-      t.ph_cc_block += blocked;
-      t.blame_block_charges.emplace_back(t.blame_block_opponent, blocked);
-      t.blame_block_opponent = kInvalidTxn;
-      waits_for_obs_.Erase(id);
-    }
-    Trace(t, TxnEvent::kResumed);
-    AuditTransition();
+    Emit(EngineEventKind::kResume, &t);
+    Emit(EngineEventKind::kSettled);
     if (t.doomed) {
       Restart(id, RestartCause::kWound);
       return;
@@ -891,13 +736,6 @@ void ClosedSystem::OnWound(TxnId id) {
   }
 }
 
-namespace {
-/// Deep cc-algorithm checks are O(lock table) and the census walk is
-/// O(population), so they run on a sampled subset of transitions; the
-/// counted census and monotonicity checks run on all.
-constexpr int64_t kAuditDeepCheckPeriod = 64;
-}  // namespace
-
 TxnCensus ClosedSystem::CountedCensus() const {
   TxnCensus census;
   census.total = static_cast<int64_t>(txns_.size());
@@ -929,144 +767,22 @@ TxnCensus ClosedSystem::WalkedCensus() const {
   return census;
 }
 
-void ClosedSystem::AuditTransition() {
-  if (auditor_ == nullptr) return;
-  auditor_->OnEventTime(sim_->Now());
-  const TxnCensus census = CountedCensus();
-  auditor_->CheckConservation(census);
-  if (++audit_transitions_ % kAuditDeepCheckPeriod == 0) {
-    // A state write that bypassed SetState leaves the counts permanently
-    // off, so this sampled walk (and always the final one) catches it.
-    auditor_->CheckCensusAgrees(census, WalkedCensus());
-    cc_->AuditCheck();
-    // Lost-wakeup check: every blocked transaction must still be tracked as
-    // a waiter by the algorithm — unless it is doomed (its abort event is
-    // pending) or its grant's zero-delay resume event is in flight.
-    txns_.ForEach([&](TxnId id, const Txn& txn) {
-      if (txn.state == TxnState::kBlocked && !txn.doomed &&
-          !txn.grant_inflight) {
-        auditor_->CheckBlockedTracked(id, cc_->AuditTracksWaiter(id));
-      }
-    });
-  }
-}
-
-void ClosedSystem::AuditBlocked(TxnId id) {
-  if (auditor_ == nullptr) return;
-  auditor_->CheckBlockedTracked(id, cc_->AuditTracksWaiter(id));
-}
-
-void ClosedSystem::AuditFold(AuditOp op, TxnId id, int64_t a, int64_t b) {
-  if (auditor_ == nullptr) return;
-  auditor_->FoldOp(static_cast<uint64_t>(op), id, a, b,
-                   static_cast<int64_t>(sim_->Now()));
+const Auditor* ClosedSystem::auditor() const {
+  return audit_ != nullptr ? &audit_->auditor() : nullptr;
 }
 
 void ClosedSystem::AuditFinal() {
-  if (auditor_ == nullptr) return;
-  cc_->AuditCheck();
-  AuditTransition();
-  auditor_->CheckCensusAgrees(CountedCensus(), WalkedCensus());
-  // Quiescence: with the event queue drained nothing can ever wake a
-  // blocked transaction again — each one is permanently stuck.
-  if (sim_->pending_events() == 0) {
-    std::vector<TxnId> stuck;
-    txns_.ForEach([&](TxnId id, const Txn& txn) {
-      if (txn.state == TxnState::kBlocked) stuck.push_back(id);
-    });
-    std::sort(stuck.begin(), stuck.end());
-    for (TxnId id : stuck) {
-      auditor_->Report(AuditInvariant::kPermanentBlock, id,
-                       "blocked transaction outlived the event queue");
-    }
-  }
+  if (audit_ != nullptr) audit_->Final();
+}
+
+const StatsRegistry* ClosedSystem::stats_registry() const {
+  return obs_ != nullptr ? obs_->registry() : nullptr;
 }
 
 ClosedSystem::Txn& ClosedSystem::GetTxn(TxnId id) {
   Txn* txn = txns_.Find(id);
   CCSIM_CHECK(txn != nullptr) << "unknown txn " << id;
   return *txn;
-}
-
-
-void ClosedSystem::Trace(const Txn& txn, TxnEvent event) {
-  if (trace_ == nullptr && perfetto_ == nullptr) return;
-  TraceRecord record{sim_->Now(), txn.id, txn.incarnation, event};
-  if (trace_ != nullptr) trace_->Record(record);
-  if (perfetto_ != nullptr) perfetto_->Record(record);
-}
-
-void ClosedSystem::CountDecision(CCDecision decision) {
-  if (ctr_cc_granted_ == nullptr) return;
-  switch (decision) {
-    case CCDecision::kGranted: ctr_cc_granted_->Inc(); break;
-    case CCDecision::kBlocked: ctr_cc_blocked_->Inc(); break;
-    case CCDecision::kRestart: ctr_cc_denied_->Inc(); break;
-  }
-}
-
-void ClosedSystem::ChargePhase(Txn& txn, SimTime Txn::* bucket,
-                               SimTime service, SimTime requested_at) {
-  if (!obs_on_) return;
-  txn.*bucket += service;
-  // Whatever elapsed beyond pure service time was spent queued for the
-  // resource (FCFS server pools, res/server_pool.h).
-  txn.ph_res_wait += (sim_->Now() - requested_at) - service;
-}
-
-void ClosedSystem::OnBlame(TxnId victim, TxnId opponent, ObjectId obj,
-                           BlameKind kind) {
-  contention_->Record(obj, kind);
-  Txn& txn = GetTxn(victim);
-  if (kind == BlameKind::kBlock) {
-    txn.blame_block_opponent = opponent;
-  } else {
-    txn.blame_opponent = opponent;
-  }
-}
-
-void ClosedSystem::RecordBlockedEdge(TxnId id, SimTime now) {
-  Txn& txn = GetTxn(id);
-  const TxnId opponent = txn.blame_block_opponent;
-  if (opponent != kInvalidTxn && opponent != id) {
-    waits_for_obs_.Upsert(id) = opponent;
-    if (perfetto_ != nullptr) perfetto_->OnBlockedBy(id, opponent, now);
-  }
-  // Chain depth = waits-for edges reachable from this transaction through
-  // opponents that are themselves blocked. An unknown opponent still counts
-  // as one edge: the transaction does wait behind *someone*.
-  int depth = 0;
-  TxnId cursor = id;
-  for (int hops = 0; hops < kMaxChainWalk; ++hops) {
-    const TxnId* next = waits_for_obs_.Find(cursor);
-    if (next == nullptr) break;
-    ++depth;
-    cursor = *next;
-    if (cursor == id) break;  // Cycle: a deadlock awaiting victim selection.
-  }
-  if (depth == 0) depth = 1;
-  chain_depth_hist_->Add(static_cast<double>(depth));
-}
-
-void ClosedSystem::FinishObsArtifacts() {
-  if (!obs_on_) return;
-  if (sampler_ != nullptr) {
-    CCSIM_CHECK(sampler_->Finish())
-        << "failed writing time-series csv " << config_.obs.sample_path;
-    sampler_.reset();
-  }
-  if (perfetto_ != nullptr) {
-    perfetto_->FlushOpen(sim_->Now());
-    resources_.AttachSpanSink(nullptr);
-    perfetto_.reset();
-    CCSIM_CHECK(trace_writer_->Finish())
-        << "failed writing trace file " << config_.obs.trace_path;
-    trace_writer_.reset();
-  }
-  if (contention_ != nullptr && !config_.obs.hot_path.empty()) {
-    CCSIM_CHECK(contention_->WriteCsv(config_.obs.hot_path, kHotGranuleTopK))
-        << "failed writing hot-granule csv " << config_.obs.hot_path;
-  }
 }
 
 bool ClosedSystem::IsCurrent(TxnId id, int incarnation) const {
@@ -1095,9 +811,6 @@ void ClosedSystem::ResetMeasurement() {
   for (Welford& response : class_response_) response.Reset();
   std::fill(class_commits_.begin(), class_commits_.end(), 0);
   std::fill(class_restarts_.begin(), class_restarts_.end(), 0);
-  phase_sums_ = PhaseSums{};
-  blame_ledger_.Reset();
-  if (contention_ != nullptr) contention_->Reset();
   // Fresh interval estimators: a second RunExperiment must not inherit the
   // previous measurement's batches.
   throughput_bm_ = BatchMeans();
@@ -1111,6 +824,7 @@ void ClosedSystem::ResetMeasurement() {
   log_bm_ = BatchMeans();
   active_mpl_.ResetWindow(sim_->Now());
   resources_.ResetWindow(sim_->Now());
+  Emit(EngineEventKind::kMeasureReset);
 }
 
 void ClosedSystem::CloseBatch(SimTime batch_length) {
@@ -1183,31 +897,20 @@ MetricsReport ClosedSystem::RunExperiment(int batches, SimTime batch_length,
   report.measured_seconds = ToSeconds(batch_length) * batches;
   report.batches = batches;
   report.cc_stats = cc_->stats();
-  if (obs_on_) {
-    report.phases.collected = true;
-    if (measured_commits_ > 0) {
-      double n = static_cast<double>(measured_commits_);
-      report.phases.ready = ToSeconds(phase_sums_.ready) / n;
-      report.phases.cc_block = ToSeconds(phase_sums_.cc_block) / n;
-      report.phases.cpu = ToSeconds(phase_sums_.cpu) / n;
-      report.phases.disk = ToSeconds(phase_sums_.disk) / n;
-      report.phases.resource_wait = ToSeconds(phase_sums_.res_wait) / n;
-      report.phases.think = ToSeconds(phase_sums_.think) / n;
-      report.phases.restart_delay = ToSeconds(phase_sums_.restart_delay) / n;
-      report.phases.wasted = ToSeconds(phase_sums_.wasted) / n;
-      report.phases.other = ToSeconds(phase_sums_.other) / n;
-    }
-    report.blame = blame_ledger_.Finish(phase_sums_.wasted,
-                                        phase_sums_.cc_block);
+  // The Perfetto exporter closes at run end; the pools stop reporting first.
+  if (obs_ != nullptr && obs_->span_sink() != nullptr) {
+    resources_.AttachSpanSink(nullptr);
   }
-  AuditFinal();
-  if (auditor_ != nullptr) {
+  // Runs the auditor's end-of-run checks, then writes the obs artifacts.
+  Emit(EngineEventKind::kRunEnd);
+  if (audit_ != nullptr) {
+    const Auditor& auditor = audit_->auditor();
     report.audited = true;
-    report.audit_violations = auditor_->violation_count();
-    report.audit_checks = auditor_->checks_performed();
-    report.replay_digest = auditor_->digest();
+    report.audit_violations = auditor.violation_count();
+    report.audit_checks = auditor.checks_performed();
+    report.replay_digest = auditor.digest();
   }
-  FinishObsArtifacts();
+  if (obs_ != nullptr) obs_->Report(&report.phases, &report.blame);
   for (size_t i = 0; i < class_response_.size(); ++i) {
     ClassMetrics metrics;
     metrics.name = config_.workload.ClassName(static_cast<int>(i));

@@ -11,6 +11,11 @@
 // (interactive workloads). Blocked transactions occupy an mpl slot; restarted
 // transactions give up their slot, optionally sit out a restart delay, and
 // re-enter the *back* of the ready queue to replay the same read/write sets.
+//
+// The engine only runs the model. Everything that watches it — the auditor,
+// the history recorder, the lifecycle trace sink and observability — is an
+// EngineListener the engine builds from its configuration and feeds one
+// EngineEvent per lifecycle point (obs/engine_event.h).
 #ifndef CCSIM_CORE_CLOSED_SYSTEM_H_
 #define CCSIM_CORE_CLOSED_SYSTEM_H_
 
@@ -26,14 +31,9 @@
 #include "cc/restart_policy.h"
 #include "core/history.h"
 #include "core/metrics.h"
-#include "obs/blame.h"
-#include "obs/contention.h"
-#include "obs/engine_tracer.h"
+#include "obs/engine_event.h"
 #include "obs/obs_config.h"
-#include "obs/registry.h"
-#include "obs/sampler.h"
 #include "obs/trace.h"
-#include "obs/trace_json.h"
 #include "res/resources.h"
 #include "sim/simulator.h"
 #include "stats/batch_means.h"
@@ -45,6 +45,10 @@
 #include "wl/workload.h"
 
 namespace ccsim {
+
+class AuditListener;
+class ObsListener;
+class StatsRegistry;
 
 /// How transactions enter the system.
 enum class SourceMode {
@@ -103,8 +107,9 @@ struct EngineConfig {
   /// algorithm cross-check two-phase-locking discipline, lock-table ↔
   /// waits-for consistency, transaction conservation, and event-time
   /// monotonicity, and fold every cc decision into a deterministic replay
-  /// digest. Disabled, each hook costs one null-pointer test. Builds
-  /// configured with -DCCSIM_AUDIT=ON flip the default to on.
+  /// digest. The auditor listens to the engine's event stream; disabled, it
+  /// is not attached. Builds configured with -DCCSIM_AUDIT=ON flip the
+  /// default to on.
 #ifdef CCSIM_AUDIT_DEFAULT_ON
   bool audit = true;
 #else
@@ -112,12 +117,11 @@ struct EngineConfig {
 #endif
   /// Observability (docs/OBSERVABILITY.md): stats registry + per-phase
   /// response-time breakdown, optional time-series sampler and Perfetto
-  /// trace export. Fully disabled by default; the engine then pays one
-  /// branch per event.
+  /// trace export, all as one listener on the engine's event stream. Fully
+  /// disabled by default, when no such listener is attached.
   ObsConfig obs;
   /// Lifecycle trace sink attached at construction (run_config --trace).
-  /// Not owned; must outlive the simulation; nullptr = none. Equivalent to
-  /// calling SetTraceSink right after construction.
+  /// Not owned; must outlive the simulation; nullptr = none.
   TraceSink* lifecycle_sink = nullptr;
   /// Overrides MakeConcurrencyControl(algorithm, victim_policy) when set.
   /// Exists for the verifier's seeded-mutation self-test (src/verify/mutant),
@@ -130,10 +134,15 @@ struct EngineConfig {
 /// The simulation engine. Owns the workload, resources, and the concurrency
 /// control algorithm; drives every transaction through its lifecycle. It is
 /// the resource pools' ServiceSink: every service step completes through
-/// OnServiceDone.
+/// OnServiceDone. At each lifecycle point it emits one EngineEvent to its
+/// listeners — built from the config: the auditor, the history recorder,
+/// the lifecycle sink, observability — which see the event and the const
+/// views below only, so none of them can steer a run. With no listener an
+/// emit costs one empty-list test.
 class ClosedSystem : private ServiceSink {
  public:
   ClosedSystem(Simulator* sim, const EngineConfig& config);
+  ~ClosedSystem();
 
   ClosedSystem(const ClosedSystem&) = delete;
   ClosedSystem& operator=(const ClosedSystem&) = delete;
@@ -161,7 +170,7 @@ class ClosedSystem : private ServiceSink {
   const HistoryRecorder& history() const { return history_; }
   const EngineConfig& config() const { return config_; }
   /// The runtime invariant auditor; nullptr unless config.audit is set.
-  const Auditor* auditor() const { return auditor_.get(); }
+  const Auditor* auditor() const;
 
   /// One-line transaction census ("census: 3 running, 44 blocked, ...") for
   /// watchdog diagnostics: where the population was when a budget tripped.
@@ -177,12 +186,8 @@ class ClosedSystem : private ServiceSink {
   void SetMpl(int mpl);
   int mpl() const { return mpl_; }
 
-  /// Attaches a lifecycle trace sink (nullptr detaches). Not owned; must
-  /// outlive the simulation.
-  void SetTraceSink(TraceSink* sink) { trace_ = sink; }
-
   /// The observability registry; nullptr unless config.obs.enabled.
-  const StatsRegistry* stats_registry() const { return registry_.get(); }
+  const StatsRegistry* stats_registry() const;
 
   /// Attaches a heartbeat progress cell (nullptr detaches); the engine
   /// stores lifetime commits into it with relaxed atomics so a reporter
@@ -194,6 +199,24 @@ class ClosedSystem : private ServiceSink {
   /// calls this itself; the schedule-space verifier calls it directly on
   /// every terminal state it reaches. No-op unless config.audit is set.
   void AuditFinal();
+
+  // --- Const views for the audit listener ---
+
+  /// The census from the per-state counts: O(1), taken at every transition.
+  TxnCensus CountedCensus() const;
+  /// The same census from a walk over every live transaction: O(population),
+  /// the cross-check of the counts.
+  TxnCensus WalkedCensus() const;
+  /// Visits every blocked transaction as fn(id, doomed, grant_inflight), in
+  /// slot order.
+  template <typename Fn>
+  void ForEachBlocked(Fn&& fn) const {
+    txns_.ForEach([&](TxnId id, const Txn& txn) {
+      if (txn.state == TxnState::kBlocked) {
+        fn(id, txn.doomed, txn.grant_inflight);
+      }
+    });
+  }
 
  private:
   enum class TxnState {
@@ -236,34 +259,6 @@ class ClosedSystem : private ServiceSink {
     /// Pending think / restart-delay event, cancellable on wound.
     EventId pending_event = kInvalidEventId;
 
-    // Phase accounting (maintained only when config.obs.enabled; all µs).
-    SimTime ready_since = 0;    ///< Entered the ready queue.
-    SimTime blocked_since = 0;  ///< Last cc block began.
-    // Whole-transaction accumulators (survive restarts).
-    SimTime ph_ready = 0;
-    SimTime ph_restart_delay = 0;
-    SimTime ph_wasted = 0;
-    // Current-incarnation buckets (reset at Activate).
-    SimTime ph_cc_block = 0;
-    SimTime ph_cpu = 0;
-    SimTime ph_disk = 0;
-    SimTime ph_res_wait = 0;
-    SimTime ph_think = 0;
-
-    // Blame attribution (obs/blame.h; maintained only when obs is on).
-    /// Opponent of the most recent restart-causing conflict (wound, denial,
-    /// validation failure, timestamp rejection). Reset at Activate.
-    TxnId blame_opponent = kInvalidTxn;
-    /// Holder behind the current (or just-resolved) cc block.
-    TxnId blame_block_opponent = kInvalidTxn;
-    /// (holder, µs) per resolved block of the current incarnation; folded
-    /// into the ledger at Complete, discarded at Restart — exactly the
-    /// lifecycle of ph_cc_block, so the blocked-µs identity is exact.
-    std::vector<std::pair<TxnId, SimTime>> blame_block_charges;
-    /// (aborter, µs) per restarted incarnation; whole-transaction, folded at
-    /// Complete — exactly the lifecycle of ph_wasted.
-    std::vector<std::pair<TxnId, SimTime>> blame_wasted_charges;
-
     /// Slot-reuse reset (TxnSlotMap recycling): restores the
     /// default-constructed state while keeping every buffer's capacity, so a
     /// terminal's next transaction reuses the previous one's storage.
@@ -289,28 +284,7 @@ class ClosedSystem : private ServiceSink {
       cpu_used = 0;
       disk_used = 0;
       pending_event = kInvalidEventId;
-      ready_since = 0;
-      blocked_since = 0;
-      ph_ready = 0;
-      ph_restart_delay = 0;
-      ph_wasted = 0;
-      ph_cc_block = 0;
-      ph_cpu = 0;
-      ph_disk = 0;
-      ph_res_wait = 0;
-      ph_think = 0;
-      blame_opponent = kInvalidTxn;
-      blame_block_opponent = kInvalidTxn;
-      blame_block_charges.clear();
-      blame_wasted_charges.clear();
     }
-  };
-
-  /// Why an incarnation restarted (observability: restarts by cause).
-  enum class RestartCause {
-    kWound,       ///< Chosen as a victim (deadlock or wound-wait).
-    kDecision,    ///< The cc algorithm answered kRestart to a request.
-    kValidation,  ///< Commit-point validation failed.
   };
 
   // Lifecycle.
@@ -328,18 +302,14 @@ class ClosedSystem : private ServiceSink {
   void Complete(TxnId id);
   void Restart(TxnId id, RestartCause cause);
   void Deactivate();
+  /// Acts on a cc decision: true if granted; otherwise blocks or restarts
+  /// the transaction and returns false.
+  bool Proceed(Txn& txn, CCDecision decision);
 
   // Resource service. Each step of a transaction that costs service is one
-  // ServiceRequest tagged with its kind; OnServiceDone dispatches on it.
-  enum class ServiceKind : uint8_t {
-    kCcCpu,       ///< cc_cpu ahead of a cc request.
-    kReadDisk,    ///< obj_io of a read (skipped on a buffer hit).
-    kReadCpu,     ///< obj_cpu of a read.
-    kWriteCpu,    ///< obj_cpu of a write request (the update is buffered).
-    kLog,         ///< The commit log record (log_io).
-    kUpdateDisk,  ///< obj_io of one deferred update.
-    kGroupLog,    ///< One group-commit flush; `txn` is a group_batches_ slot.
-  };
+  // ServiceRequest tagged with its ServiceKind (obs/engine_event.h; a
+  // kGroupLog request's `txn` is a group_batches_ slot); OnServiceDone
+  // dispatches on it.
   /// Requests `service` µs for the step `kind` of (txn, incarnation), or —
   /// for a zero-cost step — completes it on the spot.
   void Serve(ServiceKind kind, TxnId txn, int incarnation, SimTime service);
@@ -361,22 +331,22 @@ class ClosedSystem : private ServiceSink {
   int64_t StateCount(TxnState state) const {
     return state_counts_[static_cast<size_t>(state)];
   }
-  /// The census from the per-state counts: O(1), taken at every transition.
-  TxnCensus CountedCensus() const;
-  /// The same census from a walk over every live transaction: O(population),
-  /// the cross-check of the counts.
-  TxnCensus WalkedCensus() const;
 
-  // Auditing (no-ops unless config.audit is set).
-  /// Monotonicity + conservation census at every lifecycle transition; every
-  /// kAuditDeepCheckPeriod-th call also deep-checks the cc algorithm and
-  /// cross-checks the census counts against a walk.
-  void AuditTransition();
-  /// Cross-checks a newly blocked transaction against the algorithm's
-  /// waiter bookkeeping.
-  void AuditBlocked(TxnId id);
-  /// Folds one cc-stream op into the replay digest.
-  void AuditFold(AuditOp op, TxnId id, int64_t a, int64_t b);
+  // The event stream.
+  /// Builds the listeners the config asks for. Called from the constructor.
+  void AttachListeners();
+  /// Builds the obs listener and registers every layer's instruments.
+  void AttachObservability();
+  bool observed() const { return !listeners_.empty(); }
+  /// Emits `kind` now, about `txn` when given. With no listener this costs
+  /// one empty-list test.
+  void Emit(EngineEventKind kind, const Txn* txn = nullptr) {
+    if (observed()) Dispatch(kind, txn, {});
+  }
+  /// Stamps `event`, whose kind-specific fields the caller has set, and
+  /// hands it to every listener. Callers test observed() first, so an
+  /// unobserved run never builds an event.
+  void Dispatch(EngineEventKind kind, const Txn* txn, EngineEvent event);
 
   // Helpers.
   Txn& GetTxn(TxnId id);
@@ -384,27 +354,6 @@ class ClosedSystem : private ServiceSink {
   bool IsCurrent(TxnId id, int incarnation) const;
   bool NeedsInternalThink(const Txn& txn) const;
   double BootstrapResponseSeconds() const;
-  void Trace(const Txn& txn, TxnEvent event);
-
-  // Observability (no-ops / single branch unless config.obs.enabled).
-  /// Builds the registry, registers every layer's instruments, and opens
-  /// the Perfetto trace when configured. Called from the constructor.
-  void SetupObservability();
-  /// Counts one cc decision into the granted/blocked/denied counters.
-  void CountDecision(CCDecision decision);
-  /// Charges `service` µs of service to a phase bucket and the difference
-  /// to resource_wait; `requested_at` is when the request entered the pool.
-  void ChargePhase(Txn& txn, SimTime Txn::* bucket, SimTime service,
-                   SimTime requested_at);
-  /// Finishes the sampler CSV/.gp and the trace.json (hard error on a
-  /// failed write). Called at the end of RunExperiment; idempotent.
-  void FinishObsArtifacts();
-  /// cc on_blame callback (installed only when obs is on): stashes the
-  /// opponent on the victim and feeds the hot-granule sketch.
-  void OnBlame(TxnId victim, TxnId opponent, ObjectId obj, BlameKind kind);
-  /// Blocking-chain telemetry at a block site: records the waits-for edge,
-  /// samples the chain depth, and emits a Perfetto flow event when tracing.
-  void RecordBlockedEdge(TxnId id, SimTime now);
 
   /// The cc granule covering `obj`.
   ObjectId GranuleOf(ObjectId obj) const {
@@ -479,43 +428,14 @@ class ClosedSystem : private ServiceSink {
   BatchMeans cpu_useful_bm_;
   BatchMeans log_bm_;
 
+  // Listeners, attached only when their config field asks for them.
+  // listeners_ runs them in this order: the auditor's end-of-run checks must
+  // see the event queue before observability cancels its sampler tick.
+  std::unique_ptr<AuditListener> audit_;
   HistoryRecorder history_;
-  TraceSink* trace_ = nullptr;
-  std::unique_ptr<Auditor> auditor_;
-  int64_t audit_transitions_ = 0;
-
-  // Observability (all null / zero when config.obs.enabled is false).
-  bool obs_on_ = false;
-  std::unique_ptr<StatsRegistry> registry_;
-  std::unique_ptr<TraceEventWriter> trace_writer_;
-  std::unique_ptr<EngineTracer> perfetto_;
-  std::unique_ptr<TimeSeriesSampler> sampler_;
-  ObsCounter* ctr_commits_ = nullptr;
-  ObsCounter* ctr_restarts_wound_ = nullptr;
-  ObsCounter* ctr_restarts_decision_ = nullptr;
-  ObsCounter* ctr_restarts_validation_ = nullptr;
-  ObsCounter* ctr_cc_granted_ = nullptr;
-  ObsCounter* ctr_cc_blocked_ = nullptr;
-  ObsCounter* ctr_cc_denied_ = nullptr;
-  ObsCounter* ctr_wasted_cpu_us_ = nullptr;
-  ObsCounter* ctr_wasted_disk_us_ = nullptr;
-  /// Measurement-window phase sums (µs); reset with the other measurement
-  /// accumulators, folded per commit, reported as means over commits.
-  struct PhaseSums {
-    SimTime ready = 0, restart_delay = 0, wasted = 0;
-    SimTime cc_block = 0, cpu = 0, disk = 0, res_wait = 0, think = 0;
-    SimTime other = 0;
-  } phase_sums_;
-  /// Blame aggregation over the measurement window (obs/blame.h); reset with
-  /// the other measurement accumulators, folded per commit at Complete.
-  BlameLedger blame_ledger_;
-  /// Hot-granule conflict sketch; null unless obs is on.
-  std::unique_ptr<ContentionProfiler> contention_;
-  /// Observability-only waits-for edges (victim -> opponent) for chain-depth
-  /// sampling; never consulted by any scheduling or cc decision.
-  TxnSlotMap<TxnId> waits_for_obs_;
-  Histogram* chain_depth_hist_ = nullptr;
-  Histogram* genealogy_hist_ = nullptr;
+  std::unique_ptr<TraceSinkListener> lifecycle_;
+  std::unique_ptr<ObsListener> obs_;
+  std::vector<EngineListener*> listeners_;
   ProgressCell* progress_ = nullptr;
 
   /// Transactions whose commit records await the next group-commit flush

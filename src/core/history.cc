@@ -9,6 +9,38 @@
 
 namespace ccsim {
 
+void HistoryRecorder::OnEvent(const EngineEvent& event) {
+  switch (event.kind) {
+    case EngineEventKind::kActivate:
+      RecordActivation(event.txn, event.incarnation);
+      break;
+    case EngineEventKind::kCcDecision:
+      if ((event.op == CcOp::kRead || event.op == CcOp::kWriteIntent) &&
+          event.decision == CCDecision::kGranted) {
+        RecordRead(event.txn, event.incarnation, event.object, event.time);
+      }
+      break;
+    case EngineEventKind::kVersionRead:
+      RecordVersionRead(event.txn, event.incarnation, event.object,
+                        event.opponent);
+      break;
+    case EngineEventKind::kCommitting:
+      for (ObjectId obj : *event.write_set) {
+        RecordWrite(event.txn, event.incarnation, obj / granule_size_,
+                    event.time);
+      }
+      break;
+    case EngineEventKind::kCommit:
+      RecordCommit(event.txn, event.incarnation);
+      break;
+    case EngineEventKind::kRestart:
+      RecordAbort(event.txn, event.incarnation);
+      break;
+    default:
+      break;
+  }
+}
+
 std::string SerializabilityResult::ToString() const {
   if (serializable) {
     return StringPrintf("serializable (%lld nodes, %lld edges)",

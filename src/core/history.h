@@ -1,9 +1,11 @@
 // Execution-history recording and conflict-serializability checking.
 //
-// The engine (optionally) logs every logical read, every applied deferred
-// write, and every commit/abort. The checker then builds the conflict graph
-// over *committed incarnations* — edges ordered by a global operation
-// sequence number, so there are no timestamp ties — and verifies acyclicity.
+// With EngineConfig::record_history the engine attaches a HistoryRecorder to
+// its event stream, which logs every logical read, every deferred write as
+// it becomes visible, and every commit/abort. The checker then builds the
+// conflict graph over *committed incarnations* — edges ordered by a global
+// operation sequence number, so there are no timestamp ties — and verifies
+// acyclicity.
 // Every algorithm in this library must produce conflict-serializable
 // histories; the property tests sweep all of them through this checker.
 #ifndef CCSIM_CORE_HISTORY_H_
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "cc/types.h"
+#include "obs/engine_event.h"
 #include "sim/time.h"
 #include "wl/params.h"
 
@@ -43,8 +46,26 @@ struct VersionReadOp {
 };
 
 /// Records operations and terminal outcomes of transactions.
-class HistoryRecorder {
+class HistoryRecorder : public EngineListener {
  public:
+  /// `granule_size` maps the objects of a kCommitting event's write set to
+  /// the cc granules the rest of the history names (lock_granule_size).
+  explicit HistoryRecorder(int granule_size = 1)
+      : granule_size_(granule_size) {}
+
+  /// Records from the engine's event stream. A read is recorded at its cc
+  /// grant, the instant the algorithm fixes which version it observes;
+  /// recording after the read I/O would let a newer writer commit (and
+  /// record its writes) inside the lag, and the conflict checker would
+  /// misorder the pair. Deferred writes are recorded at kCommitting, before
+  /// the algorithm's Commit, when they become visible: publishing wakes
+  /// waiting readers synchronously, and their reads of the new value must
+  /// sequence after the writes they observe. Recording at the update I/O
+  /// instead would let an older reader that legitimately proceeds past a
+  /// pending write (basic T/O) produce apply-before-read sequences the
+  /// single-version checker misreads as false cycles.
+  void OnEvent(const EngineEvent& event) override;
+
   /// An incarnation began; the activation sequence induces the timestamp
   /// order of timestamp-based algorithms (used as the version order by the
   /// multiversion checker).
@@ -110,6 +131,7 @@ class HistoryRecorder {
   }
 
  private:
+  int granule_size_;
   uint64_t next_seq_ = 0;
   std::vector<HistoryOp> ops_;
   std::vector<VersionReadOp> version_reads_;

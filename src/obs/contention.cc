@@ -14,7 +14,6 @@ ContentionProfiler::ContentionProfiler(size_t capacity)
 }
 
 void ContentionProfiler::Record(ObjectId obj, BlameKind kind) {
-  ++total_conflicts_;
   auto it = entries_.find(obj);
   if (it == entries_.end()) {
     int64_t floor = 0;
@@ -49,7 +48,6 @@ void ContentionProfiler::Record(ObjectId obj, BlameKind kind) {
 }
 
 void ContentionProfiler::Reset() {
-  total_conflicts_ = 0;
   entries_.clear();
 }
 

@@ -50,13 +50,8 @@ class ContentionProfiler {
   /// restarts). Returns stream health.
   bool WriteCsv(const std::string& path, size_t k) const;
 
-  int64_t total_conflicts() const { return total_conflicts_; }
-  size_t tracked_objects() const { return entries_.size(); }
-  size_t capacity() const { return capacity_; }
-
  private:
   size_t capacity_;
-  int64_t total_conflicts_ = 0;
   std::unordered_map<ObjectId, Entry> entries_;
 };
 

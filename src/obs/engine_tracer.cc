@@ -31,7 +31,20 @@ void EngineTracer::CloseBlocked(TxnTrack& track, TxnId txn, SimTime now) {
   track.blocked_since = -1;
 }
 
-void EngineTracer::Record(const TraceRecord& record) {
+void EngineTracer::OnEvent(const EngineEvent& event) {
+  TraceRecord record;
+  if (!ToTraceRecord(event, &record)) return;
+  if (event.kind == EngineEventKind::kBlock &&
+      event.opponent != kInvalidTxn && event.opponent != event.txn) {
+    TrackFor(event.opponent);
+    TrackFor(event.txn);
+    // One arrow per block event; both halves share the id. The start sits
+    // on the holder's open incarnation slice, the end binds to the
+    // "blocked" slice the blocked transaction opens at the same instant.
+    const uint64_t id = ++next_flow_id_;
+    out_->FlowStart(kTxnPid, event.opponent, "waits-for", event.time, id);
+    out_->FlowEnd(kTxnPid, event.txn, "waits-for", event.time, id);
+  }
   TxnTrack& track = TrackFor(record.txn);
   switch (record.event) {
     case TxnEvent::kSubmitted:
@@ -71,17 +84,6 @@ void EngineTracer::Record(const TraceRecord& record) {
       }
       break;
   }
-}
-
-void EngineTracer::OnBlockedBy(TxnId blockee, TxnId blocker, SimTime time) {
-  TrackFor(blocker);
-  TrackFor(blockee);
-  // One arrow per block event; both halves share the id. The start sits on
-  // the blocker's open incarnation slice, the end binds to the "blocked"
-  // slice the blockee opens at the same instant.
-  const uint64_t id = ++next_flow_id_;
-  out_->FlowStart(kTxnPid, blocker, "waits-for", time, id);
-  out_->FlowEnd(kTxnPid, blockee, "waits-for", time, id);
 }
 
 int EngineTracer::RegisterTrack(const std::string& name) {

@@ -1,10 +1,12 @@
-// Converts the engine's lifecycle TraceSink stream plus the resource
-// model's service spans into a Perfetto-loadable trace:
+// Converts the lifecycle events of the engine's event stream plus the
+// resource model's service spans into a Perfetto-loadable trace:
 //
 //   process 1 "transactions" — one thread (track) per transaction. Each
 //     incarnation is a slice ("inc N", or "inc N (aborted)" for restarted
 //     incarnations), with nested "blocked" slices for cc waits and instant
-//     markers for submission, internal think, and restart.
+//     markers for submission, internal think, and restart. A block whose
+//     event names the holder also draws a "waits-for" flow arrow from the
+//     holder's slice to the blocked one.
 //   process 2 "servers" — one thread per server pool (cpu, disk0..., log)
 //     carrying a slice per service span, plus a "<pool> queue" counter
 //     tracking wait-queue depth.
@@ -18,18 +20,20 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/engine_event.h"
 #include "obs/span_sink.h"
 #include "obs/trace.h"
 #include "obs/trace_json.h"
 
 namespace ccsim {
 
-class EngineTracer : public TraceSink, public ServiceSpanSink {
+class EngineTracer : public EngineListener, public ServiceSpanSink {
  public:
   explicit EngineTracer(TraceEventWriter* out);
 
-  // TraceSink — transaction lifecycle.
-  void Record(const TraceRecord& record) override;
+  // EngineListener — transaction lifecycle. A kBlock event's `opponent`,
+  // when set, is the holder the arrow starts from.
+  void OnEvent(const EngineEvent& event) override;
 
   // ServiceSpanSink — resource model.
   int RegisterTrack(const std::string& name) override;
@@ -39,11 +43,6 @@ class EngineTracer : public TraceSink, public ServiceSpanSink {
   /// Closes any slices still open at end of run (the closed system never
   /// drains, so most transactions are mid-flight when the run stops).
   void FlushOpen(SimTime end_time);
-
-  /// Blame hook: draws a waits-for flow arrow from `blocker`'s slice to the
-  /// "blocked" slice `blockee` opens at `time` (called by the engine at
-  /// each attributed block).
-  void OnBlockedBy(TxnId blockee, TxnId blocker, SimTime time);
 
  private:
   struct TxnTrack {

@@ -44,7 +44,6 @@ TimeSeriesSampler::TimeSeriesSampler(Simulator* sim,
 void TimeSeriesSampler::Start() { Sample(); }
 
 void TimeSeriesSampler::Sample() {
-  if (finished_) return;
   std::vector<double> values;
   values.reserve(registry_->num_columns());
   registry_->SampleRow(&values);
@@ -53,13 +52,14 @@ void TimeSeriesSampler::Sample() {
   row.push_back(CsvWriter::Field(ToSeconds(sim_->Now())));
   for (double v : values) row.push_back(CsvWriter::Field(v));
   csv_.WriteRow(row);
-  ++rows_;
-  sim_->Schedule(interval_, [this] { Sample(); });
+  pending_ = sim_->Schedule(interval_, [this] { Sample(); });
 }
 
 bool TimeSeriesSampler::Finish() {
   CCSIM_CHECK(!finished_) << "TimeSeriesSampler::Finish called twice";
   finished_ = true;
+  sim_->Cancel(pending_);
+  pending_ = kInvalidEventId;
   bool healthy = csv_.Finish();
 
   // Companion queue-dynamics plot: every sampled series against time.

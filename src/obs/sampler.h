@@ -38,11 +38,9 @@ class TimeSeriesSampler {
 
   /// Flushes the CSV and writes the companion `.gp` next to it (csv path
   /// with the extension replaced by .gp). Returns false if any write
-  /// failed. Call exactly once; stops future ticks.
+  /// failed. Call exactly once; cancels the pending tick, so the simulator
+  /// may outlive the sampler.
   bool Finish();
-
-  int64_t rows_written() const { return rows_; }
-  const std::string& csv_path() const { return csv_path_; }
 
  private:
   void Sample();
@@ -52,7 +50,7 @@ class TimeSeriesSampler {
   std::string csv_path_;
   SimTime interval_;
   CsvWriter csv_;
-  int64_t rows_ = 0;
+  EventId pending_ = kInvalidEventId;  ///< The next tick.
   bool finished_ = false;
 };
 

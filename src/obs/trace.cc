@@ -26,6 +26,24 @@ const char* TxnEventName(TxnEvent event) {
   return "?";
 }
 
+bool ToTraceRecord(const EngineEvent& event, TraceRecord* record) {
+  TxnEvent lifecycle;
+  switch (event.kind) {
+    case EngineEventKind::kSubmit: lifecycle = TxnEvent::kSubmitted; break;
+    case EngineEventKind::kActivate: lifecycle = TxnEvent::kActivated; break;
+    case EngineEventKind::kBlock: lifecycle = TxnEvent::kBlocked; break;
+    case EngineEventKind::kResume: lifecycle = TxnEvent::kResumed; break;
+    case EngineEventKind::kThinkStart:
+      lifecycle = TxnEvent::kInternalThink;
+      break;
+    case EngineEventKind::kRestart: lifecycle = TxnEvent::kRestarted; break;
+    case EngineEventKind::kCommit: lifecycle = TxnEvent::kCommitted; break;
+    default: return false;
+  }
+  *record = TraceRecord{event.time, event.txn, event.incarnation, lifecycle};
+  return true;
+}
+
 void StreamTraceSink::Record(const TraceRecord& record) {
   *out_ << StringPrintf("%12.6f txn %-6lld inc %-3d %s\n",
                         ToSeconds(record.time),

@@ -1,11 +1,12 @@
 // Transaction lifecycle tracing.
 //
-// When a sink is attached, the engine emits one record per lifecycle event:
-// submission, activation, block, resume, internal think, restart, commit.
-// Traces serve debugging (StreamTraceSink renders a readable log) and
-// testing (MemoryTraceSink lets tests assert that every transaction's event
-// sequence is well-formed). Tracing is off by default and costs one null
-// check per event when disabled.
+// A sink attached through EngineConfig::lifecycle_sink receives one record
+// per lifecycle event: submission, activation, block, resume, internal
+// think, restart, commit — the lifecycle subset of the engine's event stream
+// (obs/engine_event.h), delivered by a TraceSinkListener. Traces serve
+// debugging (StreamTraceSink renders a readable log) and testing
+// (MemoryTraceSink lets tests assert that every transaction's event sequence
+// is well-formed).
 #ifndef CCSIM_OBS_TRACE_H_
 #define CCSIM_OBS_TRACE_H_
 
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "cc/types.h"
+#include "obs/engine_event.h"
 #include "sim/time.h"
 
 namespace ccsim {
@@ -43,6 +45,23 @@ class TraceSink {
  public:
   virtual ~TraceSink() = default;
   virtual void Record(const TraceRecord& record) = 0;
+};
+
+/// The lifecycle record of an engine event: true, with `record` filled, for
+/// the seven kinds a TraceSink sees; false for every other kind.
+bool ToTraceRecord(const EngineEvent& event, TraceRecord* record);
+
+/// Hands the lifecycle records of the engine's event stream to a sink.
+class TraceSinkListener : public EngineListener {
+ public:
+  explicit TraceSinkListener(TraceSink* sink) : sink_(sink) {}
+  void OnEvent(const EngineEvent& event) override {
+    TraceRecord record;
+    if (ToTraceRecord(event, &record)) sink_->Record(record);
+  }
+
+ private:
+  TraceSink* sink_;
 };
 
 /// Collects records in memory (tests, post-hoc analysis).

@@ -188,40 +188,82 @@ TEST(TraceEventWriterTest, WritesStructurallyValidJson) {
 
 // --- Observability is a pure observer ------------------------------------
 
-TEST(ObsPurityTest, EnablingObservabilityChangesNoMetric) {
+// Every observer is a listener on the engine's event stream, so none can
+// steer a run: each one, and all of them at once, must leave the audited
+// baseline's replay digest, audit checks and counts untouched, for every
+// algorithm.
+class ListenerPurityTest : public testing::TestWithParam<std::string> {};
+
+TEST_P(ListenerPurityTest, NoListenerSteersTheRun) {
   RunLengths lengths;
   lengths.batches = 3;
   lengths.batch_length = 5 * kSecond;
   lengths.warmup = 2 * kSecond;
+  auto run = [&](const EngineConfig& config) {
+    Simulator sim;
+    ClosedSystem system(&sim, config);
+    return system.RunExperiment(lengths.batches, lengths.batch_length,
+                                lengths.warmup);
+  };
 
-  EngineConfig off = ContendedConfig();
-  off.audit = true;  // Replay digest: the strongest identity check we have.
-  Simulator sim_off;
-  ClosedSystem system_off(&sim_off, off);
-  MetricsReport report_off = system_off.RunExperiment(
-      lengths.batches, lengths.batch_length, lengths.warmup);
+  EngineConfig base = ContendedConfig();
+  base.algorithm = GetParam();
+  base.audit = true;  // Replay digest: the strongest identity check we have.
+  const MetricsReport baseline = run(base);
+  ASSERT_GT(baseline.commits, 0);
 
-  EngineConfig on = off;
-  on.obs.enabled = true;
-  on.obs.sample_interval = kSecond / 2;
-  on.obs.sample_dir = testing::TempDir();
-  on.obs.trace_dir = testing::TempDir();
-  Simulator sim_on;
-  ClosedSystem system_on(&sim_on, on);
-  MetricsReport report_on = system_on.RunExperiment(
-      lengths.batches, lengths.batch_length, lengths.warmup);
+  // Directory fields: the engine resolves the per-point artifact paths.
+  auto with_obs = [&](EngineConfig config) {
+    config.obs.enabled = true;
+    config.obs.sample_interval = kSecond / 2;
+    config.obs.sample_dir = testing::TempDir();
+    config.obs.trace_dir = testing::TempDir();
+    return config;
+  };
+  EngineConfig observed = with_obs(base);
+  EngineConfig history = base;
+  history.record_history = true;
+  MemoryTraceSink sink;
+  EngineConfig traced = base;
+  traced.lifecycle_sink = &sink;
+  MemoryTraceSink all_sink;
+  EngineConfig all = with_obs(base);
+  all.record_history = true;
+  all.lifecycle_sink = &all_sink;
 
-  EXPECT_EQ(report_off.replay_digest, report_on.replay_digest);
-  EXPECT_EQ(report_off.commits, report_on.commits);
-  EXPECT_EQ(report_off.restarts, report_on.restarts);
-  EXPECT_EQ(report_off.blocks, report_on.blocks);
-  EXPECT_DOUBLE_EQ(report_off.throughput.mean, report_on.throughput.mean);
-  EXPECT_DOUBLE_EQ(report_off.response_mean.mean, report_on.response_mean.mean);
-  EXPECT_DOUBLE_EQ(report_off.block_ratio.mean, report_on.block_ratio.mean);
+  for (const EngineConfig& config : {observed, history, traced, all}) {
+    const MetricsReport report = run(config);
+    SCOPED_TRACE(StringPrintf("obs=%d history=%d sink=%d",
+                              config.obs.enabled, config.record_history,
+                              config.lifecycle_sink != nullptr));
+    EXPECT_EQ(report.replay_digest, baseline.replay_digest);
+    EXPECT_EQ(report.audit_checks, baseline.audit_checks);
+    EXPECT_EQ(report.audit_violations, 0);
+    EXPECT_EQ(report.commits, baseline.commits);
+    EXPECT_EQ(report.restarts, baseline.restarts);
+    EXPECT_EQ(report.blocks, baseline.blocks);
+    EXPECT_DOUBLE_EQ(report.throughput.mean, baseline.throughput.mean);
+    EXPECT_DOUBLE_EQ(report.response_mean.mean, baseline.response_mean.mean);
+    EXPECT_EQ(report.phases.collected, config.obs.enabled);
+  }
+  EXPECT_FALSE(baseline.phases.collected);
 
-  EXPECT_FALSE(report_off.phases.collected);
-  EXPECT_TRUE(report_on.phases.collected);
+  ASSERT_FALSE(sink.records().empty());
+  ASSERT_EQ(sink.records().size(), all_sink.records().size());
+  for (size_t i = 0; i < sink.records().size(); ++i) {
+    const TraceRecord& a = sink.records()[i];
+    const TraceRecord& b = all_sink.records()[i];
+    ASSERT_TRUE(a.time == b.time && a.txn == b.txn &&
+                a.incarnation == b.incarnation && a.event == b.event)
+        << "lifecycle record " << i << " differs";
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(AllAlgorithms, ListenerPurityTest,
+                         testing::ValuesIn(AllAlgorithms()),
+                         [](const testing::TestParamInfo<std::string>& param) {
+                           return param.param;
+                         });
 
 TEST(ObsPurityTest, SameSeedRunsProduceByteIdenticalArtifacts) {
   RunLengths lengths;
@@ -258,10 +300,10 @@ TEST(PhaseBreakdownTest, BucketsSumToPopulationResponseMean) {
   // and the phase identity (obs/phase.h) must hold at the population level.
   EngineConfig config = ContendedConfig();
   config.obs.enabled = true;
+  MemoryTraceSink sink;
+  config.lifecycle_sink = &sink;
   Simulator sim;
   ClosedSystem system(&sim, config);
-  MemoryTraceSink sink;
-  system.SetTraceSink(&sink);
   MetricsReport report =
       system.RunExperiment(/*batches=*/2, /*batch_length=*/6 * kSecond,
                            /*warmup=*/0);
@@ -369,6 +411,33 @@ TEST(SamplerTest, CsvHasMonotoneTimeAndFullSchema) {
   EXPECT_NE(gp.find("obs_sampler_test.csv"), std::string::npos);
   EXPECT_NE(gp.find("columnheader"), std::string::npos);
   std::remove(config.obs.sample_path.c_str());
+}
+
+TEST(SamplerTest, FinishCancelsThePendingTickAcrossRuns) {
+  // RunExperiment finishes and destroys the sampler; its next tick must not
+  // stay queued, or a second RunExperiment on the same engine fires it into
+  // freed memory. The unobserved twin has exactly the engine's own events
+  // pending.
+  EngineConfig config = ContendedConfig();
+  config.obs.enabled = true;
+  config.obs.sample_interval = kSecond / 2;
+  config.obs.sample_path = testing::TempDir() + "obs_sampler_two_runs.csv";
+  Simulator sim;
+  ClosedSystem system(&sim, config);
+  system.RunExperiment(/*batches=*/2, /*batch_length=*/2 * kSecond,
+                       /*warmup=*/kSecond);
+  const std::string csv = ReadFile(config.obs.sample_path);
+
+  Simulator plain_sim;
+  ClosedSystem plain(&plain_sim, ContendedConfig());
+  plain.RunExperiment(2, 2 * kSecond, kSecond);
+  EXPECT_EQ(sim.pending_events(), plain_sim.pending_events());
+
+  MetricsReport second = system.RunExperiment(2, 2 * kSecond, kSecond);
+  EXPECT_GT(second.commits, 0);
+  EXPECT_EQ(ReadFile(config.obs.sample_path), csv);  // No rows after Finish.
+  std::remove(config.obs.sample_path.c_str());
+  std::remove((testing::TempDir() + "obs_sampler_two_runs.gp").c_str());
 }
 
 // --- Sampler under resource fault windows --------------------------------

@@ -138,9 +138,9 @@ TEST(EngineTraceTest, EveryAlgorithmEmitsWellFormedTraces) {
     config.workload.obj_cpu = FromMillis(2);
     config.resources = ResourceConfig::Finite(1, 2);
     config.algorithm = algorithm;
-    ClosedSystem system(&sim, config);
     MemoryTraceSink sink;
-    system.SetTraceSink(&sink);
+    config.lifecycle_sink = &sink;
+    ClosedSystem system(&sim, config);
     system.Prime();
     sim.RunUntil(30 * kSecond);
 
@@ -190,9 +190,9 @@ TEST(EngineTraceTest, InteractiveWorkloadTracesThinkEvents) {
   config.workload.obj_io = FromMillis(5);
   config.workload.obj_cpu = FromMillis(2);
   config.resources = ResourceConfig::Finite(1, 2);
-  ClosedSystem system(&sim, config);
   MemoryTraceSink sink;
-  system.SetTraceSink(&sink);
+  config.lifecycle_sink = &sink;
+  ClosedSystem system(&sim, config);
   system.Prime();
   sim.RunUntil(30 * kSecond);
 

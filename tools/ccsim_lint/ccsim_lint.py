@@ -17,7 +17,13 @@ Rules (docs/VERIFICATION.md):
   R4 layering      src/cc/ may include only cc/, util/, sim/, wl/, stats/,
                    audit/ and the obs registry facade (obs/registry.h) — the
                    algorithms must not know about the execution harness
-                   (exec/) or observability internals.
+                   (exec/) or observability internals. The engine
+                   (src/core/closed_system.{h,cc}) may include from obs/
+                   only obs/obs_config.h and obs/trace.h (the types of
+                   EngineConfig's fields), the event stream
+                   (obs/engine_event.h) and the obs listener
+                   (obs/obs_listener.h): observers reach it only as
+                   listeners.
   R5 hot-path fn   No std::function in the event-hot layers (src/sim,
                    src/res): per-event callables there must use SmallFn
                    (util/small_fn.h), whose inline storage keeps steady-state
@@ -97,6 +103,13 @@ R3_REGISTER = re.compile(
 R4_INCLUDE = re.compile(r"^\s*#include\s+\"([^\"]+)\"", re.MULTILINE)
 R4_ALLOWED_PREFIXES = ("cc/", "util/", "sim/", "wl/", "stats/", "audit/")
 R4_ALLOWED_EXACT = {"obs/registry.h"}
+R4_ENGINE_FILES = ("src/core/closed_system.h", "src/core/closed_system.cc")
+R4_ENGINE_OBS_ALLOWED = (
+    "obs/obs_config.h",
+    "obs/trace.h",
+    "obs/engine_event.h",
+    "obs/obs_listener.h",
+)
 
 R5_HOT_DIRS = ("src/sim", "src/res")
 R5_TOKEN = re.compile(r"\bstd::function\b")
@@ -316,6 +329,24 @@ class Linter:
                     f'cc/ may not include "{include}" (allowed: '
                     f"{', '.join(R4_ALLOWED_PREFIXES)} and obs/registry.h)",
                 )
+        for rel in R4_ENGINE_FILES:
+            path = self.root / rel
+            if not path.is_file():
+                continue
+            text = path.read_text(encoding="utf-8")
+            for match in R4_INCLUDE.finditer(text):
+                include = match.group(1)
+                if include.startswith("obs/") and (
+                    include not in R4_ENGINE_OBS_ALLOWED
+                ):
+                    self.report(
+                        rel,
+                        line_of(text, match.start()),
+                        "R4",
+                        f'the engine may not include "{include}"; observers '
+                        f"attach as listeners (allowed from obs/: "
+                        f"{', '.join(R4_ENGINE_OBS_ALLOWED)})",
+                    )
 
     # --- R5 -----------------------------------------------------------------
 
@@ -445,6 +476,7 @@ SELF_TEST_SNIPPETS = {
     "R2_undocumented": 'auto v = GetEnvInt("CCSIM_SURELY_UNDOCUMENTED", 1);\n',
     "R3": 'registry->AddCounter("dup");\nregistry->AddCounter("dup");\n',
     "R4": '#include "exec/pool.h"\n#include "obs/sampler.h"\n',
+    "R4_engine": '#include "obs/blame.h"\n#include "obs/engine_event.h"\n',
     "R1_comment_ok": "// rand() and time() in prose must not fire\n",
     "R5": "std::function<void()> cb_;\n// std::function in prose is fine\n",
     "R5_res_small_fn": (
@@ -530,6 +562,10 @@ def self_test(tmp_root):
         (root / "src/core/experiment.cc").write_text(
             SELF_TEST_SNIPPETS["R6_allowlisted"]
         )
+        # The engine may include the event stream but no observer internals.
+        (root / "src/core/closed_system.cc").write_text(
+            SELF_TEST_SNIPPETS["R4_engine"]
+        )
         # R7: one documented and one undocumented instrument; the catalog
         # documents only the former. (bad_obs.cc's "dup" registrations are
         # also uncatalogued, adding two more R7 hits.)
@@ -562,7 +598,10 @@ def self_test(tmp_root):
         expect("raw getenv", 1)
         expect("CCSIM_SURELY_UNDOCUMENTED", 1)
         expect("[R3]", 1)
-        expect("[R4]", 2)  # exec/ and obs/sampler.h; registry.h is allowed.
+        # exec/ and obs/sampler.h under cc/ (registry.h is allowed), and
+        # obs/blame.h in the engine (engine_event.h is allowed).
+        expect("[R4]", 3)
+        expect("closed_system.cc:1", 1)
         # bad_fn.h, the over-allowance in simulator.h, and bad_small_fn.h's
         # include + SmallFn use (not its comment).
         expect("[R5]", 4)
