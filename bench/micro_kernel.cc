@@ -68,6 +68,23 @@ struct ChurnResult {
   uint64_t checksum = 0;           ///< Deterministic payload checksum.
 };
 
+/// Folds the payload of each event it receives into a checksum: a
+/// completion adds (id, incarnation, time), a timeout adds its id.
+class ChurnHandler : public ccsim::EventHandler {
+ public:
+  enum Kind : uint8_t { kCompletion, kTimeout };
+
+  void OnEvent(const ccsim::Event& event) override {
+    sink += static_cast<uint64_t>(event.arg0);
+    if (event.kind == kCompletion) {
+      sink += static_cast<uint64_t>(event.word) +
+              static_cast<uint64_t>(event.arg1);
+    }
+  }
+
+  uint64_t sink = 0;
+};
+
 /// A worst-case cancel pattern: every iteration schedules a completion AND a
 /// timeout ~3 orders of magnitude further out, then cancels the timeout when
 /// the completion fires first. (The engine itself cancels far less often —
@@ -78,17 +95,21 @@ ChurnResult RunEventChurn(int iters) {
   // One warmup pass (arena/heap growth), one measured pass.
   for (int pass = 0; pass < 2; ++pass) {
     Simulator sim;
-    uint64_t sink = 0;
-    const uint64_t id = 7;
-    const int inc = 3;
+    ChurnHandler handler;
+    const int64_t id = 7;
+    const int32_t inc = 3;
     const int64_t t = 11;
     size_t peak = 0;
     const auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < iters; ++i) {
-      sim.Schedule(1, [&sink, id, inc, t] {
-        sink += id + static_cast<uint64_t>(inc) + static_cast<uint64_t>(t);
-      });
-      EventId guard = sim.Schedule(1000, [&sink, id] { sink += id; });
+      sim.Schedule(1, {.handler = &handler,
+                       .kind = ChurnHandler::kCompletion,
+                       .word = inc,
+                       .arg0 = id,
+                       .arg1 = t});
+      EventId guard = sim.Schedule(
+          1000,
+          {.handler = &handler, .kind = ChurnHandler::kTimeout, .arg0 = id});
       sim.Step();
       sim.Cancel(guard);
       peak = std::max(peak, sim.heap_entries());
@@ -100,7 +121,7 @@ ChurnResult RunEventChurn(int iters) {
       result.events_per_sec = 2.0 * iters / secs;
       result.events_fired = sim.events_fired();
       result.peak_heap_entries = peak;
-      result.checksum = sink;
+      result.checksum = handler.sink;
     }
   }
   return result;

@@ -19,21 +19,29 @@
 namespace ccsim {
 namespace {
 
+/// Counts the events it receives.
+class CountingHandler : public EventHandler {
+ public:
+  void OnEvent(const Event&) override { ++fired; }
+  int64_t fired = 0;
+};
+
 void BM_EventScheduleFire(benchmark::State& state) {
   Simulator sim;
-  int64_t fired = 0;
+  CountingHandler handler;
   for (auto _ : state) {
-    sim.Schedule(1, [&fired] { ++fired; });
+    sim.Schedule(1, {.handler = &handler});
     sim.Step();
   }
-  benchmark::DoNotOptimize(fired);
+  benchmark::DoNotOptimize(handler.fired);
 }
 BENCHMARK(BM_EventScheduleFire);
 
 void BM_EventScheduleCancel(benchmark::State& state) {
   Simulator sim;
+  CountingHandler handler;
   for (auto _ : state) {
-    EventId id = sim.Schedule(1000, [] {});
+    EventId id = sim.Schedule(1000, {.handler = &handler});
     sim.Cancel(id);
   }
 }
@@ -42,16 +50,16 @@ BENCHMARK(BM_EventScheduleCancel);
 void BM_EventHeapDepth(benchmark::State& state) {
   // Scheduling against a deep pending heap.
   Simulator sim;
+  CountingHandler handler;
   const int depth = static_cast<int>(state.range(0));
   for (int i = 0; i < depth; ++i) {
-    sim.Schedule(1000000 + i, [] {});
+    sim.Schedule(1000000 + i, {.handler = &handler});
   }
-  int64_t fired = 0;
   for (auto _ : state) {
-    sim.Schedule(1, [&fired] { ++fired; });
+    sim.Schedule(1, {.handler = &handler});
     sim.Step();
   }
-  benchmark::DoNotOptimize(fired);
+  benchmark::DoNotOptimize(handler.fired);
 }
 BENCHMARK(BM_EventHeapDepth)->Arg(100)->Arg(10000);
 

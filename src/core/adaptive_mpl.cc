@@ -18,7 +18,7 @@ AdaptiveMplController::AdaptiveMplController(Simulator* sim,
 
 void AdaptiveMplController::Start() {
   commits_at_last_tick_ = system_->total_commits();
-  sim_->Schedule(options_.interval, [this] { Tick(); });
+  sim_->Schedule(options_.interval, {.handler = this});
 }
 
 void AdaptiveMplController::Tick() {
@@ -46,7 +46,7 @@ void AdaptiveMplController::Tick() {
     }
   }
   last_throughput_ = throughput;
-  sim_->Schedule(options_.interval, [this] { Tick(); });
+  sim_->Schedule(options_.interval, {.handler = this});
 }
 
 }  // namespace ccsim

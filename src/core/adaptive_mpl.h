@@ -14,7 +14,7 @@
 
 namespace ccsim {
 
-class AdaptiveMplController {
+class AdaptiveMplController : private EventHandler {
  public:
   struct Options {
     SimTime interval = 30 * kSecond;  ///< Observation window per adjustment.
@@ -34,6 +34,8 @@ class AdaptiveMplController {
   int adjustments_made() const { return adjustments_; }
 
  private:
+  /// The adjustment tick.
+  void OnEvent(const Event&) override { Tick(); }
   void Tick();
 
   Simulator* sim_;

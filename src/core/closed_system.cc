@@ -186,16 +186,42 @@ void ClosedSystem::Prime() {
   }
   for (int terminal = 0; terminal < config_.workload.num_terms; ++terminal) {
     SimTime think = workload_.NextExternalThink();
-    sim_->Schedule(think, [this, terminal] { SubmitFromTerminal(terminal); });
+    ScheduleTimer(think, Timer::kTerminalSubmit, terminal);
   }
 }
 
 void ClosedSystem::ScheduleNextArrival() {
   SimTime gap = FromSeconds(arrival_rng_.Exponential(1.0 / config_.arrival_rate));
-  sim_->Schedule(gap, [this] {
-    ScheduleNextArrival();
-    SubmitFromTerminal(/*terminal=*/-1);
-  });
+  ScheduleTimer(gap, Timer::kOpenArrival);
+}
+
+void ClosedSystem::OnEvent(const Event& event) {
+  const TxnId id = event.arg0;
+  const int incarnation = event.word;
+  switch (static_cast<Timer>(event.kind)) {
+    case Timer::kTerminalSubmit:
+      SubmitFromTerminal(static_cast<int>(event.arg0));
+      return;
+    case Timer::kOpenArrival:
+      ScheduleNextArrival();
+      SubmitFromTerminal(/*terminal=*/-1);
+      return;
+    case Timer::kThinkEnd:
+      OnThinkEnd(id, incarnation, event.arg1);
+      return;
+    case Timer::kRestartDelayEnd:
+      OnRestartDelayEnd(id, incarnation);
+      return;
+    case Timer::kGrantResume:
+      OnGrantResume(id, incarnation);
+      return;
+    case Timer::kWoundAbort:
+      OnWoundAbort(id, incarnation);
+      return;
+    case Timer::kGroupCommitFlush:
+      FlushGroupCommit();
+      return;
+  }
 }
 
 void ClosedSystem::SubmitFromTerminal(int terminal) {
@@ -515,20 +541,22 @@ void ClosedSystem::StartInternalThink(TxnId id) {
   Txn& txn = GetTxn(id);
   SetState(txn, TxnState::kIntThink);
   Emit(EngineEventKind::kThinkStart, &txn);
-  int incarnation = txn.incarnation;
   SimTime think = workload_.NextInternalThink();
-  txn.pending_event = sim_->Schedule(think, [this, id, incarnation, think] {
-    CCSIM_CHECK(IsCurrent(id, incarnation));
-    Txn& t = GetTxn(id);
-    CCSIM_CHECK(t.state == TxnState::kIntThink);
-    t.pending_event = kInvalidEventId;
-    t.think_done = true;
-    SetState(t, TxnState::kRunning);
-    if (observed()) {
-      Dispatch(EngineEventKind::kThinkEnd, &t, {.duration = think});
-    }
-    NextStep(id);
-  });
+  txn.pending_event =
+      ScheduleTimer(think, Timer::kThinkEnd, id, txn.incarnation, think);
+}
+
+void ClosedSystem::OnThinkEnd(TxnId id, int incarnation, SimTime think) {
+  CCSIM_CHECK(IsCurrent(id, incarnation));
+  Txn& txn = GetTxn(id);
+  CCSIM_CHECK(txn.state == TxnState::kIntThink);
+  txn.pending_event = kInvalidEventId;
+  txn.think_done = true;
+  SetState(txn, TxnState::kRunning);
+  if (observed()) {
+    Dispatch(EngineEventKind::kThinkEnd, &txn, {.duration = think});
+  }
+  NextStep(id);
 }
 
 void ClosedSystem::BeginUpdates(TxnId id) {
@@ -543,8 +571,7 @@ void ClosedSystem::BeginUpdates(TxnId id) {
       // window timer that flushes everyone with one log write.
       group_commit_queue_.emplace_back(id, txn.incarnation);
       if (group_commit_queue_.size() == 1) {
-        pending_group_flush_ = sim_->Schedule(
-            config_.group_commit_window, [this] { FlushGroupCommit(); });
+        ScheduleTimer(config_.group_commit_window, Timer::kGroupCommitFlush);
       }
       return;
     }
@@ -555,7 +582,6 @@ void ClosedSystem::BeginUpdates(TxnId id) {
 }
 
 void ClosedSystem::FlushGroupCommit() {
-  pending_group_flush_ = kInvalidEventId;
   if (group_commit_queue_.empty()) return;
   // The batch moves into a recycled slot (capacity and all) that the log
   // request names in place of a transaction id.
@@ -628,7 +654,7 @@ void ClosedSystem::Complete(TxnId id) {
 
   if (config_.source_mode == SourceMode::kClosed) {
     SimTime think = workload_.NextExternalThink();
-    sim_->Schedule(think, [this, terminal] { SubmitFromTerminal(terminal); });
+    ScheduleTimer(think, Timer::kTerminalSubmit, terminal);
   }
   TryActivate();
   Emit(EngineEventKind::kSettled);
@@ -658,16 +684,8 @@ void ClosedSystem::Restart(TxnId id, RestartCause cause) {
   // between events, sim/simulator.h RunGuard) could ever interrupt it.
   SimTime delay = restart_policy_.NextDelay(&delay_rng_);
   SetState(txn, TxnState::kRestartDelay);
-  int incarnation = txn.incarnation;
-  txn.pending_event = sim_->Schedule(delay, [this, id, incarnation] {
-    CCSIM_CHECK(IsCurrent(id, incarnation));
-    Txn& t = GetTxn(id);
-    CCSIM_CHECK(t.state == TxnState::kRestartDelay);
-    t.pending_event = kInvalidEventId;
-    SetState(t, TxnState::kReady);
-    ready_queue_.push_back(id);
-    TryActivate();
-  });
+  txn.pending_event =
+      ScheduleTimer(delay, Timer::kRestartDelayEnd, id, txn.incarnation);
   if (observed()) {
     Dispatch(EngineEventKind::kRestart, &txn,
              {.duration = delay,
@@ -676,6 +694,16 @@ void ClosedSystem::Restart(TxnId id, RestartCause cause) {
               .disk_used = txn.disk_used});
   }
   Emit(EngineEventKind::kSettled);
+}
+
+void ClosedSystem::OnRestartDelayEnd(TxnId id, int incarnation) {
+  CCSIM_CHECK(IsCurrent(id, incarnation));
+  Txn& txn = GetTxn(id);
+  CCSIM_CHECK(txn.state == TxnState::kRestartDelay);
+  txn.pending_event = kInvalidEventId;
+  SetState(txn, TxnState::kReady);
+  ready_queue_.push_back(id);
+  TryActivate();
 }
 
 void ClosedSystem::Deactivate() {
@@ -690,25 +718,26 @@ void ClosedSystem::OnGranted(TxnId id) {
   Txn& txn = GetTxn(id);
   CCSIM_CHECK(txn.state == TxnState::kBlocked);
   txn.grant_inflight = true;
-  int incarnation = txn.incarnation;
-  sim_->Schedule(0, [this, id, incarnation] {
-    if (!IsCurrent(id, incarnation)) return;  // Restarted meanwhile.
-    Txn& t = GetTxn(id);
-    t.grant_inflight = false;
-    if (t.state != TxnState::kBlocked) return;  // Stale grant.
-    SetState(t, TxnState::kRunning);
-    Emit(EngineEventKind::kResume, &t);
-    Emit(EngineEventKind::kSettled);
-    if (t.doomed) {
-      Restart(id, RestartCause::kWound);
-      return;
-    }
-    // Re-issue the pending request rather than assume a grant: for lock
-    // algorithms the re-request is idempotently granted (the waiter now
-    // holds the lock), while timestamp algorithms re-run their checks and
-    // may block again or restart.
-    HandleCcRequest(id);
-  });
+  ScheduleTimer(0, Timer::kGrantResume, id, txn.incarnation);
+}
+
+void ClosedSystem::OnGrantResume(TxnId id, int incarnation) {
+  if (!IsCurrent(id, incarnation)) return;  // Restarted meanwhile.
+  Txn& txn = GetTxn(id);
+  txn.grant_inflight = false;
+  if (txn.state != TxnState::kBlocked) return;  // Stale grant.
+  SetState(txn, TxnState::kRunning);
+  Emit(EngineEventKind::kResume, &txn);
+  Emit(EngineEventKind::kSettled);
+  if (txn.doomed) {
+    Restart(id, RestartCause::kWound);
+    return;
+  }
+  // Re-issue the pending request rather than assume a grant: for lock
+  // algorithms the re-request is idempotently granted (the waiter now holds
+  // the lock), while timestamp algorithms re-run their checks and may block
+  // again or restart.
+  HandleCcRequest(id);
 }
 
 void ClosedSystem::OnWound(TxnId id) {
@@ -723,17 +752,18 @@ void ClosedSystem::OnWound(TxnId id) {
   // the doom flag; abort it via a zero-delay event. A running victim aborts
   // at its next engine step.
   if (txn.state == TxnState::kBlocked || txn.state == TxnState::kIntThink) {
-    int incarnation = txn.incarnation;
-    sim_->Schedule(0, [this, id, incarnation] {
-      if (!IsCurrent(id, incarnation)) return;
-      Txn& t = GetTxn(id);
-      if (!t.doomed) return;
-      if (t.state != TxnState::kBlocked && t.state != TxnState::kIntThink) {
-        return;  // Resumed meanwhile; doom executes at the next step.
-      }
-      Restart(id, RestartCause::kWound);
-    });
+    ScheduleTimer(0, Timer::kWoundAbort, id, txn.incarnation);
   }
+}
+
+void ClosedSystem::OnWoundAbort(TxnId id, int incarnation) {
+  if (!IsCurrent(id, incarnation)) return;
+  Txn& txn = GetTxn(id);
+  if (!txn.doomed) return;
+  if (txn.state != TxnState::kBlocked && txn.state != TxnState::kIntThink) {
+    return;  // Resumed meanwhile; doom executes at the next step.
+  }
+  Restart(id, RestartCause::kWound);
 }
 
 TxnCensus ClosedSystem::CountedCensus() const {

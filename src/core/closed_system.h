@@ -133,13 +133,13 @@ struct EngineConfig {
 
 /// The simulation engine. Owns the workload, resources, and the concurrency
 /// control algorithm; drives every transaction through its lifecycle. It is
-/// the resource pools' ServiceSink: every service step completes through
-/// OnServiceDone. At each lifecycle point it emits one EngineEvent to its
-/// listeners — built from the config: the auditor, the history recorder,
-/// the lifecycle sink, observability — which see the event and the const
-/// views below only, so none of them can steer a run. With no listener an
-/// emit costs one empty-list test.
-class ClosedSystem : private ServiceSink {
+/// the resource pools' ServiceSink (OnServiceDone) and the handler of its
+/// own timers (OnEvent). At each lifecycle point it emits one EngineEvent to
+/// its listeners — built from the config: the auditor, the history
+/// recorder, the lifecycle sink, observability — which see the event and
+/// the const views below only, so none of them can steer a run. With no
+/// listener an emit costs one empty-list test.
+class ClosedSystem : private ServiceSink, private EventHandler {
  public:
   ClosedSystem(Simulator* sim, const EngineConfig& config);
   ~ClosedSystem();
@@ -319,6 +319,31 @@ class ClosedSystem : private ServiceSink {
   void OnGranted(TxnId id);
   void OnWound(TxnId id);
 
+  // Timers: simulator Events whose kind is a Timer, dispatched by OnEvent.
+  enum class Timer : uint8_t {
+    kTerminalSubmit,   ///< arg0 is the terminal.
+    kOpenArrival,
+    kThinkEnd,         ///< About (txn, incarnation); arg1 is the think.
+    kRestartDelayEnd,  ///< About (txn, incarnation).
+    kGrantResume,      ///< About (txn, incarnation).
+    kWoundAbort,       ///< About (txn, incarnation).
+    kGroupCommitFlush,
+  };
+  /// Schedules `timer` `delay` µs from now about `subject` (a transaction
+  /// id or a terminal).
+  EventId ScheduleTimer(SimTime delay, Timer timer, int64_t subject = 0,
+                        int incarnation = 0, SimTime think = 0) {
+    return sim_->Schedule(delay, {.handler = this,
+                                  .kind = static_cast<uint8_t>(timer),
+                                  .word = incarnation,
+                                  .arg0 = subject, .arg1 = think});
+  }
+  void OnEvent(const Event& event) override;
+  void OnThinkEnd(TxnId id, int incarnation, SimTime think);
+  void OnRestartDelayEnd(TxnId id, int incarnation);
+  void OnGrantResume(TxnId id, int incarnation);
+  void OnWoundAbort(TxnId id, int incarnation);
+
   // Transaction census.
   /// The one writer of a counted transaction's state: moves it between the
   /// per-state counts (state_counts_). A transaction is counted from its
@@ -439,9 +464,8 @@ class ClosedSystem : private ServiceSink {
   ProgressCell* progress_ = nullptr;
 
   /// Transactions whose commit records await the next group-commit flush
-  /// (id, incarnation); the window timer is pending_group_flush_.
+  /// (id, incarnation).
   std::vector<std::pair<TxnId, int>> group_commit_queue_;
-  EventId pending_group_flush_ = kInvalidEventId;
   /// Flushed batches whose log write is in service, by slot (the kGroupLog
   /// request's `txn`); emptied slots are reused via free_group_batches_.
   std::vector<std::vector<std::pair<TxnId, int>>> group_batches_;

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <utility>
 
 #include "exec/jobs.h"
@@ -179,6 +180,21 @@ std::string SweepOutcome::FailureSummary() const {
   return summary;
 }
 
+namespace {
+
+/// "dir/ts_x.csv" -> "dir/ts_x_p<index>.csv".
+std::string WithPointSuffix(const std::string& path, size_t index) {
+  const size_t slash = path.rfind('/');
+  size_t dot = path.rfind('.');
+  if (dot == std::string::npos ||
+      (slash != std::string::npos && dot < slash)) {
+    dot = path.size();
+  }
+  return path.substr(0, dot) + StringPrintf("_p%zu", index) + path.substr(dot);
+}
+
+}  // namespace
+
 SweepOutcome RunPointsChecked(
     const std::vector<EngineConfig>& configs, const RunLengths& lengths,
     int jobs, const std::function<void(const PointResult&)>& progress) {
@@ -198,6 +214,7 @@ SweepOutcome RunPointsChecked(
       "point never ran: the sweep was interrupted before a worker finished it";
   SweepOutcome outcome;
   outcome.points.resize(configs.size());
+  std::set<std::string> taken_paths;
   for (size_t i = 0; i < configs.size(); ++i) {
     PointResult& point = outcome.points[i];
     point.index = i;
@@ -205,9 +222,19 @@ SweepOutcome RunPointsChecked(
     // Observability knobs and per-point artifact paths resolve here, on the
     // calling thread (env discipline again), so pool workers never touch the
     // environment and every point's csv/trace name is fixed up front.
-    point.config.obs = ObsConfig::FromEnv(point.config.obs);
-    ResolveObsPaths(&point.config.obs, point.config.algorithm,
-                    point.config.workload.mpl, point.config.seed);
+    ObsConfig& obs = point.config.obs;
+    obs = ObsConfig::FromEnv(obs);
+    ResolveObsPaths(&obs, point.config.algorithm, point.config.workload.mpl,
+                    point.config.seed);
+    // Points sharing (algorithm, mpl, seed) would write the same files: the
+    // first keeps the name, a later one gets a _p<index> suffix.
+    for (std::string* path :
+         {&obs.sample_path, &obs.hot_path, &obs.trace_path}) {
+      if (!path->empty() && !taken_paths.insert(*path).second) {
+        *path = WithPointSuffix(*path, i);
+        taken_paths.insert(*path);
+      }
+    }
     point.status = Status::Internal(kNeverRan);
   }
 

@@ -115,7 +115,9 @@ std::vector<MetricsReport> RunPoints(
 /// environment budgets (PointBudget::FromEnv), so one poisoned or livelocked
 /// config fails its own point while every other point still completes.
 /// `progress` (optional) receives each PointResult as it settles
-/// (serialized; order unspecified under jobs > 1).
+/// (serialized; order unspecified under jobs > 1). Every point's artifact
+/// names are fixed before any point runs; a point whose name an earlier
+/// point took gets a _p<index> suffix.
 SweepOutcome RunPointsChecked(
     const std::vector<EngineConfig>& configs, const RunLengths& lengths,
     int jobs = 0,

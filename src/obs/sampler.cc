@@ -52,7 +52,7 @@ void TimeSeriesSampler::Sample() {
   row.push_back(CsvWriter::Field(ToSeconds(sim_->Now())));
   for (double v : values) row.push_back(CsvWriter::Field(v));
   csv_.WriteRow(row);
-  pending_ = sim_->Schedule(interval_, [this] { Sample(); });
+  pending_ = sim_->Schedule(interval_, {.handler = this});
 }
 
 bool TimeSeriesSampler::Finish() {

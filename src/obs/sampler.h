@@ -20,7 +20,7 @@
 
 namespace ccsim {
 
-class TimeSeriesSampler {
+class TimeSeriesSampler : private EventHandler {
  public:
   /// Opens `csv_path` and writes the header row; check ok(). Sampling does
   /// not start until Start().
@@ -43,6 +43,8 @@ class TimeSeriesSampler {
   bool Finish();
 
  private:
+  /// The tick: samples, then schedules the next tick.
+  void OnEvent(const Event&) override { Sample(); }
   void Sample();
 
   Simulator* sim_;

@@ -1,7 +1,6 @@
 #include "res/server_pool.h"
 
 #include <algorithm>
-#include <type_traits>
 #include <utility>
 
 #include "util/check.h"
@@ -88,11 +87,25 @@ void ServerPool::BeginService(const ServiceRequest& request) {
   if (span_sink_ != nullptr) {
     span_sink_->OnServiceSpan(span_track_, sim_->Now(), service_time);
   }
-  auto complete = [this, request] { OnServiceComplete(request); };
-  static_assert(EventCallback::FitsInline<decltype(complete)>() &&
-                    std::is_trivially_copyable_v<decltype(complete)>,
-                "a pool completion must stay inline in its event slot");
-  sim_->Schedule(service_time, complete);
+  sim_->Schedule(service_time, {.handler = this,
+                                .kind = kServiceComplete,
+                                .byte = request.kind,
+                                .word = request.incarnation,
+                                .arg0 = request.txn,
+                                .arg1 = request.service,
+                                .arg2 = request.requested_at});
+}
+
+void ServerPool::OnEvent(const Event& event) {
+  if (event.kind == kFaultWindowEnd) {
+    DrainAfterFaultWindow();
+    return;
+  }
+  OnServiceComplete({.kind = event.byte,
+                     .incarnation = event.word,
+                     .txn = event.arg0,
+                     .service = event.arg1,
+                     .requested_at = event.arg2});
 }
 
 void ServerPool::OnServiceComplete(const ServiceRequest& request) {
@@ -124,7 +137,8 @@ void ServerPool::SetFaultWindow(const FaultWindow& window) {
   CCSIM_CHECK_GE(window.start, sim_->Now())
       << "fault window on pool " << name_ << " starts in the past";
   fault_ = window;
-  sim_->Schedule(fault_.end - sim_->Now(), [this] { DrainAfterFaultWindow(); });
+  sim_->Schedule(fault_.end - sim_->Now(),
+                 {.handler = this, .kind = kFaultWindowEnd});
 }
 
 void ServerPool::DrainAfterFaultWindow() {

@@ -55,10 +55,9 @@ struct FaultWindow {
 
 /// One service request, handed back unchanged to the pool's ServiceSink when
 /// the service completes. A plain record rather than a completion callback:
-/// it is trivially copyable and small enough (32 bytes) that the completion
-/// event carrying it, [pool, request], stays inside EventCallback's inline
-/// storage — no heap allocation per service. The pool reads only `service`
-/// and stamps `requested_at`; `kind`, `incarnation` and `txn` are the
+/// the completion event carries it as its payload (sim/simulator.h Event), so
+/// a service costs no heap allocation. The pool reads only `service` and
+/// stamps `requested_at`; `kind`, `incarnation` and `txn` are the
 /// requester's opaque payload.
 struct ServiceRequest {
   /// Requester-defined tag (the engine's step kind); opaque to the pool.
@@ -85,7 +84,7 @@ class ServiceSink {
 
 /// k identical servers with a shared two-class FCFS queue, or an infinite
 /// server bank when constructed with `infinite = true`.
-class ServerPool {
+class ServerPool : private EventHandler {
  public:
   /// `num_servers` is ignored when `infinite` is true. Requires
   /// num_servers >= 1 otherwise. Completed requests go to `sink` (not
@@ -159,6 +158,13 @@ class ServerPool {
   void AttachSpanSink(ServiceSpanSink* sink);
 
  private:
+  /// The pool's timed events.
+  enum EventKind : uint8_t {
+    kServiceComplete,  ///< The payload is the completed ServiceRequest.
+    kFaultWindowEnd,
+  };
+  void OnEvent(const Event& event) override;
+
   void Enqueue(ServicePriority priority, const ServiceRequest& request);
   /// Pops the next waiter (cc class first), starts its service, and
   /// returns it.

@@ -5,16 +5,17 @@
 // its parameters and master seed.
 //
 // Hot-path design (docs/PERFORMANCE.md):
-//  * Events live in a pooled arena: free-listed slots in chunked storage,
+//  * An event is a plain record (Event) fired at its EventHandler, which
+//    switches on a kind it defines. The kernel stores no closures, so once
+//    the arena and the heap reach their working size, scheduling performs
+//    zero heap allocations (kernel: tests/sim_alloc_test.cc; the whole
+//    engine: tests/engine_alloc_test.cc).
+//  * Events live in a pooled arena: free-listed slots in one vector,
 //    indexed by generation-tagged EventIds. Schedule, Cancel, and fire are
 //    all O(1) slot operations with no hash lookups, and a stale EventId (its
-//    slot already reused) is detected by its generation tag. Chunks never
-//    move, so a firing callback is invoked in place in its slot — one
-//    dispatch, no move-out — even if it schedules and grows the arena.
-//  * Callbacks are stored in SmallFn inline small-buffer storage sized for
-//    the engine's largest capture, so steady-state scheduling performs zero
-//    heap allocations (kernel: tests/sim_alloc_test.cc; the whole engine:
-//    tests/engine_alloc_test.cc).
+//    slot already reused) is detected by its generation tag. Step() copies
+//    the record out and frees its slot before dispatch, so a handler may
+//    schedule events — and grow the arena — while it runs.
 //  * The pending queue is a 4-ary min-heap on (time, seq). Cancellation is
 //    lazy — the heap entry becomes a tombstone — but tombstones are
 //    compacted away whenever they outnumber live entries, so cancel-heavy
@@ -26,13 +27,12 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "sim/choice.h"
 #include "sim/time.h"
 #include "util/check.h"
-#include "util/small_fn.h"
 
 namespace ccsim {
 
@@ -44,11 +44,36 @@ using EventId = uint64_t;
 
 inline constexpr EventId kInvalidEventId = 0;
 
-/// Scheduled-event callback. The inline capacity covers every steady-state
-/// capture in the engine; the most frequent, a ServerPool completion event
-/// carrying [pool, ServiceRequest] (res/server_pool.h), is 40 bytes. Oversized
-/// callables (cold paths, tests) fall back to one heap box.
-using EventCallback = SmallFn<64>;
+class EventHandler;
+
+/// A scheduled event: a plain record the simulator hands back unchanged to
+/// `handler` when it fires. `kind` and the payload mean whatever the handler
+/// defines; the payload — a byte, a 32-bit word and three 64-bit words — is
+/// wide enough to carry a res/ ServiceRequest.
+struct Event {
+  EventHandler* handler = nullptr;
+  uint8_t kind = 0;
+  uint8_t byte = 0;
+  int32_t word = 0;
+  // Named fields, not an array: GCC scalarises them, so a record built at a
+  // call site costs plain stores (docs/PERFORMANCE.md).
+  int64_t arg0 = 0;
+  int64_t arg1 = 0;
+  int64_t arg2 = 0;
+};
+static_assert(std::is_trivially_copyable_v<Event> && sizeof(Event) <= 40,
+              "an event record must stay a small plain record");
+
+/// Receives the events scheduled for it.
+class EventHandler {
+ public:
+  /// Called when `event` fires, with the clock at its time. May schedule
+  /// and cancel events.
+  virtual void OnEvent(const Event& event) = 0;
+
+ protected:
+  ~EventHandler() = default;
+};
 
 /// Execution limits checked inside the event loop (the per-point watchdog,
 /// docs/EXECUTION.md). A livelocked model — e.g. a zero-delay restart chain
@@ -90,25 +115,16 @@ class Simulator {
   /// Current simulated time.
   SimTime Now() const { return now_; }
 
-  /// Schedules `action` to fire `delay` µs from now. Requires delay >= 0.
-  /// The callable is constructed directly into its arena slot (one
-  /// construction, no relocation); callables within EventCallback's inline
-  /// capacity never touch the heap.
-  template <typename F>
-  EventId Schedule(SimTime delay, F&& action) {
+  /// Schedules `event` to fire at its handler `delay` µs from now. Requires
+  /// delay >= 0 and a handler.
+  EventId Schedule(SimTime delay, const Event& event) {
     CCSIM_CHECK_GE(delay, 0) << "cannot schedule into the past";
-    return ScheduleAt(now_ + delay, std::forward<F>(action));
-  }
-
-  /// Schedules `action` at absolute time `when`. Requires when >= Now().
-  template <typename F>
-  EventId ScheduleAt(SimTime when, F&& action) {
-    CCSIM_CHECK_GE(when, now_) << "cannot schedule into the past";
-    uint32_t slot = AcquireSlot();
-    Slot& s = SlotRef(slot);
-    s.action = std::forward<F>(action);
-    EventId id = (static_cast<EventId>(s.generation) << 32) | slot;
-    HeapPush(HeapEntry{when, next_seq_++, id});
+    CCSIM_CHECK(event.handler != nullptr) << "event without a handler";
+    const uint32_t slot = AcquireSlot();
+    Slot& s = slots_[slot];
+    s.event = event;
+    const EventId id = (static_cast<EventId>(s.generation) << 32) | slot;
+    HeapPush(HeapEntry{now_ + delay, next_seq_++, id});
     ++live_events_;
     return id;
   }
@@ -120,9 +136,7 @@ class Simulator {
   bool Cancel(EventId id) {
     uint32_t slot = LiveSlotOf(id);
     if (slot == kNullSlot) return false;
-    Slot& s = SlotRef(slot);
-    s.action.Reset();  // Destroy in place; nothing to move out.
-    RetireSlot(s, slot);
+    RetireSlot(slot);
     // Lazy deletion: the heap entry remains as a tombstone, skipped on pop —
     // but compact once tombstones outnumber live entries so cancel/reschedule
     // churn cannot grow the heap without bound.
@@ -142,14 +156,12 @@ class Simulator {
     HeapEntry entry = heap_.front();
     HeapPopTop();
     if (ActiveChoicePoint() != nullptr) entry = ResolveTie(entry);
+    // Copy the record out and free its slot before dispatch: a self-Cancel
+    // from the handler is then a stale no-op, and whatever the handler
+    // schedules may reuse the slot or grow the arena.
     const uint32_t slot = SlotOf(entry.id);
-    Slot& s = SlotRef(slot);
-    // Retire the id before invoking so a self-Cancel from inside the
-    // callback is a stale no-op; the slot joins the free list only after the
-    // callback returns, so a Schedule from inside it can never reuse the
-    // storage the callback itself lives in.
-    ++s.generation;
-    --live_events_;
+    const Event event = slots_[slot].event;
+    RetireSlot(slot);
     CCSIM_CHECK_GE(entry.time, now_);
     now_ = entry.time;
     ++events_fired_;
@@ -157,12 +169,7 @@ class Simulator {
       progress_->sim_time_us.store(now_, std::memory_order_relaxed);
       progress_->events.store(events_fired_, std::memory_order_relaxed);
     }
-    // Slot chunks never move, so the callback runs in place in its slot: one
-    // dispatch, no move-out. (On a throw the slot leaks off the free list,
-    // which is fine — a run abandoned by exception discards the simulator.)
-    s.action.InvokeConsume();
-    s.next_free = free_head_;
-    free_head_ = slot;
+    event.handler->OnEvent(event);
     return true;
   }
 
@@ -178,8 +185,8 @@ class Simulator {
   /// that wants the window completed resumes with RunUntil(until) again,
   /// which replays no events and only advances the clock. Consequently a
   /// Schedule(0, ...) issued after an interrupted window fires at the
-  /// interrupt time, not at `until`, while ScheduleAt(until, ...) is always
-  /// legal.
+  /// interrupt time, not at `until`, while Schedule(until - Now(), ...)
+  /// always lands at `until`.
   void RunUntil(SimTime until);
 
   /// Makes Run()/RunUntil() return after the current event completes.
@@ -227,7 +234,7 @@ class Simulator {
   /// it is bumped on release so stale ids and heap tombstones are detected
   /// in O(1) without any lookup structure.
   struct Slot {
-    EventCallback action;
+    Event event;
     uint32_t generation = 1;
     /// Next slot in the free list, kNullSlot at the tail, or kSlotLive while
     /// the slot holds a pending event.
@@ -236,13 +243,6 @@ class Simulator {
 
   static constexpr uint32_t kNullSlot = 0xffffffffu;
   static constexpr uint32_t kSlotLive = 0xfffffffeu;
-  /// Slots live in fixed-size chunks that are never moved or freed while the
-  /// simulator lives, so a Slot& stays valid across arena growth — the
-  /// property that lets Step() invoke a callback in place while the callback
-  /// schedules new events.
-  static constexpr uint32_t kSlotChunkShift = 6;
-  static constexpr uint32_t kSlotChunkSize = 1u << kSlotChunkShift;
-  static constexpr uint32_t kSlotChunkMask = kSlotChunkSize - 1;
   static constexpr size_t kHeapArity = 4;
   /// Compaction only kicks in above this heap size: tiny heaps are cheap to
   /// scan and compacting them would just churn.
@@ -253,54 +253,43 @@ class Simulator {
     return static_cast<uint32_t>(id >> 32);
   }
 
-  Slot& SlotRef(uint32_t slot) {
-    return slot_chunks_[slot >> kSlotChunkShift][slot & kSlotChunkMask];
-  }
-  const Slot& SlotRef(uint32_t slot) const {
-    return slot_chunks_[slot >> kSlotChunkShift][slot & kSlotChunkMask];
-  }
-
   bool IsLive(const HeapEntry& entry) const {
-    const Slot& slot = SlotRef(SlotOf(entry.id));
-    return slot.next_free == kSlotLive &&
-           slot.generation == GenerationOf(entry.id);
+    return LiveSlotOf(entry.id) != kNullSlot;
   }
 
   /// Returns the slot of a live pending event, or kNullSlot if `id` is
   /// stale, fired, cancelled, or invalid.
   uint32_t LiveSlotOf(EventId id) const {
     uint32_t slot = SlotOf(id);
-    if (slot >= slot_count_) return kNullSlot;
-    const Slot& s = SlotRef(slot);
+    if (slot >= slots_.size()) return kNullSlot;
+    const Slot& s = slots_[slot];
     if (s.next_free != kSlotLive || s.generation != GenerationOf(id)) {
       return kNullSlot;
     }
     return slot;
   }
 
-  /// Pops a slot off the free list, growing the arena (a new chunk) if it is
-  /// empty. The returned slot's action is empty and its next_free is
-  /// kSlotLive.
+  /// Pops a slot off the free list, growing the arena if it is empty. The
+  /// returned slot's next_free is kSlotLive.
   uint32_t AcquireSlot() {
     uint32_t slot;
     if (free_head_ != kNullSlot) {
       slot = free_head_;
-      free_head_ = SlotRef(slot).next_free;
+      free_head_ = slots_[slot].next_free;
     } else {
-      CCSIM_CHECK_LT(slot_count_, kSlotLive) << "event arena exhausted";
-      if ((slot_count_ & kSlotChunkMask) == 0) {
-        slot_chunks_.push_back(std::make_unique<Slot[]>(kSlotChunkSize));
-      }
-      slot = slot_count_++;
+      CCSIM_CHECK_LT(slots_.size(), kSlotLive) << "event arena exhausted";
+      slot = static_cast<uint32_t>(slots_.size());
+      slots_.emplace_back();
     }
-    SlotRef(slot).next_free = kSlotLive;
+    slots_[slot].next_free = kSlotLive;
     return slot;
   }
 
-  /// Retires an emptied slot: bumps its generation — invalidating every
-  /// outstanding id, including the tombstone heap entry of a cancelled
-  /// event — and pushes it on the free list.
-  void RetireSlot(Slot& s, uint32_t slot) {
+  /// Retires a fired or cancelled event's slot: bumps its generation —
+  /// invalidating every outstanding id, including the tombstone heap entry
+  /// of a cancelled event — and pushes it on the free list.
+  void RetireSlot(uint32_t slot) {
+    Slot& s = slots_[slot];
     ++s.generation;
     s.next_free = free_head_;
     free_head_ = slot;
@@ -382,9 +371,7 @@ class Simulator {
   RunGuard guard_;
   ProgressCell* progress_ = nullptr;
   std::vector<HeapEntry> heap_;
-  /// Chunked slot arena; see kSlotChunkShift for why chunks, not one vector.
-  std::vector<std::unique_ptr<Slot[]>> slot_chunks_;
-  uint32_t slot_count_ = 0;
+  std::vector<Slot> slots_;
   uint32_t free_head_ = kNullSlot;
 };
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "analytic/mva.h"
+#include "closure_events.h"
 #include "core/closed_system.h"
 #include "res/server_pool.h"
 #include "service_recorder.h"
@@ -14,34 +15,38 @@ namespace {
 
 TEST(SimulatorEdge, EventScheduledExactlyAtRunUntilBoundaryFires) {
   Simulator sim;
+  ClosureEvents events(&sim);
   bool fired = false;
-  sim.Schedule(10, [&] { fired = true; });
+  events.Schedule(10, [&] { fired = true; });
   sim.RunUntil(10);
   EXPECT_TRUE(fired);
 }
 
 TEST(SimulatorEdge, EventCancelsAnotherAtSameInstant) {
   Simulator sim;
+  ClosureEvents events(&sim);
   bool second_fired = false;
-  EventId second = sim.Schedule(5, [&] { second_fired = true; });
-  sim.Schedule(5, [&] { sim.Cancel(second); });
+  EventId second = events.Schedule(5, [&] { second_fired = true; });
+  events.Schedule(5, [&] { sim.Cancel(second); });
   // The canceller was scheduled later, so it fires second: too late.
   sim.Run();
   EXPECT_TRUE(second_fired);
 
   Simulator sim2;
+  ClosureEvents events2(&sim2);
   bool victim_fired = false;
   EventId victim = 0;
-  sim2.Schedule(5, [&] { sim2.Cancel(victim); });
-  victim = sim2.Schedule(5, [&] { victim_fired = true; });
+  events2.Schedule(5, [&] { sim2.Cancel(victim); });
+  victim = events2.Schedule(5, [&] { victim_fired = true; });
   sim2.Run();
   EXPECT_FALSE(victim_fired) << "earlier same-instant event cancels later one";
 }
 
 TEST(SimulatorEdge, ScheduleDuringRunUntilWithinBoundaryFires) {
   Simulator sim;
+  ClosureEvents events(&sim);
   bool inner = false;
-  sim.Schedule(5, [&] { sim.Schedule(3, [&] { inner = true; }); });
+  events.Schedule(5, [&] { events.Schedule(3, [&] { inner = true; }); });
   sim.RunUntil(10);  // Inner lands at 8 <= 10.
   EXPECT_TRUE(inner);
 }

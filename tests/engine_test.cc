@@ -2,6 +2,7 @@
 // control, metrics plumbing, determinism, and queueing-theory sanity checks.
 #include <gtest/gtest.h>
 
+#include "closure_events.h"
 #include "core/closed_system.h"
 #include "core/experiment.h"
 #include "sim/simulator.h"
@@ -48,6 +49,7 @@ TEST(EngineTest, EveryAlgorithmCommits) {
 
 TEST(EngineTest, MplIsNeverExceeded) {
   Simulator sim;
+  ClosureEvents events(&sim);
   EngineConfig config = SmallConfig("blocking");
   config.workload.mpl = 3;
   ClosedSystem system(&sim, config);
@@ -55,7 +57,7 @@ TEST(EngineTest, MplIsNeverExceeded) {
   // Probe the active count at 10 ms granularity for 20 simulated seconds.
   int violations = 0;
   for (int i = 1; i <= 2000; ++i) {
-    sim.Schedule(i * 10 * kMillisecond, [&] {
+    events.Schedule(i * 10 * kMillisecond, [&] {
       if (system.active_count() > 3) ++violations;
     });
   }
@@ -66,12 +68,13 @@ TEST(EngineTest, MplIsNeverExceeded) {
 
 TEST(EngineTest, PopulationIsConserved) {
   Simulator sim;
+  ClosureEvents events(&sim);
   EngineConfig config = SmallConfig("immediate_restart");
   ClosedSystem system(&sim, config);
   system.Prime();
   int violations = 0;
   for (int i = 1; i <= 1000; ++i) {
-    sim.Schedule(i * 20 * kMillisecond, [&] {
+    events.Schedule(i * 20 * kMillisecond, [&] {
       // Active + ready can never exceed the closed population.
       if (system.active_count() +
               static_cast<int>(system.ready_queue_length()) >

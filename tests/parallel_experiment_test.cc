@@ -4,7 +4,11 @@
 // owns a private Simulator. These tests run the same sweep at CCSIM_JOBS
 // 1, 2, and 8 and compare everything the determinism suite compares.
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -198,6 +202,52 @@ TEST(RunPointsTest, TakesConfigsVerbatimInInputOrder) {
     EXPECT_EQ(parallel[i].replay_digest, direct.replay_digest);
     EXPECT_EQ(parallel[i].mpl, configs[i].workload.mpl);
   }
+}
+
+/// The contents of every time-series CSV (ts_*.csv) in `dir`, by name.
+std::map<std::string, std::string> TimeSeriesFiles(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("ts_", 0) != 0 || entry.path().extension() != ".csv") {
+      continue;
+    }
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::ostringstream contents;
+    contents << in.rdbuf();
+    files[name] = contents.str();
+  }
+  return files;
+}
+
+TEST(RunPointsTest, PointsSharingANameWriteTheirOwnArtifacts) {
+  // Three points that differ only in lock granularity share (algorithm,
+  // mpl, seed), the triple artifact names are made of. Each must still get
+  // its own time series, the same at any job count.
+  std::vector<EngineConfig> configs;
+  for (int granule : {1, 4, 16}) {
+    EngineConfig config = SmallBase();
+    config.algorithm = "blocking";
+    config.workload.mpl = 4;
+    config.lock_granule_size = granule;
+    config.obs.sample_interval = kSecond;
+    configs.push_back(config);
+  }
+  const std::string root = testing::TempDir() + "/shared_point_names";
+  std::filesystem::remove_all(root);
+  std::map<std::string, std::string> by_jobs[2];
+  const int jobs[2] = {1, 4};
+  for (int j = 0; j < 2; ++j) {
+    const std::string dir = root + "/jobs" + std::to_string(jobs[j]);
+    std::filesystem::create_directories(dir);
+    for (EngineConfig& config : configs) config.obs.sample_dir = dir;
+    RunPoints(configs, SmallLengths(), jobs[j]);
+    by_jobs[j] = TimeSeriesFiles(dir);
+  }
+  EXPECT_EQ(by_jobs[0].size(), configs.size());
+  EXPECT_TRUE(by_jobs[0] == by_jobs[1])
+      << "the time series differ between 1 and 4 jobs";
+  std::filesystem::remove_all(root);
 }
 
 TEST(ParallelReplicationTest, JobCountsProduceIdenticalEstimates) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "closure_events.h"
 #include "res/resources.h"
 #include "res/server_pool.h"
 #include "service_recorder.h"
@@ -163,6 +164,7 @@ TEST(ServerPoolTest, RecordComesBackFieldForField) {
   // server, overtaken by a cc request, or held by an outage — the sink gets
   // back exactly the record that went in, stamped with its arrival time.
   Simulator sim;
+  ClosureEvents events(&sim);
   ServiceRecorder sink(&sim);
   ServerPool pool(&sim, &sink, 1, false);
   pool.SetFaultWindow({FaultWindowKind::kOutage, 100, 200});
@@ -185,7 +187,7 @@ TEST(ServerPoolTest, RecordComesBackFieldForField) {
   pool.Request(ServicePriority::kNormal, sent[1]);
   pool.Request(ServicePriority::kConcurrencyControl, sent[2]);
   // t=90: would complete at 120, inside the outage — held until 200.
-  sim.Schedule(90, [&] {
+  events.Schedule(90, [&] {
     sent.push_back(make(255, 1 << 30, int64_t{1} << 40, 30));
     pool.Request(ServicePriority::kNormal, sent.back());
   });
@@ -294,10 +296,11 @@ TEST(ResourceManagerTest, SingleDiskSkipsRng) {
 
 TEST(FaultWindowTest, StallDefersNewStartsUntilWindowEnds) {
   Simulator sim;
+  ClosureEvents events(&sim);
   ServiceRecorder sink(&sim);
   ServerPool pool(&sim, &sink, 1, false);
   pool.SetFaultWindow({FaultWindowKind::kStall, 10, 20});
-  sim.Schedule(12, [&] { pool.Request(ServicePriority::kNormal, Req(5)); });
+  events.Schedule(12, [&] { pool.Request(ServicePriority::kNormal, Req(5)); });
   sim.Run();
   // Arrived at 12 into an *idle* pool, but the window queues it anyway;
   // the drain at 20 starts the 5 µs of service.
@@ -308,12 +311,13 @@ TEST(FaultWindowTest, StallDefersNewStartsUntilWindowEnds) {
 
 TEST(FaultWindowTest, StallLetsInFlightWorkComplete) {
   Simulator sim;
+  ClosureEvents events(&sim);
   ServiceRecorder sink(&sim);
   ServerPool pool(&sim, &sink, 1, false);
   pool.SetFaultWindow({FaultWindowKind::kStall, 10, 20});
   // Starts at 8, completes at 13 — inside the window, but a stall only
   // blocks new starts; in-flight service is unaffected.
-  sim.Schedule(8, [&] { pool.Request(ServicePriority::kNormal, Req(5)); });
+  events.Schedule(8, [&] { pool.Request(ServicePriority::kNormal, Req(5)); });
   sim.Run();
   EXPECT_EQ(sink.DoneAt(0), 13);
   EXPECT_EQ(pool.faulted_requests(), 0);
@@ -322,12 +326,13 @@ TEST(FaultWindowTest, StallLetsInFlightWorkComplete) {
 
 TEST(FaultWindowTest, OutageHoldsCompletionsToWindowEnd) {
   Simulator sim;
+  ClosureEvents events(&sim);
   ServiceRecorder sink(&sim);
   ServerPool pool(&sim, &sink, 1, false);
   pool.SetFaultWindow({FaultWindowKind::kOutage, 10, 20});
   // Starts at 8, would complete at 13 — but the device is off the bus, so
   // the completion lands when the window lifts.
-  sim.Schedule(8, [&] { pool.Request(ServicePriority::kNormal, Req(5)); });
+  events.Schedule(8, [&] { pool.Request(ServicePriority::kNormal, Req(5)); });
   sim.Run();
   EXPECT_EQ(sink.DoneAt(0), 20);
   EXPECT_EQ(pool.faulted_requests(), 1);
@@ -336,11 +341,14 @@ TEST(FaultWindowTest, OutageHoldsCompletionsToWindowEnd) {
 
 TEST(FaultWindowTest, DrainServesCcClassFirst) {
   Simulator sim;
+  ClosureEvents events(&sim);
   ServiceRecorder sink(&sim);
   ServerPool pool(&sim, &sink, 1, false);
   pool.SetFaultWindow({FaultWindowKind::kStall, 10, 20});
-  sim.Schedule(11, [&] { pool.Request(ServicePriority::kNormal, Req(5, 1)); });
-  sim.Schedule(12, [&] {
+  events.Schedule(11, [&] {
+    pool.Request(ServicePriority::kNormal, Req(5, 1));
+  });
+  events.Schedule(12, [&] {
     pool.Request(ServicePriority::kConcurrencyControl, Req(5, 2));
   });
   sim.Run();
@@ -352,10 +360,11 @@ TEST(FaultWindowTest, DrainServesCcClassFirst) {
 
 TEST(FaultWindowTest, InfinitePoolStallsQueueAndDrainTogether) {
   Simulator sim;
+  ClosureEvents events(&sim);
   ServiceRecorder sink(&sim);
   ServerPool pool(&sim, &sink, 0, /*infinite=*/true);
   pool.SetFaultWindow({FaultWindowKind::kStall, 10, 20});
-  sim.Schedule(15, [&] {
+  events.Schedule(15, [&] {
     for (int i = 0; i < 8; ++i) pool.Request(ServicePriority::kNormal, Req(5));
   });
   sim.Run();
@@ -369,10 +378,11 @@ TEST(FaultWindowTest, InfinitePoolStallsQueueAndDrainTogether) {
 
 TEST(FaultWindowTest, CompletedWindowIsInertAfterwards) {
   Simulator sim;
+  ClosureEvents events(&sim);
   ServiceRecorder sink(&sim);
   ServerPool pool(&sim, &sink, 1, false);
   pool.SetFaultWindow({FaultWindowKind::kStall, 10, 20});
-  sim.Schedule(30, [&] { pool.Request(ServicePriority::kNormal, Req(5)); });
+  events.Schedule(30, [&] { pool.Request(ServicePriority::kNormal, Req(5)); });
   sim.Run();
   EXPECT_EQ(sink.DoneAt(0), 35);  // Past the window: plain FCFS service.
   EXPECT_EQ(pool.faulted_requests(), 0);
@@ -390,11 +400,12 @@ TEST(FaultWindowDeathTest, RejectsMalformedWindows) {
 
 TEST(ResourceManagerTest, DiskFaultWindowArmsEveryDiskAndAggregates) {
   Simulator sim;
+  ClosureEvents events(&sim);
   ResourceConfig config = ResourceConfig::Finite(1, 2);
   config.disk_fault = {FaultWindowKind::kStall, 10, 20};
   ServiceRecorder sink(&sim);
   ResourceManager rm(&sim, config, Rng(55), &sink);
-  sim.Schedule(12, [&] {
+  events.Schedule(12, [&] {
     rm.RequestDiskAt(0, Req(5));
     rm.RequestDiskAt(1, Req(5));
   });

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "closure_events.h"
 #include "core/experiment.h"
 #include "exec/thread_pool.h"
 #include "exec/watchdog.h"
@@ -233,8 +234,9 @@ TEST(WatchdogTimerTest, InertWhenDisabled) {
 
 TEST(RunGuardTest, EventBudgetStopsSelfReschedulingChain) {
   Simulator sim;
-  std::function<void()> reschedule = [&] { sim.Schedule(0, reschedule); };
-  sim.Schedule(0, reschedule);
+  ClosureEvents events(&sim);
+  std::function<void()> reschedule = [&] { events.Schedule(0, reschedule); };
+  events.Schedule(0, reschedule);
   RunGuard guard;
   guard.max_events = 100;
   guard.on_violation = [](const char* reason) {
@@ -247,8 +249,9 @@ TEST(RunGuardTest, EventBudgetStopsSelfReschedulingChain) {
 
 TEST(RunGuardTest, InterruptFlagStopsTheLoop) {
   Simulator sim;
-  std::function<void()> reschedule = [&] { sim.Schedule(0, reschedule); };
-  sim.Schedule(0, reschedule);
+  ClosureEvents events(&sim);
+  std::function<void()> reschedule = [&] { events.Schedule(0, reschedule); };
+  events.Schedule(0, reschedule);
   std::atomic<bool> interrupt{false};
   RunGuard guard;
   guard.interrupt = &interrupt;
@@ -267,8 +270,9 @@ TEST(RunGuardTest, InterruptFlagStopsTheLoop) {
 
 TEST(RunGuardTest, ClearGuardLiftsLimits) {
   Simulator sim;
+  ClosureEvents events(&sim);
   int fired = 0;
-  for (int i = 0; i < 50; ++i) sim.Schedule(i, [&fired] { ++fired; });
+  for (int i = 0; i < 50; ++i) events.Schedule(i, [&fired] { ++fired; });
   RunGuard guard;
   guard.max_events = 10;
   guard.on_violation = [](const char* reason) {

@@ -1,15 +1,15 @@
 // Unit-level allocation pins for two building blocks, in isolation:
 //  * the event kernel (sim/simulator.h "Hot-path design"): once the arena,
 //    free list, and heap have grown to their working size, scheduling /
-//    cancelling / firing events whose captures fit EventCallback's inline
-//    storage never touches the global heap;
+//    cancelling / firing event records never touches the global heap;
 //  * the concurrency-control decision path: post-warmup, a blocking-CC
 //    request/block/grant/commit cycle does not allocate (the dense tables,
 //    pooled lock-manager nodes, and recycled per-transaction buffers of
 //    docs/PERFORMANCE.md "Dense CC state").
-// Neither proves the engine allocation-free on its own — a synthetic capture
-// says nothing about the captures the engine actually schedules. That
-// property is pinned on a real ClosedSystem by tests/engine_alloc_test.cc.
+// Neither proves the engine allocation-free on its own — a synthetic handler
+// says nothing about what the engine's handlers do when their events fire.
+// That property is pinned on a real ClosedSystem by
+// tests/engine_alloc_test.cc.
 //
 // The test replaces the global allocation functions with counting wrappers
 // and asserts a zero delta across measured loops. This binary must stay
@@ -65,35 +65,50 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace ccsim {
 namespace {
 
-/// A completion plus a cancelled far-future timeout, with a capture close to
-/// EventCallback's inline capacity.
-void ChurnOnce(Simulator& sim, uint64_t* sink) {
-  // 7 x 8 bytes = 56 of the 64 inline bytes.
-  uint64_t a = 1, b = 2, c = 3, d = 4, e = 5, f = 6;
-  sim.Schedule(1, [sink, a, b, c, d, e, f] { *sink += a + b + c + d + e + f; });
-  EventId guard = sim.Schedule(1000, [sink] { *sink += 1; });
+/// Sums every payload field of the events it receives.
+class SummingHandler : public EventHandler {
+ public:
+  void OnEvent(const Event& event) override {
+    sum += event.byte + static_cast<uint64_t>(event.word) +
+           static_cast<uint64_t>(event.arg0 + event.arg1 + event.arg2);
+  }
+  uint64_t sum = 0;
+};
+
+/// A completion with every payload field set, plus a cancelled far-future
+/// timeout.
+void ChurnOnce(Simulator& sim, SummingHandler* handler) {
+  sim.Schedule(1, {.handler = handler,
+                   .kind = 1,
+                   .byte = 1,
+                   .word = 2,
+                   .arg0 = 3,
+                   .arg1 = 4,
+                   .arg2 = 5});
+  EventId guard =
+      sim.Schedule(1000, {.handler = handler, .kind = 2, .arg0 = 1});
   ASSERT_TRUE(sim.Step());
   ASSERT_TRUE(sim.Cancel(guard));
 }
 
 TEST(SimAllocTest, SteadyStateChurnIsAllocationFree) {
   Simulator sim;
-  uint64_t sink = 0;
-  // Warmup: grow the arena chunks and the heap vector to working size.
-  for (int i = 0; i < 10000; ++i) ChurnOnce(sim, &sink);
+  SummingHandler handler;
+  // Warmup: grow the slot arena and the heap vector to working size.
+  for (int i = 0; i < 10000; ++i) ChurnOnce(sim, &handler);
   while (sim.Step()) {
   }
 
   const std::size_t before = g_news;
-  for (int i = 0; i < 10000; ++i) ChurnOnce(sim, &sink);
+  for (int i = 0; i < 10000; ++i) ChurnOnce(sim, &handler);
   const std::size_t after = g_news;
   EXPECT_EQ(after - before, 0u)
-      << "steady-state scheduling allocated; an event capture probably "
-         "outgrew EventCallback's inline capacity (util/small_fn.h)";
+      << "steady-state scheduling allocated; the slot arena or the heap "
+         "is growing instead of recycling";
 
   while (sim.Step()) {
   }
-  EXPECT_EQ(sink, 10000u * 2u * 21u);
+  EXPECT_EQ(handler.sum, 10000u * 2u * 15u);
 }
 
 TEST(SimAllocTest, BlockingDecisionPathIsAllocationFree) {
@@ -145,23 +160,18 @@ TEST(SimAllocTest, BlockingDecisionPathIsAllocationFree) {
          "or per-transaction buffer is growing instead of recycling";
 }
 
-TEST(SimAllocTest, OversizedCaptureFallsBackToHeapBox) {
-  // Sanity check that the counter actually sees kernel allocations: a
-  // capture past the inline capacity must take exactly the documented
-  // one-heap-box fallback path.
+TEST(SimAllocTest, FirstScheduleGrowsTheArena) {
+  // Positive control for the zero-delta pins above: the counting operator
+  // new must see the kernel's own storage. An empty simulator owns no slots
+  // and no heap, so its first Schedule has to allocate.
   Simulator sim;
-  uint64_t sink = 0;
-  struct Big {
-    uint64_t vals[16];  // 128 bytes > 64-byte inline capacity.
-  };
-  Big big{};
-  big.vals[0] = 42;
+  SummingHandler handler;
   const std::size_t before = g_news;
-  sim.Schedule(1, [&sink, big] { sink += big.vals[0]; });
+  sim.Schedule(1, {.handler = &handler, .arg0 = 42});
   const std::size_t after = g_news;
   EXPECT_GE(after - before, 1u);
   sim.Run();
-  EXPECT_EQ(sink, 42u);
+  EXPECT_EQ(handler.sum, 42u);
 }
 
 }  // namespace

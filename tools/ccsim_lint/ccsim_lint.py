@@ -24,16 +24,15 @@ Rules (docs/VERIFICATION.md):
                    (obs/engine_event.h) and the obs listener
                    (obs/obs_listener.h): observers reach it only as
                    listeners.
-  R5 hot-path fn   No std::function in the event-hot layers (src/sim,
-                   src/res): per-event callables there must use SmallFn
-                   (util/small_fn.h), whose inline storage keeps steady-state
-                   scheduling allocation-free (docs/PERFORMANCE.md).
-                   Allowlisted: RunGuard::on_violation in sim/simulator.h
-                   (installed once per run, fires at most once). src/res
-                   holds no type-erased callables at all — neither
-                   std::function nor SmallFn, nor an include of
-                   util/small_fn.h: a pool hands a plain ServiceRequest
-                   record back to its ServiceSink.
+  R5 plain-events  No type-erased callable (std::function and its
+                   move-only / copyable / function_ref siblings) in src/sim
+                   or src/res: events and completions are plain records. The
+                   simulator fires an Event record at its EventHandler, and
+                   a pool hands a ServiceRequest record back to its
+                   ServiceSink, so steady-state scheduling stays
+                   allocation-free (docs/PERFORMANCE.md). Allowlisted:
+                   RunGuard::on_violation in sim/simulator.h (installed once
+                   per run, fires at most once).
   R6 status-errors src/ outside util/ and inject/ must not raise or die with
                    bare `throw` / abort() / exit() / quick_exit() / _Exit():
                    recoverable failures flow through util/status.h (Status /
@@ -112,12 +111,10 @@ R4_ENGINE_OBS_ALLOWED = (
 )
 
 R5_HOT_DIRS = ("src/sim", "src/res")
-R5_TOKEN = re.compile(r"\bstd::function\b")
-# src/res completes services with plain records, so SmallFn is banned too.
-R5_RES_DIR = "src/res"
-R5_RES_TOKEN = re.compile(r"\bSmallFn\b")
-R5_RES_INCLUDE = "util/small_fn.h"
-# file -> number of std::function occurrences that are deliberately allowed.
+R5_TOKEN = re.compile(
+    r"\bstd::(?:function|move_only_function|copyable_function|function_ref)\b"
+)
+# file -> number of type-erased callables that are deliberately allowed.
 R5_ALLOWLIST = {"src/sim/simulator.h": 1}  # RunGuard::on_violation.
 
 # R6: process-killing / bare-exception escape hatches. Only util/ (the
@@ -363,28 +360,10 @@ class Linter:
                     rel,
                     line_of(code, match.start()),
                     "R5",
-                    "std::function in an event-hot layer; use SmallFn "
-                    "(util/small_fn.h) so per-event callables stay "
-                    "allocation-free (docs/PERFORMANCE.md)",
-                )
-        for path in self.cpp_files(R5_RES_DIR):
-            text = path.read_text(encoding="utf-8")
-            code = strip_comments_and_strings(text)
-            rel = self.rel(path)
-            hits = [line_of(code, m.start()) for m in R5_RES_TOKEN.finditer(code)]
-            hits += [
-                line_of(text, m.start())
-                for m in R4_INCLUDE.finditer(text)
-                if m.group(1) == R5_RES_INCLUDE
-            ]
-            for line in sorted(hits):
-                self.report(
-                    rel,
-                    line,
-                    "R5",
-                    "type-erased callable in src/res; a pool hands a plain "
-                    "ServiceRequest record to its ServiceSink "
-                    "(docs/PERFORMANCE.md)",
+                    f"{match.group(0)} in src/sim or src/res; events and "
+                    "completions are plain records (an Event for an "
+                    "EventHandler, a ServiceRequest for a ServiceSink), "
+                    "docs/PERFORMANCE.md",
                 )
 
     # --- R6 -----------------------------------------------------------------
@@ -479,12 +458,7 @@ SELF_TEST_SNIPPETS = {
     "R4_engine": '#include "obs/blame.h"\n#include "obs/engine_event.h"\n',
     "R1_comment_ok": "// rand() and time() in prose must not fire\n",
     "R5": "std::function<void()> cb_;\n// std::function in prose is fine\n",
-    "R5_res_small_fn": (
-        '#include "util/small_fn.h"\n'
-        "using Done = SmallFn<48>;\n"
-        "// SmallFn in prose is fine\n"
-    ),
-    "R5_sim_small_fn_ok": "using EventCallback = SmallFn<64>;\n",
+    "R5_move_only": "std::move_only_function<void()> done_;\n",
     "R5_allowlisted": (
         "std::function<void(const char*)> on_violation;\n"  # Allowed (1st).
         "std::function<void()> extra_;\n"  # Beyond the allowance: fires.
@@ -537,14 +511,12 @@ def self_test(tmp_root):
         # Under src/sim/, not src/cc/: cc implementations may share names.
         (root / "src/sim/bad_obs.cc").write_text(SELF_TEST_SNIPPETS["R3"])
         (root / "src/cc/bad_include.cc").write_text(SELF_TEST_SNIPPETS["R4"])
+        # Both event layers: a std::function in each, and a move-only one
+        # in src/sim.
         (root / "src/res").mkdir(parents=True)
         (root / "src/res/bad_fn.h").write_text(SELF_TEST_SNIPPETS["R5"])
-        # src/res bans SmallFn (and its include) too; src/sim may use it.
-        (root / "src/res/bad_small_fn.h").write_text(
-            SELF_TEST_SNIPPETS["R5_res_small_fn"]
-        )
-        (root / "src/sim/ok_small_fn.h").write_text(
-            SELF_TEST_SNIPPETS["R5_sim_small_fn_ok"]
+        (root / "src/sim/bad_fn.h").write_text(
+            SELF_TEST_SNIPPETS["R5"] + SELF_TEST_SNIPPETS["R5_move_only"]
         )
         # The allowlisted file may carry exactly one std::function; a second
         # occurrence must fire.
@@ -602,11 +574,12 @@ def self_test(tmp_root):
         # obs/blame.h in the engine (engine_event.h is allowed).
         expect("[R4]", 3)
         expect("closed_system.cc:1", 1)
-        # bad_fn.h, the over-allowance in simulator.h, and bad_small_fn.h's
-        # include + SmallFn use (not its comment).
+        # Both bad_fn.h plants (not their comments) and the over-allowance
+        # in simulator.h.
         expect("[R5]", 4)
-        expect("bad_small_fn.h", 2)
-        expect("ok_small_fn.h", 0)  # SmallFn is fine outside src/res.
+        expect("src/res/bad_fn.h:1", 1)
+        expect("src/sim/bad_fn.h", 2)
+        expect("std::move_only_function", 1)
         expect("simulator.h:2", 1)  # The allowlisted first occurrence: silent.
         expect("ok_comment", 0)
         expect("[R6]", 4)  # throw/abort/exit + the over-allowance throw.
