@@ -1,10 +1,13 @@
 // google-benchmark microbenchmarks for the simulator substrates: event
 // scheduling, random variates, workload generation, lock-manager hot paths,
-// deadlock detection, and whole-engine event throughput. These establish
-// that a full figure sweep is event-bound, not allocator- or
-// data-structure-bound.
+// deadlock detection, the lock table's deep audit check, and whole-engine
+// event throughput. These establish that a full figure sweep is
+// event-bound, not allocator- or data-structure-bound.
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
+#include "audit/audit.h"
 #include "cc/deadlock.h"
 #include "cc/basic_to.h"
 #include "cc/lock_manager.h"
@@ -154,6 +157,40 @@ void BM_DeadlockDetectionNoWaiters(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeadlockDetectionNoWaiters)->Arg(4)->Arg(32)->Arg(128);
+
+void BM_LockAuditCheck(benchmark::State& state) {
+  // One deep check of a live table: 200 transactions holding 5 shared locks
+  // each on distinct granules, and 10 waiters queued for exclusive locks on
+  // held ones, after each of N granules was locked and released once, as a
+  // long run leaves its table: touched, mostly empty. Only N varies.
+  const int64_t touched = state.range(0);
+  constexpr TxnId kTxns = 200;
+  LockManager lm;
+  lm.Reserve(static_cast<size_t>(touched), kTxns + 10);
+  for (ObjectId obj = 0; obj < touched; ++obj) {
+    lm.Request(kTxns + 11, obj, LockMode::kShared, true);
+    lm.ReleaseAll(kTxns + 11);
+  }
+  Rng rng(5);
+  const std::vector<int64_t> held =
+      rng.SampleWithoutReplacement(touched, kTxns * 5);
+  for (size_t i = 0; i < held.size(); ++i) {
+    lm.Request(static_cast<TxnId>(i / 5) + 1, held[i], LockMode::kShared, true);
+  }
+  for (TxnId txn = kTxns + 1; txn <= kTxns + 10; ++txn) {
+    lm.Request(txn, held[static_cast<size_t>(txn - kTxns) * 17],
+               LockMode::kExclusive, true);
+  }
+  CCSIM_CHECK_EQ(lm.waiting_txns(), 10u);
+  Auditor auditor;
+  const SmallIdSet doomed;
+  for (auto _ : state) {
+    lm.AuditCheck(&auditor, doomed);
+    benchmark::DoNotOptimize(auditor.violation_count());
+  }
+  CCSIM_CHECK_EQ(auditor.violation_count(), 0) << auditor.Summary();
+}
+BENCHMARK(BM_LockAuditCheck)->Arg(1000)->Arg(10000);
 
 void BM_OptimisticValidate(benchmark::State& state) {
   // Validation cost against a populated committed-writes table.

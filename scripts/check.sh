@@ -14,12 +14,15 @@
 #      non-empty and time-monotone (docs/OBSERVABILITY.md)
 #   6. perfbench pins: each benchmark workload run briefly at seed 42 must
 #      reproduce perfbench/pins.json (scripts/perfbench_pins.sh)
-#   7. ccsim-lint: project-rule linter (determinism, env-knob, observability
+#   7. audited figure smoke: fig03_04 built with -DCCSIM_AUDIT=ON in
+#      build-audit, short batches at CCSIM_JOBS=4; no audit violation and
+#      fig03/fig04 byte-identical to the references (scripts/audit_smoke.sh)
+#   8. ccsim-lint: project-rule linter (determinism, env-knob, observability
 #      and layering rules — docs/VERIFICATION.md), self-test first
-#   8. deep schedule-space verification: verify_test re-run with
+#   9. deep schedule-space verification: verify_test re-run with
 #      CCSIM_VERIFY_DEPTH=8 (the full ctest pass above ran the shallow
 #      PR-lane depth); skipped with --fast
-#   9. clang-tidy over src/ (skipped with a notice if clang-tidy is absent —
+#  10. clang-tidy over src/ (skipped with a notice if clang-tidy is absent —
 #      the local toolchain may be gcc-only; CI still enforces it)
 #
 # Every step runs even when an earlier one fails (a failing wall-clock gate
@@ -70,6 +73,8 @@ step "microbench smoke (BENCH_sim.json + fig03/04 diff + perf gate)" \
 step "observability smoke (sampler + trace artifacts validated)" \
   scripts/obs_smoke.sh ./build-plain/bench/fig03_04_low_conflict
 step "perfbench pins (three workloads, seed 42)" scripts/perfbench_pins.sh
+step "audited figure smoke (CCSIM_AUDIT=ON, fig03/04 diff)" \
+  scripts/audit_smoke.sh
 step "ccsim-lint self-test" python3 tools/ccsim_lint/ccsim_lint.py --self-test
 step "ccsim-lint" python3 tools/ccsim_lint/ccsim_lint.py
 

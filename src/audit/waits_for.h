@@ -30,12 +30,17 @@ class WaitsForSnapshot {
   void Clear() { edges_.clear(); }
   bool empty() const { return edges_.empty(); }
 
+  /// Pre-sizes FindCycle's scratch (and the edge list, one edge per
+  /// waiter) for `num_txns` transactions; a capacity hint only.
+  void Reserve(size_t num_txns);
+
   /// Returns one cycle as an ordered list of transactions (each waiting for
   /// the next, the last waiting for the first), or an empty vector if the
   /// graph is acyclic. Deterministic: the DFS takes roots in ascending TxnId
   /// order and each node's blockers in ascending order, so the same snapshot
   /// always yields the same cycle, whatever order its edges were added in.
-  /// Sorts the edge list in place.
+  /// Only waiters are nodes: an edge to a blocker that waits for nobody
+  /// leads to a sink and is skipped. Sorts the edge list in place.
   std::vector<TxnId> FindCycle();
 
  private:
@@ -46,11 +51,10 @@ class WaitsForSnapshot {
   };
 
   std::vector<Edge> edges_;
-  // FindCycle scratch; a node is an index into nodes_.
-  std::vector<TxnId> nodes_;  ///< Every distinct id, ascending.
+  // FindCycle scratch; a node is an index into waiters_.
+  std::vector<TxnId> waiters_;  ///< Every distinct waiter, ascending.
   /// Node i's edges are edges_[first_edge_[i] .. first_edge_[i + 1]).
   std::vector<size_t> first_edge_;
-  std::vector<int32_t> target_;  ///< Per edge: the blocker's node.
   std::vector<uint8_t> color_;   ///< DFS color per node.
   std::vector<int32_t> parent_;  ///< DFS tree parent per node.
   std::vector<std::pair<int32_t, size_t>> stack_;  ///< (node, next edge).

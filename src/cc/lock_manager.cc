@@ -1,6 +1,7 @@
 #include "cc/lock_manager.h"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "audit/audit.h"
@@ -32,6 +33,9 @@ void LockManager::Reserve(size_t num_objects, size_t num_txns) {
   nodes_.reserve(num_txns);
   granted_scratch_.reserve(num_txns);
   affected_scratch_.reserve(num_txns);
+  const size_t words = (num_objects + 63) / 64;
+  if (words > occupied_bits_.size()) occupied_bits_.resize(words);
+  audit_waits_for_.Reserve(num_txns);
 }
 
 bool LockManager::CompatibleWithHolders(const Entry& entry, TxnId txn,
@@ -59,6 +63,7 @@ void LockManager::AddHolder(Entry& entry, const Holder& holder) {
   if (free_holder_ >= 0) {
     node = free_holder_;
     free_holder_ = holder_nodes_[static_cast<size_t>(node)].next;
+    --free_holders_;
   } else {
     node = static_cast<int32_t>(holder_nodes_.size());
     holder_nodes_.emplace_back();
@@ -89,6 +94,7 @@ void LockManager::RemoveHolder(Entry& entry, TxnId txn) {
   if (entry.holder_tail == cur) entry.holder_tail = prev;
   holder_nodes_[static_cast<size_t>(cur)].next = free_holder_;
   free_holder_ = cur;
+  ++free_holders_;
 }
 
 LockManager::TxnRec& LockManager::RecOf(TxnId txn) {
@@ -101,6 +107,7 @@ int32_t LockManager::AllocNode(const Waiter& w) {
   if (free_node_ >= 0) {
     node = free_node_;
     free_node_ = nodes_[static_cast<size_t>(node)].next;
+    --free_nodes_;
   } else {
     node = static_cast<int32_t>(nodes_.size());
     nodes_.emplace_back();
@@ -113,6 +120,7 @@ int32_t LockManager::AllocNode(const Waiter& w) {
 void LockManager::FreeNode(int32_t node) {
   nodes_[static_cast<size_t>(node)].next = free_node_;
   free_node_ = node;
+  ++free_nodes_;
 }
 
 void LockManager::PushWaiterBack(Entry& entry, const Waiter& w) {
@@ -160,23 +168,13 @@ void LockManager::UnlinkWaiter(Entry& entry, TxnId txn) {
   FreeNode(cur);
 }
 
-void LockManager::SyncOccupancy(Entry& entry) {
-  const bool now = entry.holder_head >= 0 || entry.queue_head >= 0;
-  if (now != entry.occupied) {
-    entry.occupied = now;
-    if (now) {
-      ++occupied_count_;
-    } else {
-      --occupied_count_;
-    }
-  }
-}
-
 LockRequestOutcome LockManager::Request(TxnId txn, ObjectId obj, LockMode mode,
                                         bool enqueue_on_conflict) {
   CCSIM_CHECK(!IsWaiting(txn)) << "txn " << txn << " issued a request while waiting";
   ++stats_.requests;
   Entry& entry = table_.Touch(obj);
+  const size_t word = static_cast<size_t>(obj) >> 6;
+  if (word >= occupied_bits_.size()) occupied_bits_.resize(word + 1);
 
   // Locate an existing holder record for idempotent re-requests and upgrades.
   const int32_t held = FindHolder(entry, txn);
@@ -212,7 +210,7 @@ LockRequestOutcome LockManager::Request(TxnId txn, ObjectId obj, LockMode mode,
       CompatibleWithHolders(entry, txn, mode, /*upgrade=*/false)) {
     AddHolder(entry, Holder{txn, mode});
     RecOf(txn).held.push_back(obj);
-    SyncOccupancy(entry);
+    SyncOccupancy(obj, entry);
     ++stats_.immediate_grants;
     if (auditor_ != nullptr) {
       auditor_->OnLockAcquired(txn, obj, mode == LockMode::kExclusive);
@@ -225,7 +223,7 @@ LockRequestOutcome LockManager::Request(TxnId txn, ObjectId obj, LockMode mode,
   }
   PushWaiterBack(entry, Waiter{txn, mode, /*upgrade=*/false});
   RecOf(txn).waiting_on = obj;
-  SyncOccupancy(entry);
+  SyncOccupancy(obj, entry);
   ++waiting_count_;
   ++stats_.waits;
   return LockRequestOutcome::kWaiting;
@@ -303,7 +301,7 @@ const std::vector<TxnId>& LockManager::ReleaseAll(TxnId txn) {
     Entry* entry = table_.Find(obj);
     CCSIM_CHECK(entry != nullptr);
     ProcessQueue(obj, *entry, &granted_scratch_);
-    SyncOccupancy(*entry);
+    SyncOccupancy(obj, *entry);
   }
   return granted_scratch_;
 }
@@ -433,111 +431,119 @@ size_t LockManager::NumHeld(TxnId txn) const {
   return rec == nullptr ? 0 : rec->held.size();
 }
 
+void LockManager::AuditEntry(Auditor* auditor, ObjectId obj,
+                             const Entry& entry, bool flagged, uint32_t epoch,
+                             size_t* holders_seen,
+                             size_t* waiters_seen) const {
+  auto report = [auditor](TxnId txn, const std::string& detail) {
+    auditor->Report(AuditInvariant::kWaitsForConsistency, txn, detail);
+  };
+  if (flagged != (entry.holder_head >= 0 || entry.queue_head >= 0)) {
+    std::ostringstream detail;
+    detail << "object " << obj << " occupancy flag disagrees with contents";
+    report(kInvalidTxn, detail.str());
+  }
+  int exclusive_holders = 0;
+  int holders = 0;
+  for (int32_t cur = entry.holder_head; cur >= 0;
+       cur = holder_nodes_[static_cast<size_t>(cur)].next) {
+    const HolderNode& node = holder_nodes_[static_cast<size_t>(cur)];
+    ++holders;
+    if (node.h.mode == LockMode::kExclusive) ++exclusive_holders;
+    if (node.audit_stamp == epoch) continue;  // Its txn lists this object.
+    // The held-index pass stamps each txn's first record here, so only an
+    // unstamped record can repeat an earlier holder.
+    if (FindHolder(entry, node.h.txn) != cur) {
+      std::ostringstream detail;
+      detail << "txn appears twice among holders of object " << obj;
+      report(node.h.txn, detail.str());
+    }
+    const TxnRec* rec = txns_.Find(node.h.txn);
+    if (rec == nullptr ||
+        std::find(rec->held.begin(), rec->held.end(), obj) ==
+            rec->held.end()) {
+      std::ostringstream detail;
+      detail << "holder of object " << obj << " missing from held index";
+      report(node.h.txn, detail.str());
+    }
+  }
+  *holders_seen += static_cast<size_t>(holders);
+  if (exclusive_holders > 0 && holders > 1) {
+    std::ostringstream detail;
+    detail << "object " << obj << " has an exclusive holder alongside "
+           << holders - 1 << " other holder(s)";
+    report(holder_nodes_[static_cast<size_t>(entry.holder_head)].h.txn,
+           detail.str());
+  }
+  for (int32_t cur = entry.queue_head; cur >= 0;
+       cur = nodes_[static_cast<size_t>(cur)].next) {
+    const WaiterNode& node = nodes_[static_cast<size_t>(cur)];
+    ++*waiters_seen;
+    if (node.audit_stamp != epoch) {
+      const TxnRec* rec = txns_.Find(node.w.txn);
+      if (rec == nullptr || rec->waiting_on != obj) {
+        std::ostringstream detail;
+        detail << "queued waiter on object " << obj
+               << " missing from waiting index";
+        report(node.w.txn, detail.str());
+      }
+    }
+    if (node.w.upgrade) {
+      if (FindHolder(entry, node.w.txn) < 0) {
+        std::ostringstream detail;
+        detail << "upgrade waiter on object " << obj
+               << " holds no lock to upgrade";
+        report(node.w.txn, detail.str());
+      }
+      if (node.w.mode != LockMode::kExclusive) {
+        std::ostringstream detail;
+        detail << "upgrade waiter on object " << obj
+               << " records a non-exclusive mode";
+        report(node.w.txn, detail.str());
+      }
+    }
+  }
+}
+
 void LockManager::AuditCheck(Auditor* auditor, const SmallIdSet& doomed) const {
   if (auditor == nullptr) return;
   auto report = [auditor](TxnId txn, const std::string& detail) {
     auditor->Report(AuditInvariant::kWaitsForConsistency, txn, detail);
   };
-
-  // table_ -> txns_ direction. Empty entries are normal with dense slots
-  // (granules keep their slot after the last holder leaves); what must hold
-  // is that the occupancy flag and counter agree with the contents.
-  size_t occupied_seen = 0;
-  table_.ForEachTouched([&](ObjectId obj, const Entry& entry) {
-    const bool nonempty = entry.holder_head >= 0 || entry.queue_head >= 0;
-    if (entry.occupied) ++occupied_seen;
-    if (entry.occupied != nonempty) {
-      std::ostringstream detail;
-      detail << "object " << obj << " occupancy flag disagrees with contents";
-      report(kInvalidTxn, detail.str());
-    }
-    if (!nonempty) return;  // No holders or waiters to check.
-    SmallIdSet& seen_holders = audit_seen_;
-    seen_holders.clear();
-    int exclusive_holders = 0;
-    int holders = 0;
-    ForEachHolder(entry, [&](const Holder& h) {
-      ++holders;
-      if (!seen_holders.insert(h.txn)) {
-        std::ostringstream detail;
-        detail << "txn appears twice among holders of object " << obj;
-        report(h.txn, detail.str());
-      }
-      if (h.mode == LockMode::kExclusive) ++exclusive_holders;
-      const TxnRec* rec = txns_.Find(h.txn);
-      if (rec == nullptr ||
-          std::find(rec->held.begin(), rec->held.end(), obj) ==
-              rec->held.end()) {
-        std::ostringstream detail;
-        detail << "holder of object " << obj << " missing from held index";
-        report(h.txn, detail.str());
-      }
-      return true;
-    });
-    if (exclusive_holders > 0 && holders > 1) {
-      std::ostringstream detail;
-      detail << "object " << obj << " has an exclusive holder alongside "
-             << holders - 1 << " other holder(s)";
-      report(holder_nodes_[static_cast<size_t>(entry.holder_head)].h.txn,
-             detail.str());
-    }
-    for (int32_t cur = entry.queue_head; cur >= 0;
-         cur = nodes_[static_cast<size_t>(cur)].next) {
-      const Waiter& w = nodes_[static_cast<size_t>(cur)].w;
-      const TxnRec* rec = txns_.Find(w.txn);
-      if (rec == nullptr || rec->waiting_on != obj) {
-        std::ostringstream detail;
-        detail << "queued waiter on object " << obj
-               << " missing from waiting index";
-        report(w.txn, detail.str());
-      }
-      if (w.upgrade) {
-        if (seen_holders.count(w.txn) == 0) {
-          std::ostringstream detail;
-          detail << "upgrade waiter on object " << obj
-                 << " holds no lock to upgrade";
-          report(w.txn, detail.str());
-        }
-        if (w.mode != LockMode::kExclusive) {
-          std::ostringstream detail;
-          detail << "upgrade waiter on object " << obj
-                 << " records a non-exclusive mode";
-          report(w.txn, detail.str());
-        }
-      }
-    }
-  });
-  if (occupied_seen != occupied_count_) {
-    std::ostringstream detail;
-    detail << "occupancy counter " << occupied_count_ << " disagrees with "
-           << occupied_seen << " occupied entries";
-    report(kInvalidTxn, detail.str());
+  if (++audit_epoch_ == 0) {  // Wrapped: no stale stamp may match again.
+    for (const HolderNode& node : holder_nodes_) node.audit_stamp = 0;
+    for (const WaiterNode& node : nodes_) node.audit_stamp = 0;
+    audit_epoch_ = 1;
   }
+  const uint32_t epoch = audit_epoch_;
 
-  // txns_ -> table_ direction.
+  // txns_ -> table_ direction. Each held object's holder record and each
+  // waiter's queue record is stamped, so the table pass below accepts it
+  // without looking back. A held object whose record is already stamped,
+  // or that has none, is checked for being listed twice.
   size_t waiting_seen = 0;
   WaitsForSnapshot& waits_for = audit_waits_for_;
   waits_for.Clear();
   txns_.ForEach([&](TxnId txn, const TxnRec& rec) {
-    SmallIdSet& seen_objects = audit_seen_;
-    seen_objects.clear();
-    for (ObjectId obj : rec.held) {
-      if (!seen_objects.insert(obj)) {
-        std::ostringstream detail;
-        detail << "held index lists object " << obj << " twice";
-        report(txn, detail.str());
-      }
-    }
-    for (ObjectId obj : rec.held) {
+    for (auto it = rec.held.begin(); it != rec.held.end(); ++it) {
+      const ObjectId obj = *it;
       const Entry* entry = table_.Find(obj);
-      bool found = false;
-      if (entry != nullptr) {
-        found = FindHolder(*entry, txn) >= 0;
-      }
-      if (!found) {
+      const int32_t held = entry != nullptr ? FindHolder(*entry, txn) : -1;
+      if (held >= 0) {
+        const HolderNode& node = holder_nodes_[static_cast<size_t>(held)];
+        if (node.audit_stamp != epoch) {
+          node.audit_stamp = epoch;
+          continue;
+        }
+      } else {
         std::ostringstream detail;
         detail << "held index lists object " << obj
                << " without a matching table holder";
+        report(txn, detail.str());
+      }
+      if (held >= 0 || std::find(rec.held.begin(), it, obj) != it) {
+        std::ostringstream detail;
+        detail << "held index lists object " << obj << " twice";
         report(txn, detail.str());
       }
     }
@@ -545,22 +551,22 @@ void LockManager::AuditCheck(Auditor* auditor, const SmallIdSet& doomed) const {
     ++waiting_seen;
     const ObjectId obj = rec.waiting_on;
     const Entry* entry = table_.Find(obj);
-    bool queued = false;
-    if (entry != nullptr) {
-      for (int32_t cur = entry->queue_head; cur >= 0;
-           cur = nodes_[static_cast<size_t>(cur)].next) {
-        queued |= nodes_[static_cast<size_t>(cur)].w.txn == txn;
-      }
+    int32_t queued = entry != nullptr ? entry->queue_head : -1;
+    while (queued >= 0 && nodes_[static_cast<size_t>(queued)].w.txn != txn) {
+      queued = nodes_[static_cast<size_t>(queued)].next;
     }
-    if (!queued) {
+    if (queued < 0) {
       std::ostringstream detail;
       detail << "waiting index points at object " << obj
              << " whose queue does not contain the txn";
       report(txn, detail.str());
       return;
     }
+    nodes_[static_cast<size_t>(queued)].audit_stamp = epoch;
     std::vector<TxnId>& blockers = audit_blockers_;
-    AppendBlockersOf(txn, &blockers);
+    blockers.clear();
+    ForEachBlocker(*entry, txn,
+                   [&blockers](TxnId blocker) { blockers.push_back(blocker); });
     if (blockers.empty()) {
       // Prefix grants run at every release, so a waiter with nothing in its
       // way should have been granted already: its wake-up is lost.
@@ -580,6 +586,42 @@ void LockManager::AuditCheck(Auditor* auditor, const SmallIdSet& doomed) const {
     detail << "waiting counter " << waiting_count_ << " disagrees with "
            << waiting_seen << " queued waiters";
     report(kInvalidTxn, detail.str());
+  }
+
+  // table_ -> txns_ direction, over the granules flagged occupied only.
+  // Empty entries are normal with dense slots (granules keep their slot
+  // after the last holder leaves).
+  static const Entry kEmpty;
+  size_t occupied_seen = 0;
+  size_t holders_seen = 0;
+  size_t waiters_seen = 0;
+  for (size_t word = 0; word < occupied_bits_.size(); ++word) {
+    for (uint64_t bits = occupied_bits_[word]; bits != 0; bits &= bits - 1) {
+      const ObjectId obj =
+          static_cast<ObjectId>(word * 64 + std::countr_zero(bits));
+      const Entry* entry = table_.Find(obj);
+      ++occupied_seen;
+      AuditEntry(auditor, obj, entry != nullptr ? *entry : kEmpty,
+                 /*flagged=*/true, epoch, &holders_seen, &waiters_seen);
+    }
+  }
+  if (occupied_seen != occupied_count_) {
+    std::ostringstream detail;
+    detail << "occupancy counter " << occupied_count_ << " disagrees with "
+           << occupied_seen << " occupied entries";
+    report(kInvalidTxn, detail.str());
+  }
+  // Every live pool record sits on some granule's list. If the flagged
+  // granules hold fewer than that, some sit on an unflagged one: only then
+  // walk every touched granule to report them.
+  if (holders_seen != holder_nodes_.size() - free_holders_ ||
+      waiters_seen != nodes_.size() - free_nodes_) {
+    table_.ForEachTouched([&](ObjectId obj, const Entry& entry) {
+      if (!IsOccupied(obj)) {
+        AuditEntry(auditor, obj, entry, /*flagged=*/false, epoch,
+                   &holders_seen, &waiters_seen);
+      }
+    });
   }
 
   // A waits-for cycle among non-doomed transactions is a permanent block:

@@ -143,11 +143,15 @@ class LockManager {
   /// occupancy accounting, and waits-for acyclicity. `doomed` lists
   /// transactions already selected as deadlock/wound victims whose aborts
   /// are still in flight; cycles made only of doomed members are
-  /// in-resolution, not permanent blocks. Reuses member scratch, so it
-  /// allocates nothing once warm.
+  /// in-resolution, not permanent blocks. Costs about one lookup per live
+  /// lock and request and nothing per empty granule (docs/AUDIT.md); reuses
+  /// member scratch, so it allocates nothing once warm.
   void AuditCheck(Auditor* auditor, const SmallIdSet& doomed) const;
 
  private:
+  /// Test-only: plants the faults the deep check must report.
+  friend class LockManagerAuditPeer;
+
   struct Holder {
     TxnId txn;
     LockMode mode;
@@ -161,23 +165,33 @@ class LockManager {
     bool upgrade;  ///< Requester already holds S on this object.
   };
   /// Pooled wait-queue node; `next` indexes nodes_ (-1 terminates the list).
+  /// `audit_stamp` is the epoch of the last AuditCheck that reached the
+  /// node through its transaction's waiting index.
   struct WaiterNode {
     Waiter w;
     int32_t next = -1;
+    mutable uint32_t audit_stamp = 0;
   };
   /// Pooled holder node; `next` indexes holder_nodes_ (-1 terminates).
+  /// `audit_stamp` is the epoch of the last AuditCheck that reached it
+  /// through its transaction's held index.
   struct HolderNode {
     Holder h;
     int32_t next = -1;
+    mutable uint32_t audit_stamp = 0;
   };
+  // The stamps fill what would otherwise be padding.
+  static_assert(sizeof(WaiterNode) == 24 && sizeof(HolderNode) == 24);
+  /// A granule's lists. Whether it is occupied (has a holder or waiter) is
+  /// its bit in occupied_bits_.
   struct Entry {
     /// holder_nodes_ index of the first holder in acquisition order, or -1.
     int32_t holder_head = -1;
     int32_t holder_tail = -1;
     int32_t queue_head = -1;  ///< nodes_ index of the front waiter, or -1.
     int32_t queue_tail = -1;
-    bool occupied = false;  ///< Counted in occupied_count_.
   };
+  static_assert(sizeof(Entry) == 16);
   /// Per-transaction state: held objects in acquisition order (a txn holds
   /// each object at most once, so a flat vector beats a hash set) plus the
   /// single pending request.
@@ -237,27 +251,58 @@ class LockManager {
   /// beneficiaries to `granted`.
   void ProcessQueue(ObjectId obj, Entry& entry, std::vector<TxnId>* granted);
 
-  /// Keeps occupied_count_ in sync after `entry` gains or loses its last
-  /// holder/waiter.
-  void SyncOccupancy(Entry& entry);
+  /// Keeps `obj`'s occupancy bit and occupied_count_ in sync after its
+  /// `entry` gains or loses its last holder/waiter. Request sizes the
+  /// bitmap to cover every granule it touches. Defined here so that it
+  /// inlines into the request and release paths.
+  void SyncOccupancy(ObjectId obj, const Entry& entry) {
+    const bool now = entry.holder_head >= 0 || entry.queue_head >= 0;
+    uint64_t& bits = occupied_bits_[static_cast<size_t>(obj) >> 6];
+    const uint64_t bit = uint64_t{1} << (obj & 63);
+    if (now == ((bits & bit) != 0)) return;
+    bits ^= bit;
+    if (now) {
+      ++occupied_count_;
+    } else {
+      --occupied_count_;
+    }
+  }
+  bool IsOccupied(ObjectId obj) const {
+    const size_t word = static_cast<size_t>(obj) >> 6;
+    return word < occupied_bits_.size() &&
+           ((occupied_bits_[word] >> (obj & 63)) & 1) != 0;
+  }
+
+  /// AuditCheck's per-granule check of `entry`, whose occupancy bit is
+  /// `flagged`: contents against the flag, holders, waiters. Records
+  /// stamped with `epoch` were reached through the indexes and are taken
+  /// as indexed. Adds the holder and waiter records it visits to the
+  /// counts.
+  void AuditEntry(Auditor* auditor, ObjectId obj, const Entry& entry,
+                  bool flagged, uint32_t epoch, size_t* holders_seen,
+                  size_t* waiters_seen) const;
 
   GranuleTable<Entry> table_;
   TxnSlotMap<TxnRec> txns_;
   std::vector<WaiterNode> nodes_;  ///< Waiter-node pool shared by all queues.
   int32_t free_node_ = -1;         ///< Head of the pool's free list.
-  /// Holder-node pool shared by all holder lists, and its free list.
+  size_t free_nodes_ = 0;          ///< Length of that free list.
+  /// Holder-node pool shared by all holder lists, its free list and length.
   std::vector<HolderNode> holder_nodes_;
   int32_t free_holder_ = -1;
+  size_t free_holders_ = 0;
   size_t waiting_count_ = 0;
   size_t occupied_count_ = 0;
+  /// One bit per granule, set while it has a holder or waiter.
+  std::vector<uint64_t> occupied_bits_;
   std::vector<TxnId> granted_scratch_;    ///< ReleaseAll result buffer.
   std::vector<ObjectId> affected_scratch_;
   LockManagerStats stats_;
   Auditor* auditor_ = nullptr;
-  // AuditCheck scratch: one granule's holders or one transaction's held
-  // objects, one waiter's blockers, and the waits-for snapshot. Last, so
-  // the members every request touches keep their places.
-  mutable SmallIdSet audit_seen_;
+  // AuditCheck state: the epoch it stamps on the records it reaches, one
+  // waiter's blockers, and the waits-for snapshot. Last, so the members
+  // every request touches keep their places.
+  mutable uint32_t audit_epoch_ = 0;
   mutable std::vector<TxnId> audit_blockers_;
   mutable WaitsForSnapshot audit_waits_for_;
 };

@@ -1,7 +1,9 @@
 // Tests for the runtime invariant auditor: each violation class must be
 // detected when injected, clean histories must pass, and a sweep of every
 // algorithm under full auditing must come back violation-free.
+#include <algorithm>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -13,9 +15,47 @@
 #include "cc/factory.h"
 #include "cc/lock_manager.h"
 #include "core/closed_system.h"
+#include "reference_cycle.h"
 #include "sim/simulator.h"
+#include "util/random.h"
 
 namespace ccsim {
+
+/// Reaches into a LockManager's private state to plant the faults its deep
+/// check must report. Each method changes one thing and repairs nothing.
+class LockManagerAuditPeer {
+ public:
+  explicit LockManagerAuditPeer(LockManager* locks) : locks_(*locks) {}
+
+  std::vector<ObjectId>& HeldOf(TxnId txn) { return locks_.RecOf(txn).held; }
+  void SetWaitingOn(TxnId txn, ObjectId obj) {
+    locks_.RecOf(txn).waiting_on = obj;
+  }
+  void AddHolder(ObjectId obj, TxnId txn, LockMode mode) {
+    locks_.AddHolder(locks_.table_.Touch(obj), {txn, mode});
+  }
+  void RemoveHolder(ObjectId obj, TxnId txn) {
+    locks_.RemoveHolder(locks_.table_.Touch(obj), txn);
+  }
+  void PushUpgradeWaiter(ObjectId obj, TxnId txn, LockMode mode) {
+    locks_.PushUpgradeWaiter(locks_.table_.Touch(obj),
+                             {txn, mode, /*upgrade=*/true});
+  }
+  void SetOccupiedFlag(ObjectId obj, bool occupied) {
+    locks_.table_.Touch(obj);
+    std::vector<uint64_t>& bits = locks_.occupied_bits_;
+    const size_t word = static_cast<size_t>(obj) / 64;
+    if (word >= bits.size()) bits.resize(word + 1);
+    const uint64_t bit = uint64_t{1} << (obj % 64);
+    bits[word] = occupied ? bits[word] | bit : bits[word] & ~bit;
+  }
+  size_t& occupied_count() { return locks_.occupied_count_; }
+  size_t& waiting_count() { return locks_.waiting_count_; }
+
+ private:
+  LockManager& locks_;
+};
+
 namespace {
 
 bool HasViolation(const Auditor& auditor, AuditInvariant invariant) {
@@ -324,6 +364,42 @@ TEST(WaitsForSnapshotTest, SameCycleOnEveryCallAndInsertionOrder) {
   EXPECT_EQ(backward.FindCycle(), expected);
 }
 
+TEST(WaitsForSnapshotTest, MatchesReferenceOnRandomGraphs) {
+  // Random graphs over up to 12 ids, half of them small and half just
+  // below 2^62, with repeated edges, self-loops, edges into sinks (ids that
+  // wait for nobody) and edges added in random order. One snapshot is
+  // cleared and reused across rounds, as the deep check reuses its own.
+  Rng rng(19);
+  WaitsForSnapshot graph;
+  int cycles = 0;
+  for (int round = 0; round < 3000; ++round) {
+    const int64_t ids = rng.UniformInt(1, 12);
+    auto id_of = [](int64_t i) {
+      return i % 2 == 0 ? i + 1 : (int64_t{1} << 62) - i;
+    };
+    std::vector<std::pair<TxnId, TxnId>> edges;
+    ReferenceGraph reference;
+    const int64_t num_edges = rng.UniformInt(0, 2 * ids);
+    for (int64_t e = 0; e < num_edges; ++e) {
+      const TxnId waiter = id_of(rng.UniformInt(0, ids - 1));
+      const TxnId blocker = id_of(rng.UniformInt(0, ids - 1));
+      if (waiter == blocker && !rng.Bernoulli(0.1)) continue;
+      reference[waiter].insert(blocker);
+      edges.emplace_back(waiter, blocker);
+      if (rng.Bernoulli(0.2)) edges.emplace_back(waiter, blocker);
+    }
+    std::shuffle(edges.begin(), edges.end(), rng.engine());
+    graph.Clear();
+    for (const auto& [waiter, blocker] : edges) graph.AddEdge(waiter, blocker);
+    const std::vector<TxnId> expected = ReferenceWaitsForCycle(reference);
+    cycles += expected.empty() ? 0 : 1;
+    ASSERT_EQ(graph.FindCycle(), expected) << "round " << round;
+    ASSERT_EQ(graph.FindCycle(), expected) << "round " << round << ", again";
+  }
+  EXPECT_GT(cycles, 500);
+  EXPECT_LT(cycles, 2500);
+}
+
 // --- Lock-table deep check against a real deadlock ---
 
 TEST(LockManagerAuditTest, CleanTableHasNoViolations) {
@@ -358,6 +434,210 @@ TEST(LockManagerAuditTest, UnresolvedDeadlockIsPermanentBlock) {
   Auditor resolved;
   locks.AuditCheck(&resolved, /*doomed=*/{2});
   EXPECT_EQ(resolved.violation_count(), 0) << resolved.Summary();
+}
+
+// --- Lock-table deep check: one planted fault per structural report ---
+
+using DeepReport = std::tuple<std::string, TxnId, std::string>;
+
+/// Every report of one deep check of `locks`, sorted, as (invariant name,
+/// txn, detail).
+std::vector<DeepReport> DeepCheckReports(const LockManager& locks) {
+  Auditor auditor;
+  locks.AuditCheck(&auditor, /*doomed=*/{});
+  std::vector<DeepReport> reports;
+  for (const AuditViolation& violation : auditor.violations()) {
+    reports.emplace_back(AuditInvariantName(violation.invariant),
+                         violation.txn, violation.detail);
+  }
+  std::sort(reports.begin(), reports.end());
+  return reports;
+}
+
+DeepReport Consistency(TxnId txn, const std::string& detail) {
+  return {AuditInvariantName(AuditInvariant::kWaitsForConsistency), txn,
+          detail};
+}
+
+/// Txn 1 holds X on 10 and S on 11; txn 2 holds S on 11 and waits for 10.
+void BuildHealthyTable(LockManager* locks) {
+  ASSERT_EQ(locks->Request(1, 10, LockMode::kExclusive, true),
+            LockRequestOutcome::kGranted);
+  ASSERT_EQ(locks->Request(1, 11, LockMode::kShared, true),
+            LockRequestOutcome::kGranted);
+  ASSERT_EQ(locks->Request(2, 11, LockMode::kShared, true),
+            LockRequestOutcome::kGranted);
+  ASSERT_EQ(locks->Request(2, 10, LockMode::kShared, true),
+            LockRequestOutcome::kWaiting);
+  ASSERT_TRUE(DeepCheckReports(*locks).empty());
+}
+
+TEST(LockManagerAuditTest, HolderMissingFromHeldIndex) {
+  LockManager locks;
+  BuildHealthyTable(&locks);
+  std::erase(LockManagerAuditPeer(&locks).HeldOf(1), 11);
+  EXPECT_EQ(DeepCheckReports(locks),
+            std::vector<DeepReport>{Consistency(
+                1, "holder of object 11 missing from held index")});
+}
+
+TEST(LockManagerAuditTest, HeldObjectWithoutTableHolder) {
+  LockManager locks;
+  BuildHealthyTable(&locks);
+  LockManagerAuditPeer(&locks).HeldOf(2).push_back(12);
+  EXPECT_EQ(DeepCheckReports(locks),
+            std::vector<DeepReport>{Consistency(
+                2, "held index lists object 12 without a matching table "
+                   "holder")});
+}
+
+TEST(LockManagerAuditTest, HeldObjectListedTwice) {
+  LockManager locks;
+  BuildHealthyTable(&locks);
+  LockManagerAuditPeer(&locks).HeldOf(1).push_back(10);
+  EXPECT_EQ(DeepCheckReports(locks),
+            std::vector<DeepReport>{
+                Consistency(1, "held index lists object 10 twice")});
+}
+
+TEST(LockManagerAuditTest, TxnListedTwiceAmongHolders) {
+  LockManager locks;
+  BuildHealthyTable(&locks);
+  LockManagerAuditPeer(&locks).AddHolder(11, 2, LockMode::kShared);
+  EXPECT_EQ(DeepCheckReports(locks),
+            std::vector<DeepReport>{Consistency(
+                2, "txn appears twice among holders of object 11")});
+}
+
+TEST(LockManagerAuditTest, ExclusiveHolderBesideOtherHolders) {
+  LockManager locks;
+  BuildHealthyTable(&locks);
+  LockManagerAuditPeer peer(&locks);
+  peer.AddHolder(10, 3, LockMode::kShared);
+  peer.HeldOf(3).push_back(10);
+  EXPECT_EQ(DeepCheckReports(locks),
+            std::vector<DeepReport>{Consistency(
+                1, "object 10 has an exclusive holder alongside 1 other "
+                   "holder(s)")});
+}
+
+TEST(LockManagerAuditTest, QueuedWaiterMissingFromWaitingIndex) {
+  LockManager locks;
+  BuildHealthyTable(&locks);
+  LockManagerAuditPeer peer(&locks);
+  peer.SetWaitingOn(2, -1);
+  --peer.waiting_count();
+  EXPECT_EQ(DeepCheckReports(locks),
+            std::vector<DeepReport>{Consistency(
+                2, "queued waiter on object 10 missing from waiting index")});
+}
+
+TEST(LockManagerAuditTest, WaitingIndexPointsAtQueueWithoutTheTxn) {
+  LockManager locks;
+  BuildHealthyTable(&locks);
+  LockManagerAuditPeer peer(&locks);
+  peer.SetWaitingOn(1, 11);
+  ++peer.waiting_count();
+  EXPECT_EQ(DeepCheckReports(locks),
+            std::vector<DeepReport>{Consistency(
+                1, "waiting index points at object 11 whose queue does not "
+                   "contain the txn")});
+}
+
+TEST(LockManagerAuditTest, UpgradeWaiterHoldingNoLock) {
+  LockManager locks;
+  BuildHealthyTable(&locks);
+  LockManagerAuditPeer peer(&locks);
+  peer.PushUpgradeWaiter(10, 3, LockMode::kExclusive);
+  peer.SetWaitingOn(3, 10);
+  ++peer.waiting_count();
+  EXPECT_EQ(DeepCheckReports(locks),
+            std::vector<DeepReport>{Consistency(
+                3, "upgrade waiter on object 10 holds no lock to upgrade")});
+}
+
+TEST(LockManagerAuditTest, UpgradeWaiterInSharedMode) {
+  LockManager locks;
+  BuildHealthyTable(&locks);
+  ASSERT_EQ(locks.Request(3, 11, LockMode::kShared, true),
+            LockRequestOutcome::kGranted);
+  LockManagerAuditPeer peer(&locks);
+  peer.PushUpgradeWaiter(11, 3, LockMode::kShared);
+  peer.SetWaitingOn(3, 11);
+  ++peer.waiting_count();
+  EXPECT_EQ(DeepCheckReports(locks),
+            std::vector<DeepReport>{Consistency(
+                3, "upgrade waiter on object 11 records a non-exclusive "
+                   "mode")});
+}
+
+TEST(LockManagerAuditTest, OccupancyFlagOnEmptyGranule) {
+  LockManager locks;
+  BuildHealthyTable(&locks);
+  LockManagerAuditPeer peer(&locks);
+  peer.SetOccupiedFlag(20, true);
+  ++peer.occupied_count();
+  EXPECT_EQ(DeepCheckReports(locks),
+            std::vector<DeepReport>{Consistency(
+                kInvalidTxn,
+                "object 20 occupancy flag disagrees with contents")});
+}
+
+TEST(LockManagerAuditTest, ContentsOnUnflaggedGranule) {
+  LockManager locks;
+  BuildHealthyTable(&locks);
+  LockManagerAuditPeer peer(&locks);
+  peer.SetOccupiedFlag(11, false);
+  --peer.occupied_count();
+  EXPECT_EQ(DeepCheckReports(locks),
+            std::vector<DeepReport>{Consistency(
+                kInvalidTxn,
+                "object 11 occupancy flag disagrees with contents")});
+}
+
+TEST(LockManagerAuditTest, OrphanHolderOnUnflaggedGranule) {
+  // No index reaches the orphan: only a walk of the granules finds it.
+  LockManager locks;
+  BuildHealthyTable(&locks);
+  LockManagerAuditPeer(&locks).AddHolder(30, 5, LockMode::kExclusive);
+  std::vector<DeepReport> expected = {
+      Consistency(kInvalidTxn,
+                  "object 30 occupancy flag disagrees with contents"),
+      Consistency(5, "holder of object 30 missing from held index")};
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(DeepCheckReports(locks), expected);
+}
+
+TEST(LockManagerAuditTest, OccupancyCounterDrift) {
+  LockManager locks;
+  BuildHealthyTable(&locks);
+  ++LockManagerAuditPeer(&locks).occupied_count();
+  EXPECT_EQ(DeepCheckReports(locks),
+            std::vector<DeepReport>{Consistency(
+                kInvalidTxn,
+                "occupancy counter 3 disagrees with 2 occupied entries")});
+}
+
+TEST(LockManagerAuditTest, WaitingCounterDrift) {
+  LockManager locks;
+  BuildHealthyTable(&locks);
+  ++LockManagerAuditPeer(&locks).waiting_count();
+  EXPECT_EQ(DeepCheckReports(locks),
+            std::vector<DeepReport>{Consistency(
+                kInvalidTxn,
+                "waiting counter 2 disagrees with 1 queued waiters")});
+}
+
+TEST(LockManagerAuditTest, WaiterWithNoBlockers) {
+  LockManager locks;
+  BuildHealthyTable(&locks);
+  LockManagerAuditPeer peer(&locks);
+  peer.RemoveHolder(10, 1);
+  std::erase(peer.HeldOf(1), 10);
+  const DeepReport stuck = {
+      AuditInvariantName(AuditInvariant::kPermanentBlock), 2,
+      "waiter on object 10 has no blockers yet was never granted"};
+  EXPECT_EQ(DeepCheckReports(locks), std::vector<DeepReport>{stuck});
 }
 
 // --- Full-engine sweep: every algorithm, auditing on ---

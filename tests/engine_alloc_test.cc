@@ -147,9 +147,10 @@ TEST(EngineAllocTest, OptimisticValidationRestarts) {
 // 64th transition) and their waits-for snapshots reuse their storage too.
 
 TEST(EngineAllocTest, AuditedBlockingInfiniteResources) {
-  // The deep checks' scratch reaches its high-water mark later than the
-  // unaudited engine's buffers: for seed 42 the waits-for snapshot's
-  // scratch last grows between 2000 s and 2250 s.
+  // LockManager::Reserve sizes the deep checks' waits-for snapshot for the
+  // transaction population, so the last growth is the engine's own: for
+  // seed 42 a recycled transaction buffer last grows between 1800 s and
+  // 1850 s.
   WindowCounts counts = MeasureSteadyState(
       PaperConfig("blocking", ResourceConfig::Infinite(), 50, /*audit=*/true),
       2500, 2000);

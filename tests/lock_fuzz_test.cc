@@ -4,14 +4,19 @@
 // reproducible.
 #include <algorithm>
 #include <optional>
+#include <set>
+#include <string>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "audit/audit.h"
 #include "cc/deadlock.h"
 #include "cc/lock_manager.h"
+#include "reference_cycle.h"
 #include "util/random.h"
 
 namespace ccsim {
@@ -24,12 +29,20 @@ namespace {
 ///  * a granted waiter holds the lock it asked for,
 ///  * no transaction both waits and is absent from the blocker relation,
 ///  * against a random excluded subset, HasWaitersBlockedBy and NextBlocker
-///    agree with their brute-force definitions over BlockersOf.
+///    agree with their brute-force definitions over BlockersOf,
+///  * against a random doomed subset, the deep AuditCheck reports nothing
+///    but the reference's waits-for cycle among non-doomed waiters, if any.
 class LockFuzzer {
  public:
-  // The subsets draw from their own stream, so the op sequence of a seed
+  // The subsets draw from their own streams, so the op sequence of a seed
   // does not depend on how many subsets are drawn.
-  explicit LockFuzzer(uint64_t seed) : rng_(seed), subset_rng_(~seed) {}
+  explicit LockFuzzer(uint64_t seed)
+      : rng_(seed),
+        subset_rng_(~seed),
+        doomed_rng_(seed ^ 0x9e3779b97f4a7c15) {}
+
+  /// Deep checks so far that reported a waits-for cycle.
+  int cycles_reported() const { return cycles_reported_; }
 
   void Run(int steps, int num_txns, int num_objects) {
     for (int step = 0; step < steps; ++step) {
@@ -91,6 +104,7 @@ class LockFuzzer {
       }
     }
     CheckBlockerQueries(num_txns);
+    CheckDeepAudit(num_txns);
   }
 
   /// The detector's two lock-table queries against brute force over the
@@ -128,8 +142,46 @@ class LockFuzzer {
     }
   }
 
+  /// The deep check against the reference search over materialized
+  /// BlockersOf sets, with doomed waiters and blockers left out.
+  void CheckDeepAudit(int num_txns) {
+    SmallIdSet doomed;
+    for (TxnId txn = 1; txn <= num_txns; ++txn) {
+      if (doomed_rng_.Bernoulli(0.2)) doomed.insert(txn);
+    }
+    ReferenceGraph graph;
+    for (TxnId waiter : waiting_) {
+      if (doomed.count(waiter) > 0) continue;
+      std::set<TxnId>& blockers = graph[waiter];
+      for (TxnId blocker : lm_.BlockersOf(waiter)) {
+        if (doomed.count(blocker) == 0) blockers.insert(blocker);
+      }
+    }
+    using Report = std::tuple<std::string, TxnId, std::string>;
+    std::vector<Report> expected;
+    const std::vector<TxnId> cycle = ReferenceWaitsForCycle(graph);
+    if (!cycle.empty()) {
+      std::string detail = "waits-for cycle with no pending resolution:";
+      for (TxnId member : cycle) detail += " " + std::to_string(member);
+      expected.emplace_back(
+          AuditInvariantName(AuditInvariant::kPermanentBlock), cycle.front(),
+          detail);
+      ++cycles_reported_;
+    }
+    Auditor auditor;
+    lm_.AuditCheck(&auditor, doomed);
+    std::vector<Report> reports;
+    for (const AuditViolation& violation : auditor.violations()) {
+      reports.emplace_back(AuditInvariantName(violation.invariant),
+                           violation.txn, violation.detail);
+    }
+    EXPECT_EQ(reports, expected);
+  }
+
   Rng rng_;
   Rng subset_rng_;
+  Rng doomed_rng_;
+  int cycles_reported_ = 0;
   LockManager lm_;
   std::unordered_set<TxnId> waiting_;
   std::unordered_map<TxnId, std::pair<ObjectId, LockMode>> wanted_;
@@ -151,6 +203,14 @@ TEST(LockFuzzTest, MultipleSeeds) {
   for (uint64_t seed = 10; seed < 18; ++seed) {
     LockFuzzer(seed).Run(1500, 12, 5);
   }
+}
+
+TEST(LockFuzzTest, DeepCheckMeetsUnresolvedCycles) {
+  // Nothing resolves deadlocks here: a cycle lasts until one of its members
+  // is picked to release, so many deep checks must have had one to report.
+  LockFuzzer fuzzer(4);
+  fuzzer.Run(4000, 20, 10);
+  EXPECT_GT(fuzzer.cycles_reported(), 100);
 }
 
 /// Reference cycle search: the straightforward DFS over materialized
