@@ -158,6 +158,31 @@ void BM_DeadlockDetectionNoWaiters(benchmark::State& state) {
 }
 BENCHMARK(BM_DeadlockDetectionNoWaiters)->Arg(4)->Arg(32)->Arg(128);
 
+void BM_DeadlockDetectionWideFrame(benchmark::State& state) {
+  // N + 1 transactions share a hot object; waiters 1..N queue upgrades on
+  // it, and the requester N + 1 queues its own behind them. An upgrader
+  // waits for every earlier waiter and every other holder, so each frame
+  // holds about N blockers: waiter i first meets the i - 1 below it already
+  // visited, then steps to i + 1, and the cycle closes through the last of
+  // them, waiter N, back to the requester.
+  const int n = static_cast<int>(state.range(0));
+  LockManager lm;
+  for (TxnId t = 1; t <= n + 1; ++t) {
+    lm.Request(t, 0, LockMode::kShared, true);
+  }
+  for (TxnId t = 1; t <= n + 1; ++t) {
+    lm.Request(t, 0, LockMode::kExclusive, true);  // Upgrades queue.
+  }
+  DeadlockDetector detector(&lm, VictimPolicy::kYoungest);
+  CCSIM_CHECK_EQ(detector.FindCycle(n + 1, {}).size(),
+                 static_cast<size_t>(n + 1));
+  for (auto _ : state) {
+    auto cycle = detector.FindCycle(n + 1, {});
+    benchmark::DoNotOptimize(cycle);
+  }
+}
+BENCHMARK(BM_DeadlockDetectionWideFrame)->Arg(4)->Arg(32)->Arg(128);
+
 void BM_LockAuditCheck(benchmark::State& state) {
   // One deep check of a live table: 200 transactions holding 5 shared locks
   // each on distinct granules, and 10 waiters queued for exclusive locks on

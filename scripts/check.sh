@@ -1,28 +1,30 @@
 #!/usr/bin/env bash
 # Local reproduction of the CI matrix (.github/workflows/ci.yml):
 #   1. RelWithDebInfo build + full ctest suite
-#   2. ASan+UBSan build + full ctest suite
-#   3. TSan build + full ctest suite, plus the parallel-runner tests re-run
+#   2. Release (-O3, the optimisation level perfbench times) build + full
+#      ctest suite; skipped with --fast
+#   3. ASan+UBSan build + full ctest suite
+#   4. TSan build + full ctest suite, plus the parallel-runner tests re-run
 #      under CCSIM_JOBS=8 (the threaded sweep path under TSan)
-#   4. bench smoke: one figure binary, short batches, CCSIM_JOBS=4, then
+#   5. bench smoke: one figure binary, short batches, CCSIM_JOBS=4, then
 #      the microbench smoke (BENCH_sim.json validation, a brief run of every
 #      micro_substrates benchmark, byte-identical fig03/fig04 CSVs vs the
 #      committed references, then the ccsim-perf noise-aware regression
 #      gate against bench/BENCH_trajectory.jsonl — scripts/bench_smoke.sh)
-#   5. observability smoke: one figure point with the sampler + Perfetto
+#   6. observability smoke: one figure point with the sampler + Perfetto
 #      trace on; validates the trace parses and the time-series CSV is
 #      non-empty and time-monotone (docs/OBSERVABILITY.md)
-#   6. perfbench pins: each benchmark workload run briefly at seed 42 must
+#   7. perfbench pins: each benchmark workload run briefly at seed 42 must
 #      reproduce perfbench/pins.json (scripts/perfbench_pins.sh)
-#   7. audited figure smoke: fig03_04 built with -DCCSIM_AUDIT=ON in
+#   8. audited figure smoke: fig03_04 built with -DCCSIM_AUDIT=ON in
 #      build-audit, short batches at CCSIM_JOBS=4; no audit violation and
 #      fig03/fig04 byte-identical to the references (scripts/audit_smoke.sh)
-#   8. ccsim-lint: project-rule linter (determinism, env-knob, observability
+#   9. ccsim-lint: project-rule linter (determinism, env-knob, observability
 #      and layering rules — docs/VERIFICATION.md), self-test first
-#   9. deep schedule-space verification: verify_test re-run with
+#  10. deep schedule-space verification: verify_test re-run with
 #      CCSIM_VERIFY_DEPTH=8 (the full ctest pass above ran the shallow
 #      PR-lane depth); skipped with --fast
-#  10. clang-tidy over src/ (skipped with a notice if clang-tidy is absent —
+#  11. clang-tidy over src/ (skipped with a notice if clang-tidy is absent —
 #      the local toolchain may be gcc-only; CI still enforces it)
 #
 # Every step runs even when an earlier one fails (a failing wall-clock gate
@@ -30,7 +32,8 @@
 # listed at the end and the script exits 1 if there were any.
 #
 # Usage: scripts/check.sh [--fast]
-#   --fast   skip the sanitizer builds and the deep verification pass
+#   --fast   skip the -O3 and sanitizer builds and the deep verification
+#            pass
 set -uo pipefail
 
 cd "$(dirname "$0")/.."
@@ -60,6 +63,7 @@ fig03_smoke() {
 
 step plain run_config plain
 if [[ "${FAST}" -eq 0 ]]; then
+  step o3 run_config o3 -DCMAKE_BUILD_TYPE=Release
   step asan run_config asan -DCCSIM_SAN=address,undefined
   step tsan run_config tsan -DCCSIM_SAN=thread
   step "parallel-runner tests under TSan, CCSIM_JOBS=8" \

@@ -25,7 +25,6 @@ class BlockingCC : public ConcurrencyControl {
     locks_.Reserve(static_cast<size_t>(num_objects),
                    static_cast<size_t>(num_txns));
     start_times_.Reserve(static_cast<size_t>(num_txns));
-    detector_.Reserve(static_cast<size_t>(num_txns));
     doomed_.reserve(static_cast<size_t>(num_txns));
   }
 

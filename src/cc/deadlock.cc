@@ -1,7 +1,5 @@
 #include "cc/deadlock.h"
 
-#include <optional>
-
 #include "sim/choice.h"
 #include "util/check.h"
 
@@ -13,54 +11,11 @@ namespace {
 constexpr int kMaxVictimAlternatives = 6;
 }  // namespace
 
-void DeadlockDetector::Reserve(size_t num_txns) {
-  stack_.reserve(num_txns);
-  visited_.reserve(num_txns);
-}
-
 std::vector<TxnId> DeadlockDetector::FindCycle(
     TxnId start, const SmallIdSet& excluded) const {
   std::vector<TxnId> cycle;
-  FindCycle(start, excluded, &cycle);
+  locks_->FindCycleThrough(start, excluded, &cycle);
   return cycle;
-}
-
-bool DeadlockDetector::FindCycle(TxnId start, const SmallIdSet& excluded,
-                                 std::vector<TxnId>* cycle) const {
-  cycle->clear();
-  // A cycle through `start` needs a non-excluded waiter that `start` blocks
-  // (header comment); without one the walk below would find nothing.
-  if (!locks_->HasWaitersBlockedBy(start, excluded)) return false;
-
-  // Iterative DFS over the waits-for relation looking for a path back to
-  // `start`; the path state is the cycle body when one is found. Blockers
-  // are tried in ascending id order, excluded ones skipped. A transaction
-  // that is not waiting has no blockers, so it gets no frame.
-  auto push = [&](TxnId txn) {
-    const std::optional<ObjectId> obj = locks_->WaitingOn(txn);
-    if (obj.has_value()) stack_.push_back(Frame{txn, *obj, kInvalidTxn});
-  };
-  stack_.clear();
-  visited_.clear();
-  visited_.insert(start);
-  push(start);
-
-  while (!stack_.empty()) {
-    Frame& frame = stack_.back();
-    const TxnId next =
-        locks_->NextBlocker(frame.txn, frame.obj, frame.last, excluded);
-    if (next == kInvalidTxn) {
-      stack_.pop_back();
-      continue;
-    }
-    frame.last = next;
-    if (next == start) {
-      for (const Frame& member : stack_) cycle->push_back(member.txn);
-      return true;
-    }
-    if (visited_.insert(next)) push(next);
-  }
-  return false;
 }
 
 TxnId DeadlockDetector::PickVictim(const std::vector<TxnId>& cycle,
@@ -123,7 +78,7 @@ const DeadlockResolution& DeadlockDetector::Resolve(
   resolution.cycle_lengths.clear();
   excluded_scratch_ = doomed;  // Capacity-reusing copy-assign.
 
-  while (FindCycle(requester, excluded_scratch_, &cycle_)) {
+  while (locks_->FindCycleThrough(requester, excluded_scratch_, &cycle_)) {
     ++resolution.cycles_found;
     resolution.cycle_lengths.push_back(static_cast<int>(cycle_.size()));
     TxnId victim = PickVictim(cycle_, context);

@@ -12,6 +12,10 @@
 // blocks itself). So when no waiter outside the excluded set is blocked by
 // the requester (LockManager::HasWaitersBlockedBy), detection answers "no
 // cycle" without walking the graph — exactly the answer the walk would give.
+//
+// The walk is LockManager::FindCycleThrough, beside the blocker definition
+// and the records it reads; a record counts as visited only while its stamp
+// equals that search's epoch (lock_manager.h). This class picks victims.
 #ifndef CCSIM_CC_DEADLOCK_H_
 #define CCSIM_CC_DEADLOCK_H_
 
@@ -53,19 +57,13 @@ struct DeadlockResolution {
 };
 
 /// Detector over a LockManager's waits-for relation. Logically stateless:
-/// the mutable members are scratch (the DFS stack, visited/excluded sets,
-/// the cycle and the resolution) reused across searches. A DFS frame is
-/// three ids, and the stack and visited set hold at most one entry per live
-/// transaction, so Reserve bounds their growth up front: the search
-/// allocates nothing in steady state however wide it runs.
+/// the mutable members are scratch (the excluded set, the cycle and the
+/// resolution) reused across searches; the search's own scratch lives in
+/// the lock manager.
 class DeadlockDetector {
  public:
   DeadlockDetector(const LockManager* locks, VictimPolicy policy)
       : locks_(locks), policy_(policy) {}
-
-  /// Capacity hint: the live transaction population. Pre-sizes the DFS
-  /// stack and visited set; no behavioral effect.
-  void Reserve(size_t num_txns);
 
   /// Repeatedly finds a cycle through `requester` and selects a victim until
   /// no such cycle remains. Transactions in `doomed` (victims already chosen
@@ -81,24 +79,11 @@ class DeadlockDetector {
   std::vector<TxnId> FindCycle(TxnId start, const SmallIdSet& excluded) const;
 
  private:
-  /// DFS path frame: a waiting transaction, the object it waits on, and the
-  /// last blocker tried (the next one comes from LockManager::NextBlocker).
-  struct Frame {
-    TxnId txn;
-    ObjectId obj;
-    TxnId last;
-  };
-
-  /// FindCycle into `*cycle` (cleared first); returns whether one was found.
-  bool FindCycle(TxnId start, const SmallIdSet& excluded,
-                 std::vector<TxnId>* cycle) const;
   TxnId PickVictim(const std::vector<TxnId>& cycle,
                    const VictimContext& context) const;
 
   const LockManager* locks_;
   VictimPolicy policy_;
-  mutable std::vector<Frame> stack_;  ///< DFS path.
-  mutable SmallIdSet visited_;
   mutable SmallIdSet excluded_scratch_;  ///< doomed ∪ victims-so-far.
   mutable std::vector<TxnId> cycle_;
   mutable DeadlockResolution resolution_;

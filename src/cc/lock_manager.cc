@@ -36,6 +36,8 @@ void LockManager::Reserve(size_t num_objects, size_t num_txns) {
   const size_t words = (num_objects + 63) / 64;
   if (words > occupied_bits_.size()) occupied_bits_.resize(words);
   audit_waits_for_.Reserve(num_txns);
+  search_frames_.reserve(num_txns);
+  search_blockers_.reserve(num_txns);
 }
 
 bool LockManager::CompatibleWithHolders(const Entry& entry, TxnId txn,
@@ -355,20 +357,6 @@ void LockManager::AppendBlockersOf(TxnId txn, std::vector<TxnId>* out) const {
   out->erase(std::unique(out->begin(), out->end()), out->end());
 }
 
-TxnId LockManager::NextBlocker(TxnId txn, ObjectId obj, TxnId after,
-                               const SmallIdSet& excluded) const {
-  const Entry* entry = table_.Find(obj);
-  CCSIM_CHECK(entry != nullptr);
-  TxnId best = kInvalidTxn;
-  ForEachBlocker(*entry, txn, [&](TxnId blocker) {
-    if (blocker > after && (best == kInvalidTxn || blocker < best) &&
-        !excluded.contains(blocker)) {
-      best = blocker;
-    }
-  });
-  return best;
-}
-
 bool LockManager::HasWaitersBlockedBy(TxnId txn,
                                       const SmallIdSet& excluded) const {
   const TxnRec* rec = txns_.Find(txn);
@@ -401,6 +389,53 @@ bool LockManager::HasWaitersBlockedBy(TxnId txn,
         return true;
       }
     }
+  }
+  return false;
+}
+
+bool LockManager::FindCycleThrough(TxnId start, const SmallIdSet& excluded,
+                                   std::vector<TxnId>* cycle) const {
+  cycle->clear();
+  if (!HasWaitersBlockedBy(start, excluded)) return false;
+  const uint64_t epoch = ++search_epoch_;
+  // Visits `txn`. If it waits, it gets a frame whose blocker range is read
+  // off its queue and holder list once, here; if not, it has no blockers.
+  auto visit = [&](TxnId txn, const TxnRec& rec) {
+    rec.search_stamp = epoch;
+    if (rec.waiting_on < 0) return;
+    const Entry* entry = table_.Find(rec.waiting_on);
+    CCSIM_CHECK(entry != nullptr);
+    const auto begin = static_cast<uint32_t>(search_blockers_.size());
+    ForEachBlocker(*entry, txn, [&](TxnId blocker) {
+      if (!excluded.contains(blocker)) search_blockers_.push_back(blocker);
+    });
+    const auto first = search_blockers_.begin() + begin;
+    std::sort(first, search_blockers_.end());
+    search_blockers_.erase(std::unique(first, search_blockers_.end()),
+                           search_blockers_.end());
+    const auto end = static_cast<uint32_t>(search_blockers_.size());
+    search_frames_.push_back(SearchFrame{txn, begin, begin, end});
+  };
+  search_frames_.clear();
+  search_blockers_.clear();
+  visit(start, txns_.At(start));
+
+  while (!search_frames_.empty()) {
+    SearchFrame& frame = search_frames_.back();
+    if (frame.cursor == frame.end) {
+      search_blockers_.resize(frame.begin);  // The top frame's range is last.
+      search_frames_.pop_back();
+      continue;
+    }
+    const TxnId next = search_blockers_[frame.cursor++];
+    if (next == start) {
+      for (const SearchFrame& member : search_frames_) {
+        cycle->push_back(member.txn);
+      }
+      return true;
+    }
+    const TxnRec* rec = txns_.Find(next);
+    if (rec != nullptr && rec->search_stamp != epoch) visit(next, *rec);
   }
   return false;
 }

@@ -16,6 +16,13 @@
 // BlockersOf() reports precisely that set, which makes the waits-for graph
 // used for deadlock detection exact rather than conservative.
 //
+// The deadlock detector's search (FindCycleThrough) runs here, beside that
+// one definition of "blocker". Each DFS frame reads its blockers once into a
+// shared scratch vector. A transaction is visited by the current search iff
+// its record's stamp equals the search epoch, which rises by one per search
+// and is 64 bits wide: it never wraps, so no stamp left by an earlier search
+// (on a recycled record slot too) ever matches.
+//
 // Storage layout (docs/PERFORMANCE.md "Dense CC state"): the lock table is a
 // GranuleTable directly indexed by ObjectId; per-transaction state lives in a
 // TxnSlotMap of reusable slots; and both the holder lists and the wait queues
@@ -101,19 +108,21 @@ class LockManager {
   /// blame attribution) reuse their buffers.
   void AppendBlockersOf(TxnId txn, std::vector<TxnId>* out) const;
 
-  /// The smallest blocker of `txn`, which waits on `obj`, that is greater
-  /// than `after` and not in `excluded`; kInvalidTxn if none. Walking it
-  /// from kInvalidTxn yields BlockersOf(txn) minus `excluded` in ascending
-  /// order without materializing the set (the deadlock detector's DFS).
-  TxnId NextBlocker(TxnId txn, ObjectId obj, TxnId after,
-                    const SmallIdSet& excluded) const;
-
   /// True iff some waiter outside `excluded` has `txn` in its BlockersOf
   /// set: a waiter on an object `txn` holds that is an upgrade or conflicts
   /// with `txn`'s hold, or any waiter queued behind `txn` on the object it
   /// waits for. Without one, no waits-for cycle avoiding `excluded` can
   /// pass through `txn`.
   bool HasWaitersBlockedBy(TxnId txn, const SmallIdSet& excluded) const;
+
+  /// The deadlock detector's search: clears `cycle`, then, if a waits-for
+  /// cycle through `start` avoids `excluded`, fills it with the DFS path from
+  /// `start` (each member waits for the next, the last for `start`) and
+  /// returns true. Blockers are tried in ascending id order, excluded ones
+  /// skipped, testing for `start` before the visited check. Answers false at
+  /// once when HasWaitersBlockedBy(start, excluded) is false.
+  bool FindCycleThrough(TxnId start, const SmallIdSet& excluded,
+                        std::vector<TxnId>* cycle) const;
 
   /// Current holders of `obj`, in acquisition order; empty if unlocked.
   /// (Blame attribution for denied requests, which leave no queue trace.)
@@ -194,14 +203,25 @@ class LockManager {
   static_assert(sizeof(Entry) == 16);
   /// Per-transaction state: held objects in acquisition order (a txn holds
   /// each object at most once, so a flat vector beats a hash set) plus the
-  /// single pending request.
+  /// single pending request. `search_stamp` is the epoch of the last search
+  /// to visit the txn (Recycle keeps it: no later epoch can equal it).
   struct TxnRec {
     std::vector<ObjectId> held;
     ObjectId waiting_on = -1;
+    mutable uint64_t search_stamp = 0;
     void Recycle() {
       held.clear();
       waiting_on = -1;
     }
+  };
+  /// A FindCycleThrough DFS frame: a waiting transaction whose sorted,
+  /// de-duplicated, non-excluded blockers are search_blockers_[begin, end),
+  /// of which [cursor, end) are still to be tried.
+  struct SearchFrame {
+    TxnId txn;
+    uint32_t begin;
+    uint32_t cursor;
+    uint32_t end;
   };
 
   /// True if a (possibly upgrade) exclusive/shared request by `txn` is
@@ -305,6 +325,11 @@ class LockManager {
   mutable uint32_t audit_epoch_ = 0;
   mutable std::vector<TxnId> audit_blockers_;
   mutable WaitsForSnapshot audit_waits_for_;
+  // FindCycleThrough state: the epoch it stamps on the records it visits,
+  // the DFS path, and the path's blocker ranges stacked in one vector.
+  mutable uint64_t search_epoch_ = 0;
+  mutable std::vector<SearchFrame> search_frames_;
+  mutable std::vector<TxnId> search_blockers_;
 };
 
 }  // namespace ccsim

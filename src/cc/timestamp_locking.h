@@ -42,7 +42,6 @@ class TimestampLockingCC : public ConcurrencyControl {
                    static_cast<size_t>(num_txns));
     first_starts_.Reserve(static_cast<size_t>(num_txns));
     incarnation_starts_.Reserve(static_cast<size_t>(num_txns));
-    detector_.Reserve(static_cast<size_t>(num_txns));
     doomed_.reserve(static_cast<size_t>(num_txns));
   }
 

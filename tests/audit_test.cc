@@ -2,6 +2,7 @@
 // detected when injected, clean histories must pass, and a sweep of every
 // algorithm under full auditing must come back violation-free.
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -49,6 +50,7 @@ class LockManagerAuditPeer {
     const uint64_t bit = uint64_t{1} << (obj % 64);
     bits[word] = occupied ? bits[word] | bit : bits[word] & ~bit;
   }
+  void SetAuditEpoch(uint32_t epoch) { locks_.audit_epoch_ = epoch; }
   size_t& occupied_count() { return locks_.occupied_count_; }
   size_t& waiting_count() { return locks_.waiting_count_; }
 
@@ -476,6 +478,21 @@ TEST(LockManagerAuditTest, HolderMissingFromHeldIndex) {
   LockManager locks;
   BuildHealthyTable(&locks);
   std::erase(LockManagerAuditPeer(&locks).HeldOf(1), 11);
+  EXPECT_EQ(DeepCheckReports(locks),
+            std::vector<DeepReport>{Consistency(
+                1, "holder of object 11 missing from held index")});
+}
+
+TEST(LockManagerAuditTest, EpochWrapClearsStaleStamps) {
+  // BuildHealthyTable's check stamps every record it reaches with epoch 1.
+  // The next epoch wraps to 0, so the check must clear every stamp and
+  // restart at 1: a stale 1 would vouch for the holder record of 11, which
+  // the held index no longer lists.
+  LockManager locks;
+  BuildHealthyTable(&locks);
+  LockManagerAuditPeer peer(&locks);
+  std::erase(peer.HeldOf(1), 11);
+  peer.SetAuditEpoch(UINT32_MAX);
   EXPECT_EQ(DeepCheckReports(locks),
             std::vector<DeepReport>{Consistency(
                 1, "holder of object 11 missing from held index")});

@@ -3,7 +3,6 @@
 // invariants checked after every step. Deterministic seeds keep failures
 // reproducible.
 #include <algorithm>
-#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -22,14 +21,53 @@
 namespace ccsim {
 namespace {
 
+/// Reference cycle search: the straightforward DFS over materialized
+/// BlockersOf sets (ascending, excluded ones removed), testing `next ==
+/// start` before the visited set. The detector must agree with it exactly.
+std::vector<TxnId> ReferenceFindCycle(const LockManager& lm, TxnId start,
+                                      const SmallIdSet& excluded) {
+  struct Frame {
+    TxnId txn;
+    std::vector<TxnId> blockers;
+    size_t next = 0;
+  };
+  std::vector<Frame> path;
+  SmallIdSet visited = {start};
+  auto push = [&](TxnId txn) {
+    Frame frame{txn, lm.BlockersOf(txn)};
+    std::erase_if(frame.blockers,
+                  [&](TxnId b) { return excluded.count(b) > 0; });
+    path.push_back(std::move(frame));
+  };
+  push(start);
+  while (!path.empty()) {
+    Frame& frame = path.back();
+    if (frame.next == frame.blockers.size()) {
+      path.pop_back();
+      continue;
+    }
+    const TxnId next = frame.blockers[frame.next++];
+    if (next == start) {
+      std::vector<TxnId> cycle;
+      for (const Frame& member : path) cycle.push_back(member.txn);
+      return cycle;
+    }
+    if (visited.insert(next)) push(next);
+  }
+  return {};
+}
+
 /// Random op mix over a small object space; verifies after each op:
 ///  * a waiting transaction always has at least one blocker (else the
 ///    prefix-grant rule should have granted it),
 ///  * grants returned by ReleaseAll were actually waiting beforehand,
 ///  * a granted waiter holds the lock it asked for,
 ///  * no transaction both waits and is absent from the blocker relation,
-///  * against a random excluded subset, HasWaitersBlockedBy and NextBlocker
-///    agree with their brute-force definitions over BlockersOf,
+///  * against a random excluded subset, HasWaitersBlockedBy agrees with its
+///    brute-force definition over BlockersOf, and the detector finds the
+///    reference search's cycle through every waiter (the one lock manager
+///    lives for the whole run, so this checks the search's visit stamps on
+///    recycled transaction records),
 ///  * against a random doomed subset, the deep AuditCheck reports nothing
 ///    but the reference's waits-for cycle among non-doomed waiters, if any.
 class LockFuzzer {
@@ -107,8 +145,9 @@ class LockFuzzer {
     CheckDeepAudit(num_txns);
   }
 
-  /// The detector's two lock-table queries against brute force over the
-  /// materialized BlockersOf sets, for every transaction.
+  /// The detector's pre-check against brute force over the materialized
+  /// BlockersOf sets for every transaction, and its search against the
+  /// reference search for every waiter.
   void CheckBlockerQueries(int num_txns) {
     SmallIdSet excluded;
     for (TxnId txn = 1; txn <= num_txns; ++txn) {
@@ -126,19 +165,11 @@ class LockFuzzer {
       }
       EXPECT_EQ(lm_.HasWaitersBlockedBy(txn, excluded), blocks_a_waiter)
           << "txn " << txn;
-
-      const std::optional<ObjectId> obj = lm_.WaitingOn(txn);
-      if (!obj.has_value()) continue;
-      std::vector<TxnId> expected;
-      for (TxnId blocker : blockers.at(txn)) {
-        if (excluded.count(blocker) == 0) expected.push_back(blocker);
-      }
-      std::vector<TxnId> walked;
-      for (TxnId b = lm_.NextBlocker(txn, *obj, kInvalidTxn, excluded);
-           b != kInvalidTxn; b = lm_.NextBlocker(txn, *obj, b, excluded)) {
-        walked.push_back(b);
-      }
-      EXPECT_EQ(walked, expected) << "txn " << txn;
+    }
+    for (TxnId waiter : waiting_) {
+      EXPECT_EQ(detector_.FindCycle(waiter, excluded),
+                ReferenceFindCycle(lm_, waiter, excluded))
+          << "txn " << waiter;
     }
   }
 
@@ -162,7 +193,10 @@ class LockFuzzer {
     const std::vector<TxnId> cycle = ReferenceWaitsForCycle(graph);
     if (!cycle.empty()) {
       std::string detail = "waits-for cycle with no pending resolution:";
-      for (TxnId member : cycle) detail += " " + std::to_string(member);
+      for (TxnId member : cycle) {
+        detail += " ";
+        detail += std::to_string(member);
+      }
       expected.emplace_back(
           AuditInvariantName(AuditInvariant::kPermanentBlock), cycle.front(),
           detail);
@@ -183,6 +217,7 @@ class LockFuzzer {
   Rng doomed_rng_;
   int cycles_reported_ = 0;
   LockManager lm_;
+  DeadlockDetector detector_{&lm_, VictimPolicy::kYoungest};
   std::unordered_set<TxnId> waiting_;
   std::unordered_map<TxnId, std::pair<ObjectId, LockMode>> wanted_;
 };
@@ -213,111 +248,96 @@ TEST(LockFuzzTest, DeepCheckMeetsUnresolvedCycles) {
   EXPECT_GT(fuzzer.cycles_reported(), 100);
 }
 
-/// Reference cycle search: the straightforward DFS over materialized
-/// BlockersOf sets (ascending, excluded ones removed), testing `next ==
-/// start` before the visited set. The detector must agree with it exactly.
-std::vector<TxnId> ReferenceFindCycle(const LockManager& lm, TxnId start,
-                                      const SmallIdSet& excluded) {
-  struct Frame {
-    TxnId txn;
-    std::vector<TxnId> blockers;
-    size_t next = 0;
-  };
-  std::vector<Frame> path;
-  SmallIdSet visited = {start};
-  auto push = [&](TxnId txn) {
-    Frame frame{txn, lm.BlockersOf(txn)};
-    std::erase_if(frame.blockers,
-                  [&](TxnId b) { return excluded.count(b) > 0; });
-    path.push_back(std::move(frame));
-  };
-  push(start);
-  while (!path.empty()) {
-    Frame& frame = path.back();
-    if (frame.next == frame.blockers.size()) {
-      path.pop_back();
-      continue;
-    }
-    const TxnId next = frame.blockers[frame.next++];
-    if (next == start) {
-      std::vector<TxnId> cycle;
-      for (const Frame& member : path) cycle.push_back(member.txn);
-      return cycle;
-    }
-    if (visited.insert(next)) push(next);
-  }
-  return {};
-}
-
 /// Exactness fuzz: on random lock tables (built without resolving, so
 /// cycles need not pass through the last requester) and random doomed sets,
 /// FindCycle must return the reference's cycle for every transaction, and
 /// Resolve must find the same cycles and pick the same victims as the
-/// reference loop (youngest member, ties to the larger id).
+/// reference loop (youngest member, ties to the larger id). Small tables
+/// come first; the wide ones after them (up to 40 transactions over 8
+/// objects) give the search deep stacks of wide frames, whose blocker
+/// ranges share one scratch vector.
 TEST(DeadlockFuzzTest, MatchesReferenceSearchCycleForCycle) {
+  struct InputRange {
+    int rounds;
+    int64_t min_txns, max_txns, max_objects;
+    int steps;
+  };
   Rng rng(7);
   int cycles_seen = 0;
-  for (int round = 0; round < 300; ++round) {
-    LockManager lm;
-    DeadlockDetector detector(&lm, VictimPolicy::kYoungest);
-    const int txns = static_cast<int>(rng.UniformInt(2, 10));
-    const int objects = static_cast<int>(rng.UniformInt(1, 5));
-    std::unordered_map<TxnId, SimTime> starts;
-    for (TxnId t = 1; t <= txns; ++t) starts[t] = rng.UniformInt(0, 4);
-    VictimContext context{
-        [&starts](TxnId t) { return starts.at(t); },
-        [&lm](TxnId t) { return lm.NumHeld(t); },
-    };
-    for (int step = 0; step < 40; ++step) {
-      const TxnId txn = rng.UniformInt(1, txns);
-      if (lm.IsWaiting(txn)) continue;
-      lm.Request(txn, rng.UniformInt(1, objects),
-                 rng.Bernoulli(0.4) ? LockMode::kExclusive : LockMode::kShared,
-                 true);
-    }
-    SmallIdSet doomed;
-    for (TxnId t = 1; t <= txns; ++t) {
-      if (rng.Bernoulli(0.2)) doomed.insert(t);
-    }
-
-    for (TxnId txn = 1; txn <= txns; ++txn) {
-      ASSERT_EQ(detector.FindCycle(txn, doomed),
-                ReferenceFindCycle(lm, txn, doomed))
-          << "round " << round << " txn " << txn;
-
-      const DeadlockResolution resolution =
-          detector.Resolve(txn, doomed, context);
-      SmallIdSet excluded = doomed;
-      std::vector<int> lengths;
-      std::vector<TxnId> victims;
-      bool requester_is_victim = false;
-      for (;;) {
-        const std::vector<TxnId> cycle = ReferenceFindCycle(lm, txn, excluded);
-        if (cycle.empty()) break;
-        EXPECT_EQ(detector.FindCycle(txn, excluded), cycle);
-        ++cycles_seen;
-        lengths.push_back(static_cast<int>(cycle.size()));
-        TxnId victim = cycle.front();
-        for (TxnId member : cycle) {
-          if (starts.at(member) > starts.at(victim) ||
-              (starts.at(member) == starts.at(victim) && member > victim)) {
-            victim = member;
-          }
-        }
-        if (victim == txn) {
-          requester_is_victim = true;
-          break;
-        }
-        victims.push_back(victim);
-        excluded.insert(victim);
+  size_t longest_wide_cycle = 0;
+  for (const InputRange& range :
+       {InputRange{300, 2, 10, 5, 40}, InputRange{40, 10, 40, 8, 160}}) {
+    const bool wide = range.max_txns > 10;
+    for (int round = 0; round < range.rounds; ++round) {
+      LockManager lm;
+      DeadlockDetector detector(&lm, VictimPolicy::kYoungest);
+      const int txns =
+          static_cast<int>(rng.UniformInt(range.min_txns, range.max_txns));
+      const int objects =
+          static_cast<int>(rng.UniformInt(1, range.max_objects));
+      std::unordered_map<TxnId, SimTime> starts;
+      for (TxnId t = 1; t <= txns; ++t) starts[t] = rng.UniformInt(0, 4);
+      VictimContext context{
+          [&starts](TxnId t) { return starts.at(t); },
+          [&lm](TxnId t) { return lm.NumHeld(t); },
+      };
+      for (int step = 0; step < range.steps; ++step) {
+        const TxnId txn = rng.UniformInt(1, txns);
+        if (lm.IsWaiting(txn)) continue;
+        lm.Request(
+            txn, rng.UniformInt(1, objects),
+            rng.Bernoulli(0.4) ? LockMode::kExclusive : LockMode::kShared,
+            true);
       }
-      EXPECT_EQ(resolution.cycles_found, static_cast<int>(lengths.size()));
-      EXPECT_EQ(resolution.cycle_lengths, lengths);
-      EXPECT_EQ(resolution.victims, victims);
-      EXPECT_EQ(resolution.requester_is_victim, requester_is_victim);
+      SmallIdSet doomed;
+      for (TxnId t = 1; t <= txns; ++t) {
+        if (rng.Bernoulli(0.2)) doomed.insert(t);
+      }
+
+      for (TxnId txn = 1; txn <= txns; ++txn) {
+        ASSERT_EQ(detector.FindCycle(txn, doomed),
+                  ReferenceFindCycle(lm, txn, doomed))
+            << "round " << round << " txn " << txn;
+
+        const DeadlockResolution resolution =
+            detector.Resolve(txn, doomed, context);
+        SmallIdSet excluded = doomed;
+        std::vector<int> lengths;
+        std::vector<TxnId> victims;
+        bool requester_is_victim = false;
+        for (;;) {
+          const std::vector<TxnId> cycle =
+              ReferenceFindCycle(lm, txn, excluded);
+          if (cycle.empty()) break;
+          EXPECT_EQ(detector.FindCycle(txn, excluded), cycle);
+          ++cycles_seen;
+          if (wide) {
+            longest_wide_cycle = std::max(longest_wide_cycle, cycle.size());
+          }
+          lengths.push_back(static_cast<int>(cycle.size()));
+          TxnId victim = cycle.front();
+          for (TxnId member : cycle) {
+            if (starts.at(member) > starts.at(victim) ||
+                (starts.at(member) == starts.at(victim) && member > victim)) {
+              victim = member;
+            }
+          }
+          if (victim == txn) {
+            requester_is_victim = true;
+            break;
+          }
+          victims.push_back(victim);
+          excluded.insert(victim);
+        }
+        EXPECT_EQ(resolution.cycles_found, static_cast<int>(lengths.size()));
+        EXPECT_EQ(resolution.cycle_lengths, lengths);
+        EXPECT_EQ(resolution.victims, victims);
+        EXPECT_EQ(resolution.requester_is_victim, requester_is_victim);
+      }
     }
   }
   EXPECT_GT(cycles_seen, 100) << "the fuzz built too few deadlocks";
+  EXPECT_GE(longest_wide_cycle, 6u) << "the wide tables built no deep cycle";
 }
 
 /// Deadlock-detector fuzz: build random wait graphs via the lock manager,
