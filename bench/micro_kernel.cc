@@ -64,7 +64,7 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
 struct ChurnResult {
   double events_per_sec = 0.0;     ///< Events scheduled per wall second.
   uint64_t events_fired = 0;       ///< Deterministic: kIters + drain.
-  size_t peak_heap_entries = 0;    ///< Live + tombstones; bounded by compaction.
+  size_t peak_arena_slots = 0;     ///< 2 unless cancelled events leak.
   uint64_t checksum = 0;           ///< Deterministic payload checksum.
 };
 
@@ -88,11 +88,11 @@ class ChurnHandler : public ccsim::EventHandler {
 /// A worst-case cancel pattern: every iteration schedules a completion AND a
 /// timeout ~3 orders of magnitude further out, then cancels the timeout when
 /// the completion fires first. (The engine itself cancels far less often —
-/// only on restart.) A kernel that leaks cancelled entries pays deep heap
-/// walks over ~1000 dead timeouts; the arena kernel compacts and stays flat.
+/// only on restart.) A kernel that leaked cancelled entries would carry
+/// ~1000 dead timeouts; cancel frees the slot, so the arena stays at two.
 ChurnResult RunEventChurn(int iters) {
   ChurnResult result;
-  // One warmup pass (arena/heap growth), one measured pass.
+  // One warmup pass (arena growth), one measured pass.
   for (int pass = 0; pass < 2; ++pass) {
     Simulator sim;
     ChurnHandler handler;
@@ -112,7 +112,7 @@ ChurnResult RunEventChurn(int iters) {
           {.handler = &handler, .kind = ChurnHandler::kTimeout, .arg0 = id});
       sim.Step();
       sim.Cancel(guard);
-      peak = std::max(peak, sim.heap_entries());
+      peak = std::max(peak, sim.arena_slots());
     }
     while (sim.Step()) {
     }
@@ -120,7 +120,7 @@ ChurnResult RunEventChurn(int iters) {
     if (pass == 1) {
       result.events_per_sec = 2.0 * iters / secs;
       result.events_fired = sim.events_fired();
-      result.peak_heap_entries = peak;
+      result.peak_arena_slots = peak;
       result.checksum = handler.sink;
     }
   }
@@ -465,7 +465,8 @@ int main(int argc, char** argv) {
             << " timeout-pattern iterations)...\n";
   ChurnResult churn = RunEventChurn(churn_iters);
   std::cerr << "[micro_kernel]   " << static_cast<int64_t>(churn.events_per_sec)
-            << " events/sec, peak heap " << churn.peak_heap_entries << "\n";
+            << " events/sec, peak arena slots " << churn.peak_arena_slots
+            << "\n";
 
   const int lock_iters = 500000;
   std::cerr << "[micro_kernel] lock_grant_release (" << lock_iters
@@ -490,9 +491,11 @@ int main(int argc, char** argv) {
   std::cerr << "[micro_kernel] end_to_end_fig03 (blocking, mpl=50)...\n";
   EndToEndResult e2e = RunEndToEnd(lengths);
 
-  // Hard validity checks: a zero anywhere means the bench silently broke.
+  // Hard validity checks: a zero anywhere means the bench silently broke,
+  // and more than 64 arena slots means cancelled events leak.
   bool valid = churn.events_per_sec > 0.0 && churn.events_fired > 0 &&
-               churn.peak_heap_entries > 0 && lock.requests_per_sec > 0.0 &&
+               churn.peak_arena_slots > 0 && churn.peak_arena_slots <= 64 &&
+               lock.requests_per_sec > 0.0 &&
                lock.immediate_grants > 0 && lock.deferred_grants > 0 &&
                e2e.ok && e2e.commits > 0 && e2e.throughput > 0.0 &&
                e2e.replay_digest != 0;
@@ -530,7 +533,7 @@ int main(int argc, char** argv) {
       "    \"iterations\": %d,\n"
       "    \"events_per_sec\": %.0f,\n"
       "    \"events_fired\": %llu,\n"
-      "    \"peak_heap_entries\": %zu,\n"
+      "    \"peak_arena_slots\": %zu,\n"
       "    \"checksum\": %llu\n"
       "  },\n"
       "  \"lock_grant_release\": {\n"
@@ -556,7 +559,7 @@ int main(int argc, char** argv) {
       "}\n",
       churn_iters, churn.events_per_sec,
       static_cast<unsigned long long>(churn.events_fired),
-      churn.peak_heap_entries,
+      churn.peak_arena_slots,
       static_cast<unsigned long long>(churn.checksum), lock_iters,
       lock.requests_per_sec, static_cast<long long>(lock.immediate_grants),
       static_cast<long long>(lock.deferred_grants),
@@ -568,6 +571,7 @@ int main(int argc, char** argv) {
   out << buf;
   out.close();
   std::cerr << "[micro_kernel] wrote " << out_path
-            << (valid ? "" : " (INVALID: zero metric)") << "\n";
+            << (valid ? "" : " (INVALID: zero or out-of-bounds metric)")
+            << "\n";
   return valid && ccsim::bench::BenchExitCode() == 0 ? 0 : 1;
 }

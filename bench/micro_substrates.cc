@@ -51,7 +51,7 @@ void BM_EventScheduleCancel(benchmark::State& state) {
 BENCHMARK(BM_EventScheduleCancel);
 
 void BM_EventHeapDepth(benchmark::State& state) {
-  // Scheduling against a deep pending heap.
+  // Scheduling against a deep pending queue.
   Simulator sim;
   CountingHandler handler;
   const int depth = static_cast<int>(state.range(0));
@@ -65,6 +65,47 @@ void BM_EventHeapDepth(benchmark::State& state) {
   benchmark::DoNotOptimize(handler.fired);
 }
 BENCHMARK(BM_EventHeapDepth)->Arg(100)->Arg(10000);
+
+/// Reschedules every event it receives with the workloads' delay mix: of 22
+/// events, 8 are 35 ms disk services, 8 are 15 ms CPU services, 5 are
+/// zero-delay resumes and one is an exponential think of mean 1 s. The
+/// delays are drawn up front, so firing costs one table load.
+class HoldHandler : public EventHandler {
+ public:
+  explicit HoldHandler(Simulator* sim) : sim_(sim), delays_(4096) {
+    Rng rng(7);
+    for (SimTime& delay : delays_) {
+      const int64_t pick = rng.UniformInt(0, 21);
+      delay = pick == 0   ? FromSeconds(rng.Exponential(1.0))
+              : pick <= 8  ? 35 * kMillisecond
+              : pick <= 16 ? 15 * kMillisecond
+                           : 0;
+    }
+  }
+
+  void OnEvent(const Event&) override {
+    sim_->Schedule(delays_[next_++ % delays_.size()], {.handler = this});
+  }
+
+ private:
+  Simulator* sim_;
+  std::vector<SimTime> delays_;
+  size_t next_ = 0;
+};
+
+void BM_EventQueueHold(benchmark::State& state) {
+  // The hold model: range(0) events stay pending and each iteration is one
+  // pop, one dispatch and one push. 8 and 150 are near the mean pending
+  // counts of perfbench's thrash_finite (6.4) and lowconflict_inf (147).
+  Simulator sim;
+  HoldHandler handler(&sim);
+  const int64_t pending = state.range(0);
+  for (int64_t i = 0; i < pending; ++i) handler.OnEvent({});
+  for (int64_t i = 0; i < 100 * pending; ++i) sim.Step();  // Spread times.
+  for (auto _ : state) benchmark::DoNotOptimize(sim.Step());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueHold)->Arg(8)->Arg(150)->Arg(1000);
 
 void BM_RngExponential(benchmark::State& state) {
   Rng rng(1);

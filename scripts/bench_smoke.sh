@@ -4,7 +4,9 @@
 #   1. Runs bench/micro_kernel and validates the emitted BENCH_sim.json:
 #      parses as JSON, carries the expected schema tag, and every throughput
 #      field is strictly positive (the binary also self-checks this — a zero
-#      means a bench silently broke, not that the machine is slow).
+#      means a bench silently broke, not that the machine is slow), and the
+#      churn's peak arena slots lie in (0, 64] (more means cancelled events
+#      leak).
 #   2. Runs every bench/micro_substrates microbenchmark briefly: a smoke
 #      that each one still runs to completion (one whose setup breaks a cc
 #      invariant aborts on a CCSIM_CHECK), not a measurement.
@@ -41,7 +43,7 @@ with open(sys.argv[1]) as f:
     doc = json.load(f)
 assert doc["schema"] == "ccsim-bench-v1", doc.get("schema")
 assert doc["event_churn"]["events_per_sec"] > 0
-assert doc["event_churn"]["peak_heap_entries"] > 0
+assert 0 < doc["event_churn"]["peak_arena_slots"] <= 64
 assert doc["lock_grant_release"]["requests_per_sec"] > 0
 algos = ["blocking", "immediate_restart", "optimistic", "optimistic_forward",
          "wound_wait", "wait_die", "basic_to", "mvto", "static_locking"]

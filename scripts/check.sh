@@ -3,7 +3,8 @@
 #   1. RelWithDebInfo build + full ctest suite
 #   2. Release (-O3, the optimisation level perfbench times) build + full
 #      ctest suite; skipped with --fast
-#   3. ASan+UBSan build + full ctest suite
+#   3. ASan+UBSan build (with float-cast-overflow, which GCC's "undefined"
+#      leaves out) + full ctest suite
 #   4. TSan build + full ctest suite, plus the parallel-runner tests re-run
 #      under CCSIM_JOBS=8 (the threaded sweep path under TSan)
 #   5. bench smoke: one figure binary, short batches, CCSIM_JOBS=4, then
@@ -64,7 +65,7 @@ fig03_smoke() {
 step plain run_config plain
 if [[ "${FAST}" -eq 0 ]]; then
   step o3 run_config o3 -DCMAKE_BUILD_TYPE=Release
-  step asan run_config asan -DCCSIM_SAN=address,undefined
+  step asan run_config asan -DCCSIM_SAN=address,undefined,float-cast-overflow
   step tsan run_config tsan -DCCSIM_SAN=thread
   step "parallel-runner tests under TSan, CCSIM_JOBS=8" \
     env CCSIM_JOBS=8 ctest --test-dir build-tsan --output-on-failure \

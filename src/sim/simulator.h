@@ -7,26 +7,33 @@
 // Hot-path design (docs/PERFORMANCE.md):
 //  * An event is a plain record (Event) fired at its EventHandler, which
 //    switches on a kind it defines. The kernel stores no closures, so once
-//    the arena and the heap reach their working size, scheduling performs
-//    zero heap allocations (kernel: tests/sim_alloc_test.cc; the whole
-//    engine: tests/engine_alloc_test.cc).
+//    the arena reaches its working size, scheduling performs zero heap
+//    allocations (kernel: tests/sim_alloc_test.cc; the whole engine:
+//    tests/engine_alloc_test.cc).
 //  * Events live in a pooled arena: free-listed slots in one vector,
 //    indexed by generation-tagged EventIds. Schedule, Cancel, and fire are
 //    all O(1) slot operations with no hash lookups, and a stale EventId (its
 //    slot already reused) is detected by its generation tag. Step() copies
 //    the record out and frees its slot before dispatch, so a handler may
 //    schedule events — and grow the arena — while it runs.
-//  * The pending queue is a 4-ary min-heap on (time, seq). Cancellation is
-//    lazy — the heap entry becomes a tombstone — but tombstones are
-//    compacted away whenever they outnumber live entries, so cancel-heavy
-//    workloads (every blocking algorithm cancels a pending event per
-//    restart) keep the heap bounded by the live event population.
+//  * The pending set is a monotone radix queue (Ahuja, Mehlhorn, Orlin and
+//    Tarjan, JACM 1990) threaded through the slots. A pending event sits in
+//    FIFO bucket bit_width(time ^ base) of 64, where base is the time of the
+//    latest pop, so bucket 0 holds exactly the events due at base. A pop
+//    takes bucket 0's head; when bucket 0 is empty it first moves base to
+//    the minimum of the lowest non-empty bucket and re-links that bucket,
+//    in list order, into the empty buckets below it. Equal times share a
+//    bucket and no step reorders a list, so ties pop in scheduling order:
+//    the same (time, seq) order a heap would give. Cancel is an O(1)
+//    unlink, so cancelled events leave nothing behind.
 #ifndef CCSIM_SIM_SIMULATOR_H_
 #define CCSIM_SIM_SIMULATOR_H_
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <type_traits>
 #include <vector>
 
@@ -38,8 +45,8 @@ namespace ccsim {
 
 /// Handle for a scheduled event; usable to cancel it before it fires.
 /// Encodes an arena slot (low 32 bits) and that slot's generation at
-/// scheduling time (high 32 bits); generations start at 1, so no valid id
-/// ever equals kInvalidEventId.
+/// scheduling time (high 32 bits); a pending event's generation is odd, so
+/// no valid id ever equals kInvalidEventId.
 using EventId = uint64_t;
 
 inline constexpr EventId kInvalidEventId = 0;
@@ -116,17 +123,20 @@ class Simulator {
   SimTime Now() const { return now_; }
 
   /// Schedules `event` to fire at its handler `delay` µs from now. Requires
-  /// delay >= 0 and a handler.
+  /// delay >= 0, a time that fits in SimTime, and a handler.
   EventId Schedule(SimTime delay, const Event& event) {
     CCSIM_CHECK_GE(delay, 0) << "cannot schedule into the past";
+    CCSIM_CHECK_LE(delay, kEndOfTime - now_)
+        << "event time " << now_ << " + " << delay << " overflows SimTime";
     CCSIM_CHECK(event.handler != nullptr) << "event without a handler";
     const uint32_t slot = AcquireSlot();
     Slot& s = slots_[slot];
     s.event = event;
-    const EventId id = (static_cast<EventId>(s.generation) << 32) | slot;
-    HeapPush(HeapEntry{now_ + delay, next_seq_++, id});
+    s.time = now_ + delay;
+    s.seq = next_seq_++;
+    Append(slot);
     ++live_events_;
-    return id;
+    return (static_cast<EventId>(s.generation) << 32) | slot;
   }
 
   /// Cancels a pending event. Returns true if the event existed and had not
@@ -134,44 +144,20 @@ class Simulator {
   /// id is a no-op (the generation tag makes a stale id — one whose slot has
   /// since been reused by a newer event — reliably unknown).
   bool Cancel(EventId id) {
-    uint32_t slot = LiveSlotOf(id);
-    if (slot == kNullSlot) return false;
-    RetireSlot(slot);
-    // Lazy deletion: the heap entry remains as a tombstone, skipped on pop —
-    // but compact once tombstones outnumber live entries so cancel/reschedule
-    // churn cannot grow the heap without bound.
-    ++dead_entries_;
-    if (heap_.size() >= kMinCompactEntries &&
-        dead_entries_ * 2 > heap_.size()) {
-      CompactHeap();
+    const uint32_t slot = static_cast<uint32_t>(id);
+    const auto generation = static_cast<uint32_t>(id >> 32);
+    if ((generation & 1) == 0 || slot >= slots_.size() ||
+        slots_[slot].generation != generation) {
+      return false;
     }
+    Unlink(slot, BucketOf(slots_[slot].time));
+    RetireSlot(slot);
     return true;
   }
 
   /// Fires the next pending event, advancing the clock to its time.
   /// Returns false when no events remain.
-  bool Step() {
-    if (!SkimTombstones()) return false;
-    if (guard_armed_) EnforceGuard();
-    HeapEntry entry = heap_.front();
-    HeapPopTop();
-    if (ActiveChoicePoint() != nullptr) entry = ResolveTie(entry);
-    // Copy the record out and free its slot before dispatch: a self-Cancel
-    // from the handler is then a stale no-op, and whatever the handler
-    // schedules may reuse the slot or grow the arena.
-    const uint32_t slot = SlotOf(entry.id);
-    const Event event = slots_[slot].event;
-    RetireSlot(slot);
-    CCSIM_CHECK_GE(entry.time, now_);
-    now_ = entry.time;
-    ++events_fired_;
-    if (progress_ != nullptr) {
-      progress_->sim_time_us.store(now_, std::memory_order_relaxed);
-      progress_->events.store(events_fired_, std::memory_order_relaxed);
-    }
-    event.handler->OnEvent(event);
-    return true;
-  }
+  bool Step() { return FireNext(kEndOfTime); }
 
   /// Runs until the event queue drains or `RequestStop` is called.
   void Run();
@@ -198,10 +184,11 @@ class Simulator {
   /// Number of pending (non-cancelled) events.
   size_t pending_events() const { return live_events_; }
 
-  /// Current heap occupancy: pending events plus not-yet-compacted cancel
-  /// tombstones. Compaction keeps this below 2 * pending_events() + a small
-  /// constant (pinned by SimulatorTest.CancelStormKeepsHeapBounded).
-  size_t heap_entries() const { return heap_.size(); }
+  /// Slots in the event arena: the peak number of events pending at once,
+  /// since a freed slot is reused before the arena grows. Fire and cancel
+  /// both free their slot; one that did not would grow this without bound
+  /// (pinned by SimulatorTest.CancelStormKeepsHeapBounded).
+  size_t arena_slots() const { return slots_.size(); }
 
   /// Installs execution limits checked before every event fires; replaces
   /// any previous guard. An inert guard (no limits) costs one branch per
@@ -217,162 +204,135 @@ class Simulator {
   void SetProgressCell(ProgressCell* cell) { progress_ = cell; }
 
  private:
-  /// Enforces the guard; calls guard_.on_violation (which throws) on a trip.
+  /// Enforces the guard: trips it if a limit is reached.
   void EnforceGuard();
 
-  struct HeapEntry {
-    SimTime time;
-    /// Monotone scheduling sequence number: ties on `time` fire in
-    /// scheduling order. (time, seq) is a strict total order, so the pop
-    /// sequence is independent of the heap's internal layout — which is what
-    /// makes tombstone compaction behavior-neutral.
-    uint64_t seq;
-    EventId id;
-  };
+  /// Calls guard_.on_violation (which throws) with `reason`; never returns.
+  [[noreturn]] void TripGuard(const char* reason);
 
-  /// Event arena slot. `generation` tags the ids handed out for this slot;
-  /// it is bumped on release so stale ids and heap tombstones are detected
-  /// in O(1) without any lookup structure.
+  /// Fires the next pending event if its time is <= `until`; returns false
+  /// (touching nothing) otherwise or when none is pending.
+  bool FireNext(SimTime until);
+
+  /// Event arena slot. While it holds a pending event, `time` and `seq` (the
+  /// scheduling sequence number, offered to a ChoicePoint as the event's
+  /// signature) key it and `prev`/`next` link it into its bucket; a free
+  /// slot's `next` links the free list. `generation` is odd while the slot
+  /// is pending and even while it is free, bumped at both transitions, so a
+  /// stale id fails one compare.
   struct Slot {
     Event event;
-    uint32_t generation = 1;
-    /// Next slot in the free list, kNullSlot at the tail, or kSlotLive while
-    /// the slot holds a pending event.
-    uint32_t next_free = kNullSlot;
+    SimTime time = 0;
+    uint64_t seq = 0;
+    uint32_t generation = 0;
+    uint32_t prev = kNullSlot;
+    uint32_t next = kNullSlot;
   };
 
   static constexpr uint32_t kNullSlot = 0xffffffffu;
-  static constexpr uint32_t kSlotLive = 0xfffffffeu;
-  static constexpr size_t kHeapArity = 4;
-  /// Compaction only kicks in above this heap size: tiny heaps are cheap to
-  /// scan and compacting them would just churn.
-  static constexpr size_t kMinCompactEntries = 64;
+  static constexpr SimTime kEndOfTime = std::numeric_limits<SimTime>::max();
+  /// Times are non-negative, so time ^ base < 2^63 and its bit width < 64.
+  static constexpr int kBuckets = 64;
 
-  static uint32_t SlotOf(EventId id) { return static_cast<uint32_t>(id); }
-  static uint32_t GenerationOf(EventId id) {
-    return static_cast<uint32_t>(id >> 32);
+  /// The bucket of a pending event due at `time` (>= base_). It stays put
+  /// when base_ moves to the minimum of a lower bucket: both agree with the
+  /// old base on every bit above the lower bucket's.
+  int BucketOf(SimTime time) const {
+    return std::bit_width(static_cast<uint64_t>(time ^ base_));
   }
 
-  bool IsLive(const HeapEntry& entry) const {
-    return LiveSlotOf(entry.id) != kNullSlot;
-  }
-
-  /// Returns the slot of a live pending event, or kNullSlot if `id` is
-  /// stale, fired, cancelled, or invalid.
-  uint32_t LiveSlotOf(EventId id) const {
-    uint32_t slot = SlotOf(id);
-    if (slot >= slots_.size()) return kNullSlot;
-    const Slot& s = slots_[slot];
-    if (s.next_free != kSlotLive || s.generation != GenerationOf(id)) {
-      return kNullSlot;
-    }
-    return slot;
-  }
-
-  /// Pops a slot off the free list, growing the arena if it is empty. The
-  /// returned slot's next_free is kSlotLive.
+  /// Pops a slot off the free list, growing the arena if it is empty, and
+  /// makes its generation odd.
   uint32_t AcquireSlot() {
     uint32_t slot;
     if (free_head_ != kNullSlot) {
       slot = free_head_;
-      free_head_ = slots_[slot].next_free;
+      free_head_ = slots_[slot].next;
     } else {
-      CCSIM_CHECK_LT(slots_.size(), kSlotLive) << "event arena exhausted";
+      CCSIM_CHECK_LT(slots_.size(), kNullSlot) << "event arena exhausted";
       slot = static_cast<uint32_t>(slots_.size());
       slots_.emplace_back();
     }
-    slots_[slot].next_free = kSlotLive;
+    ++slots_[slot].generation;
     return slot;
   }
 
-  /// Retires a fired or cancelled event's slot: bumps its generation —
-  /// invalidating every outstanding id, including the tombstone heap entry
-  /// of a cancelled event — and pushes it on the free list.
+  /// Retires a fired or cancelled event's unlinked slot: makes its
+  /// generation even, invalidating every outstanding id, and pushes it on
+  /// the free list.
   void RetireSlot(uint32_t slot) {
     Slot& s = slots_[slot];
     ++s.generation;
-    s.next_free = free_head_;
+    s.next = free_head_;
     free_head_ = slot;
     --live_events_;
   }
 
-  // 4-ary min-heap on (time, seq) over heap_.
-  static bool Before(const HeapEntry& a, const HeapEntry& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
-  }
-  void HeapPush(HeapEntry entry) {
-    heap_.push_back(entry);
-    SiftUp(heap_.size() - 1);
-  }
-  void HeapPopTop() {
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) SiftDown(0);
-  }
-  void SiftUp(size_t index) {
-    HeapEntry entry = heap_[index];
-    while (index > 0) {
-      size_t parent = (index - 1) / kHeapArity;
-      if (!Before(entry, heap_[parent])) break;
-      heap_[index] = heap_[parent];
-      index = parent;
+  /// Appends `slot` to the tail of its bucket.
+  void Append(uint32_t slot) {
+    Slot& s = slots_[slot];
+    const int bucket = BucketOf(s.time);
+    const uint64_t bit = uint64_t{1} << bucket;
+    s.next = kNullSlot;
+    if ((nonempty_ & bit) != 0) {
+      s.prev = tail_[bucket];
+      slots_[s.prev].next = slot;
+    } else {
+      s.prev = kNullSlot;
+      head_[bucket] = slot;
+      nonempty_ |= bit;
     }
-    heap_[index] = entry;
-  }
-  void SiftDown(size_t index) {
-    HeapEntry entry = heap_[index];
-    const size_t size = heap_.size();
-    for (;;) {
-      size_t first_child = index * kHeapArity + 1;
-      if (first_child >= size) break;
-      size_t last_child = first_child + kHeapArity;
-      if (last_child > size) last_child = size;
-      size_t best = first_child;
-      for (size_t child = first_child + 1; child < last_child; ++child) {
-        if (Before(heap_[child], heap_[best])) best = child;
-      }
-      if (!Before(heap_[best], entry)) break;
-      heap_[index] = heap_[best];
-      index = best;
-    }
-    heap_[index] = entry;
+    tail_[bucket] = slot;
   }
 
-  /// Drops tombstones from the top of the heap. Returns false if the heap is
-  /// empty (no live entries remain).
-  bool SkimTombstones() {
-    while (!heap_.empty()) {
-      if (IsLive(heap_.front())) return true;
-      HeapPopTop();
-      --dead_entries_;
+  /// Removes `slot` from `bucket`'s list, keeping the rest in order.
+  void Unlink(uint32_t slot, int bucket) {
+    const Slot& s = slots_[slot];
+    if (s.prev == kNullSlot) {
+      head_[bucket] = s.next;
+    } else {
+      slots_[s.prev].next = s.next;
     }
-    return false;
+    if (s.next == kNullSlot) {
+      tail_[bucket] = s.prev;
+    } else {
+      slots_[s.next].prev = s.prev;
+    }
+    if (head_[bucket] == kNullSlot) nonempty_ &= ~(uint64_t{1} << bucket);
   }
 
-  /// Rebuilds the heap without tombstones. O(heap size), amortized O(1) per
-  /// cancel by the dead > live trigger.
-  void CompactHeap();
+  /// The earliest time in the lowest non-empty bucket, which is the
+  /// earliest pending time when bucket 0 is empty. Requires a pending event.
+  SimTime LowestBucketMin() const;
 
-  /// Offers the set of live events scheduled for `first`'s instant to the
-  /// active ChoicePoint and returns the one it picked; the rest go back on
-  /// the heap with their seqs (and thus the default ordering) intact. Only
-  /// called when a choice hook is installed.
-  HeapEntry ResolveTie(HeapEntry first);
+  /// Moves base_ to `min` (LowestBucketMin()) and re-links the lowest
+  /// non-empty bucket, in list order, into the empty buckets below it.
+  /// Requires an empty bucket 0.
+  void Rebucket(SimTime min);
+
+  /// Offers bucket 0's first (up to six) events — those due now, in
+  /// scheduling order — to the active ChoicePoint and returns the slot it
+  /// picked; the rest stay queued in order. Only called when a choice hook
+  /// is installed.
+  uint32_t ResolveTie() const;
 
   SimTime now_ = 0;
   uint64_t next_seq_ = 1;
   uint64_t events_fired_ = 0;
   size_t live_events_ = 0;
-  /// Cancelled entries still sitting in heap_.
-  size_t dead_entries_ = 0;
   bool stop_requested_ = false;
   bool guard_armed_ = false;
   RunGuard guard_;
   ProgressCell* progress_ = nullptr;
-  std::vector<HeapEntry> heap_;
   std::vector<Slot> slots_;
   uint32_t free_head_ = kNullSlot;
+  /// The radix queue: base_ <= now_ <= every pending time whenever control
+  /// is outside FireNext, bit b of nonempty_ is set iff bucket b has an
+  /// event, and head_/tail_ are read only for non-empty buckets.
+  SimTime base_ = 0;
+  uint64_t nonempty_ = 0;
+  uint32_t head_[kBuckets] = {};
+  uint32_t tail_[kBuckets] = {};
 };
 
 }  // namespace ccsim

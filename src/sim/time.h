@@ -8,6 +8,8 @@
 
 #include <cstdint>
 
+#include "util/check.h"
+
 namespace ccsim {
 
 /// Simulated time in microseconds since simulation start.
@@ -17,14 +19,25 @@ inline constexpr SimTime kMicrosecond = 1;
 inline constexpr SimTime kMillisecond = 1000;
 inline constexpr SimTime kSecond = 1000 * 1000;
 
+/// Rounds a real-valued count of µs to the nearest SimTime. Durations come
+/// from outside input (configs, environment variables), and casting NaN, an
+/// infinity or a value past SimTime's range is undefined behaviour, so those
+/// fail a check that stays on in every build.
+constexpr SimTime RoundToSimTime(double micros) {
+  const double rounded = micros + 0.5;
+  CCSIM_CHECK(rounded >= -0x1p63 && rounded < 0x1p63)
+      << "duration of " << micros << " µs is not a representable SimTime";
+  return static_cast<SimTime>(rounded);
+}
+
 /// Converts (real-valued) seconds to SimTime, rounding to nearest µs.
 constexpr SimTime FromSeconds(double seconds) {
-  return static_cast<SimTime>(seconds * static_cast<double>(kSecond) + 0.5);
+  return RoundToSimTime(seconds * static_cast<double>(kSecond));
 }
 
 /// Converts milliseconds to SimTime, rounding to nearest µs.
 constexpr SimTime FromMillis(double millis) {
-  return static_cast<SimTime>(millis * static_cast<double>(kMillisecond) + 0.5);
+  return RoundToSimTime(millis * static_cast<double>(kMillisecond));
 }
 
 /// Converts SimTime to seconds for reporting.

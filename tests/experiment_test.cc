@@ -4,12 +4,14 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/adaptive_mpl.h"
 #include "core/experiment.h"
 #include "core/report.h"
+#include "util/check.h"
 
 namespace ccsim {
 namespace {
@@ -47,6 +49,20 @@ TEST(RunLengthsTest, EnvOverrides) {
   unsetenv("CCSIM_BATCHES");
   unsetenv("CCSIM_BATCH_SECONDS");
   unsetenv("CCSIM_WARMUP_SECONDS");
+}
+
+TEST(RunLengthsTest, NonFiniteLengthsAreHardErrors) {
+  for (const char* name : {"CCSIM_BATCH_SECONDS", "CCSIM_WARMUP_SECONDS"}) {
+    for (const char* value : {"nan", "inf", "1e300"}) {
+      SCOPED_TRACE(std::string(name) + "=" + value);
+      setenv(name, value, 1);
+      {
+        ScopedCheckTrap trap;
+        EXPECT_THROW(RunLengths::FromEnv(RunLengths{}), CheckFailure);
+      }
+      unsetenv(name);
+    }
+  }
 }
 
 TEST(RunLengthsTest, DefaultsMatchPaperMethodology) {

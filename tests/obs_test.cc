@@ -608,6 +608,15 @@ TEST(ObsConfigTest, SamplingWithoutDirectoryIsHardError) {
   EXPECT_THROW(ObsConfig::FromEnv(ObsConfig{}), CheckFailure);
 }
 
+TEST(ObsConfigTest, NonFiniteSampleIntervalIsHardError) {
+  for (const char* value : {"inf", "1e300", "nan"}) {
+    SCOPED_TRACE(value);
+    ScopedEnv sample("CCSIM_SAMPLE_SECONDS", value);
+    ScopedCheckTrap trap;
+    EXPECT_THROW(ObsConfig::FromEnv(ObsConfig{}), CheckFailure);
+  }
+}
+
 TEST(ObsConfigTest, MalformedObsFlagIsHardError) {
   ScopedEnv obs("CCSIM_OBS", "2");
   ScopedCheckTrap trap;

@@ -10,6 +10,7 @@
 #include "closure_events.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
+#include "util/check.h"
 
 namespace ccsim {
 namespace {
@@ -55,6 +56,23 @@ TEST(TimeTest, Conversions) {
   EXPECT_DOUBLE_EQ(ToSeconds(kSecond), 1.0);
   EXPECT_DOUBLE_EQ(ToSeconds(1500 * kMillisecond), 1.5);
   EXPECT_EQ(FromMillis(0.0015), 2);  // Rounds to nearest µs.
+}
+
+TEST(TimeTest, NonFiniteOrOutOfRangeDurationsAreRejected) {
+  // Casting these to SimTime would be undefined behaviour; they come from
+  // configs and environment variables, so the check must hold in every build.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  ScopedCheckTrap trap;
+  EXPECT_THROW(FromSeconds(kNan), CheckFailure);
+  EXPECT_THROW(FromSeconds(kInf), CheckFailure);
+  EXPECT_THROW(FromSeconds(-kInf), CheckFailure);
+  EXPECT_THROW(FromSeconds(1e300), CheckFailure);
+  EXPECT_THROW(FromSeconds(-1e300), CheckFailure);
+  EXPECT_THROW(FromMillis(kNan), CheckFailure);
+  EXPECT_THROW(FromMillis(1e300), CheckFailure);
+  EXPECT_THROW(FromSeconds(9.3e12), CheckFailure);  // Just past 2^63 µs.
+  EXPECT_EQ(FromSeconds(9.2e12), SimTime{9'200'000'000'000'000'000});
 }
 
 TEST(SimulatorTest, StartsAtZero) {
@@ -304,9 +322,9 @@ TEST(SimulatorTest, CancelStormKeepsHeapBounded) {
   // a far-future timeout, then cancels the timeout when the completion
   // fires. (The engine itself cancels only on restart — the restarted
   // transaction's pending think or restart-delay event — but the kernel
-  // must stay bounded under any cancel rate.) A kernel with unbounded lazy
-  // deletion accumulates one tombstone per iteration; compaction must keep
-  // heap occupancy at 2 * pending_events() + a small constant.
+  // must stay bounded under any cancel rate.) A cancel that failed to free
+  // its slot would grow the arena by one per iteration; it must stay at
+  // 2 * pending_events() + a small constant.
   Simulator sim;
   std::vector<Delivery> log;
   Recorder recorder(&sim, 'r', &log);
@@ -319,7 +337,7 @@ TEST(SimulatorTest, CancelStormKeepsHeapBounded) {
         sim.Schedule(1000, {.handler = &recorder, .kind = kTimeout});
     ASSERT_TRUE(sim.Step());
     ASSERT_TRUE(sim.Cancel(guard));
-    peak = std::max(peak, sim.heap_entries());
+    peak = std::max(peak, sim.arena_slots());
   }
   EXPECT_LE(peak, 2 * 1 + 64u);
   while (sim.Step()) {
@@ -328,6 +346,26 @@ TEST(SimulatorTest, CancelStormKeepsHeapBounded) {
   for (const Delivery& delivery : log) {
     ASSERT_EQ(delivery.event.kind, kCompletion) << "a cancelled timeout fired";
   }
+}
+
+TEST(SimulatorTest, ScheduleOverflowingSimTimeIsRejected) {
+  Simulator sim;
+  std::vector<Delivery> log;
+  Recorder recorder(&sim, 'r', &log);
+  constexpr SimTime kMax = std::numeric_limits<SimTime>::max();
+  sim.RunUntil(10);
+  ScopedCheckTrap trap;
+  EXPECT_THROW(sim.Schedule(kMax, {.handler = &recorder}), CheckFailure);
+  EXPECT_THROW(sim.Schedule(kMax - 9, {.handler = &recorder}), CheckFailure);
+  EXPECT_THROW(sim.Schedule(-1, {.handler = &recorder}), CheckFailure);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  // The last representable instant is still schedulable, and fires.
+  sim.Schedule(kMax - 10, {.handler = &recorder, .kind = 1});
+  sim.Schedule(5, {.handler = &recorder, .kind = 2});
+  sim.Run();
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log[0].at, 15);
+  EXPECT_EQ(log[1].at, kMax);
 }
 
 TEST(SimulatorTest, RunUntilStoppedMidWindow) {

@@ -1,8 +1,10 @@
 // Unit tests for workload parameters and transaction generation.
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "util/check.h"
 #include "util/config.h"
 #include "wl/params.h"
 #include "wl/workload.h"
@@ -26,6 +28,21 @@ TEST(ParamsTest, PaperDefaultsMatchTable2) {
   EXPECT_EQ(p.obj_cpu, FromMillis(15));
   EXPECT_EQ(p.cc_cpu, 0);
   p.Validate();  // Must not abort.
+}
+
+TEST(ParamsTest, NonFiniteOrHugeDurationIsHardError) {
+  // strtod accepts these; casting them to SimTime would be undefined.
+  for (const char* arg : {"ext_think_time=nan", "int_think_time=inf",
+                          "obj_io_ms=1e300", "obj_cpu_ms=-inf",
+                          "cc_cpu_ms=nan", "log_io_ms=1e300"}) {
+    SCOPED_TRACE(arg);
+    WorkloadParams p;
+    Config config;
+    std::string error;
+    ASSERT_TRUE(config.ParseArgs({arg}, &error));
+    ScopedCheckTrap trap;
+    EXPECT_THROW(p.ApplyConfig(config), CheckFailure);
+  }
 }
 
 TEST(ParamsTest, ApplyConfigOverrides) {
