@@ -107,6 +107,23 @@ void BM_EventQueueHold(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueHold)->Arg(8)->Arg(150)->Arg(1000);
 
+void BM_RngNextU64(benchmark::State& state) {
+  Rng rng(1);
+  uint64_t sum = 0;
+  for (auto _ : state) sum += rng.engine()();
+  benchmark::DoNotOptimize(sum);
+}
+BENCHMARK(BM_RngNextU64);
+
+void BM_RngBernoulli(benchmark::State& state) {
+  // p = 0.25 is the paper's write probability, drawn once per object read.
+  Rng rng(1);
+  int64_t hits = 0;
+  for (auto _ : state) hits += rng.Bernoulli(0.25) ? 1 : 0;
+  benchmark::DoNotOptimize(hits);
+}
+BENCHMARK(BM_RngBernoulli);
+
 void BM_RngExponential(benchmark::State& state) {
   Rng rng(1);
   double sum = 0;
@@ -116,20 +133,28 @@ void BM_RngExponential(benchmark::State& state) {
 BENCHMARK(BM_RngExponential);
 
 void BM_SampleWithoutReplacement(benchmark::State& state) {
+  // Args: population, count. 4096 picks guard the large-sample path against
+  // turning quadratic.
   Rng rng(2);
   for (auto _ : state) {
-    auto sample = rng.SampleWithoutReplacement(state.range(0), 8);
+    auto sample = rng.SampleWithoutReplacement(state.range(0), state.range(1));
     benchmark::DoNotOptimize(sample);
   }
 }
-BENCHMARK(BM_SampleWithoutReplacement)->Arg(1000)->Arg(1000000);
+BENCHMARK(BM_SampleWithoutReplacement)
+    ->Args({1000, 8})
+    ->Args({1000000, 8})
+    ->Args({1000000, 4096});
 
 void BM_WorkloadGenerate(benchmark::State& state) {
+  // The in-place form the engine calls, refilling one recycled spec.
   WorkloadParams params;
   WorkloadGenerator gen(params, Rng(3), Rng(4));
+  TxnSpec spec;
   for (auto _ : state) {
-    TxnSpec spec = gen.NextTransaction();
-    benchmark::DoNotOptimize(spec);
+    gen.NextTransaction(&spec);
+    benchmark::DoNotOptimize(spec.reads.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_WorkloadGenerate);

@@ -12,27 +12,16 @@
 
 namespace ccsim {
 
-namespace {
-
-/// The engine's random streams are derived from the master seed in a fixed
-/// order (0 = workload specs, 1 = think times, 2 = disk choice, 3 = restart
-/// delays), so runs are a pure function of the seed.
-Rng NthStream(uint64_t seed, int n) {
-  RngFactory factory(seed);
-  Rng stream = factory.MakeStream();
-  for (int i = 0; i < n; ++i) stream = factory.MakeStream();
-  return stream;
-}
-
-}  // namespace
-
+// Streams 0-5 of the master seed, in docs/MODEL.md §1's fixed order, so a
+// run is a pure function of the seed.
 ClosedSystem::ClosedSystem(Simulator* sim, const EngineConfig& config)
     : sim_(sim),
       config_(config),
       mpl_(config.workload.mpl),
-      workload_(config.workload, NthStream(config.seed, 0),
-                NthStream(config.seed, 1)),
-      resources_(sim, config.resources, NthStream(config.seed, 2), this),
+      workload_(config.workload, RngFactory::NthStream(config.seed, 0),
+                RngFactory::NthStream(config.seed, 1)),
+      resources_(sim, config.resources, RngFactory::NthStream(config.seed, 2),
+                 this),
       cc_(config.cc_factory
               ? config.cc_factory(config)
               : MakeConcurrencyControl(config.algorithm,
@@ -41,9 +30,9 @@ ClosedSystem::ClosedSystem(Simulator* sim, const EngineConfig& config)
           config.restart_delay_mode.value_or(
               DefaultRestartDelayMode(config.algorithm)),
           config.fixed_restart_delay, BootstrapResponseSeconds()),
-      delay_rng_(NthStream(config.seed, 3)),
-      arrival_rng_(NthStream(config.seed, 4)),
-      buffer_rng_(NthStream(config.seed, 5)),
+      delay_rng_(RngFactory::NthStream(config.seed, 3)),
+      arrival_rng_(RngFactory::NthStream(config.seed, 4)),
+      buffer_rng_(RngFactory::NthStream(config.seed, 5)),
       active_mpl_(sim->Now()),
       history_(config.lock_granule_size) {
   if (config_.source_mode == SourceMode::kOpen) {

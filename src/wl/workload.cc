@@ -39,8 +39,7 @@ void WorkloadGenerator::NextTransaction(TxnSpec* out) {
   int size = static_cast<int>(spec_rng_.UniformInt(min_size, max_size));
   spec.class_index = class_index;
   if (params_.hot_fraction_db == 0.0) {
-    spec_rng_.SampleWithoutReplacement(params_.db_size, size, &spec.reads,
-                                       &chosen_);
+    spec_rng_.SampleWithoutReplacement(params_.db_size, size, &spec.reads);
   } else {
     // Stratified sampling under the x-y rule: each of the `size` accesses
     // independently targets the hot set with probability hot_access_prob,
@@ -54,9 +53,9 @@ void WorkloadGenerator::NextTransaction(TxnSpec* out) {
           spec_rng_.Bernoulli(params_.hot_access_prob);
       hot_picks += is_hot_[static_cast<size_t>(i)] ? 1 : 0;
     }
-    spec_rng_.SampleWithoutReplacement(hot_size, hot_picks, &hot_, &chosen_);
+    spec_rng_.SampleWithoutReplacement(hot_size, hot_picks, &hot_);
     spec_rng_.SampleWithoutReplacement(params_.db_size - hot_size,
-                                       size - hot_picks, &cold_, &chosen_);
+                                       size - hot_picks, &cold_);
     size_t hot_index = 0, cold_index = 0;
     spec.reads.clear();
     spec.reads.reserve(static_cast<size_t>(size));

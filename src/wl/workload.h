@@ -95,7 +95,6 @@ class WorkloadGenerator {
   Rng spec_rng_;
   Rng think_rng_;
   // Sampling scratch, reused across NextTransaction calls.
-  std::vector<int64_t> chosen_;
   std::vector<bool> is_hot_;
   std::vector<ObjectId> hot_;
   std::vector<ObjectId> cold_;

@@ -161,5 +161,20 @@ TEST(RngFactoryTest, SameSeedSameStreams) {
   }
 }
 
+TEST(RngFactoryTest, NthStreamIsTheNthMadeStream) {
+  for (uint64_t seed : {uint64_t{0}, uint64_t{1}, uint64_t{7}, uint64_t{42},
+                        ~uint64_t{0}}) {
+    RngFactory factory(seed);
+    for (int n = 0; n <= 5; ++n) {
+      Rng made = factory.MakeStream();
+      Rng nth = RngFactory::NthStream(seed, n);
+      for (int i = 0; i < 4; ++i) {
+        ASSERT_EQ(nth.engine()(), made.engine()())
+            << "seed " << seed << " stream " << n;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ccsim

@@ -61,6 +61,14 @@ Rules (docs/VERIFICATION.md):
                    checker runs between batches, not per decision. (The
                    offline schedule-space verifier in verify/ and the
                    observability layer are outside the rule's directories.)
+  R9 own-variates  No <random> in src/: no #include <random>, std::mt19937*,
+                   std::*_distribution, std::generate_canonical,
+                   std::shuffle, std::sample or std::random_device. The
+                   standard fixes MT19937-64's words but not the
+                   distributions' algorithms, so every stream draws through
+                   util/random.h's own engine and variates, pinned by
+                   tests/random_golden_test.cc (docs/MODEL.md §1). tests/
+                   and bench/ may use <random>, e.g. as a reference.
 
 Usage: ccsim_lint.py [--root REPO] [--self-test]
 Exit status: 0 clean, 1 violations found, 2 usage error.
@@ -136,6 +144,14 @@ R8_TOKEN = re.compile(
 )
 # Offline checkers that run between batches, never per cc decision.
 R8_EXEMPT_FILES = {"src/core/history.h", "src/core/history.cc"}
+
+R9_TOKEN = re.compile(
+    r"#include\s*<random>"
+    r"|\bstd::mt19937\w*"
+    r"|\bstd::\w+_distribution\b"
+    r"|\bstd::(?:ranges::)?(?:generate_canonical|shuffle|sample)\b"
+    r"|\bstd::random_device\b"
+)
 
 
 def strip_comments_and_strings(text):
@@ -435,6 +451,21 @@ class Linter:
                     'iterate (docs/PERFORMANCE.md "Dense CC state")',
                 )
 
+    # --- R9 -----------------------------------------------------------------
+
+    def check_own_variates(self):
+        for path in self.cpp_files("src"):
+            code = strip_comments_and_strings(path.read_text(encoding="utf-8"))
+            for match in R9_TOKEN.finditer(code):
+                self.report(
+                    self.rel(path),
+                    line_of(code, match.start()),
+                    "R9",
+                    f"{match.group(0)} in src/; draw through util/random.h "
+                    "(Rng, Mt19937_64), whose variates do not depend on the "
+                    "standard library (docs/MODEL.md §1)",
+                )
+
     def run(self):
         self.check_determinism()
         self.check_env_knobs()
@@ -444,6 +475,7 @@ class Linter:
         self.check_status_errors()
         self.check_obs_catalog()
         self.check_dense_state()
+        self.check_own_variates()
         return self.violations
 
 
@@ -486,6 +518,16 @@ SELF_TEST_SNIPPETS = {
     ),
     "R8_exempt": "#include <unordered_set>\nstd::unordered_map<int, int> m_;\n",
     "R8_audit": "std::unordered_map<TxnId, TxnLockState> lock_states_;\n",
+    "R9": (
+        "#include <random>\n"
+        "std::mt19937_64 engine_;\n"
+        "double u = std::uniform_real_distribution<double>(0, 1)(engine_);\n"
+        "std::shuffle(v.begin(), v.end(), engine_);\n"
+    ),
+    "R9_comment_ok": (
+        "// Draws as std::uniform_int_distribution and std::shuffle do.\n"
+        "/* std::mt19937_64 and #include <random> in prose. */\n"
+    ),
 }
 
 
@@ -556,6 +598,17 @@ def self_test(tmp_root):
         (root / "src/core/history.cc").write_text(
             SELF_TEST_SNIPPETS["R8_exempt"]
         )
+        # R9: the hit and the prose in src/ (any directory); tests/ may use
+        # <random> as a reference.
+        (root / "src/wl").mkdir(parents=True)
+        (root / "src/wl/bad_random.cc").write_text(SELF_TEST_SNIPPETS["R9"])
+        (root / "src/util/ok_random.h").write_text(
+            SELF_TEST_SNIPPETS["R9_comment_ok"]
+        )
+        (root / "tests").mkdir()
+        (root / "tests/random_reference_test.cc").write_text(
+            SELF_TEST_SNIPPETS["R9"]
+        )
         violations = Linter(root).run()
 
         def expect(substring, count):
@@ -593,6 +646,12 @@ def self_test(tmp_root):
         expect("[R8]", 3)  # Include + usage + the audit/ plant; not comments.
         expect("bad_audit.h", 1)  # audit/ is in the rule's scope.
         expect("history.cc", 0)  # Offline checker: allowlisted.
+        # The include, the engine, the distribution, the shuffle; not the
+        # prose, and nothing under tests/.
+        expect("[R9]", 4)
+        expect("bad_random.cc", 4)
+        expect("ok_random.h", 0)
+        expect("random_reference_test.cc", 0)
     if failures:
         for f in failures:
             print(f"ccsim-lint self-test FAIL: {f}", file=sys.stderr)
