@@ -25,27 +25,24 @@ int main(int argc, char** argv) {
   }
 
   ccsim::EngineConfig engine_config;
-  engine_config.workload.ApplyConfig(config);
+  engine_config.ApplyConfig(config);
   engine_config.workload.mpl =
       static_cast<int>(config.GetIntOr("start_mpl", 200));
-  engine_config.resources = ccsim::ResourceConfig::Finite(
-      static_cast<int>(config.GetIntOr("num_cpus", 1)),
-      static_cast<int>(config.GetIntOr("num_disks", 2)));
   engine_config.algorithm = config.GetStringOr("algorithm", "blocking");
-  engine_config.seed = static_cast<uint64_t>(config.GetIntOr("seed", 42));
 
   ccsim::SimTime interval =
       ccsim::FromSeconds(config.GetDoubleOr("interval", 30.0));
   double horizon_s = config.GetDoubleOr("horizon", 900.0);
-
-  ccsim::Simulator sim;
-  ccsim::ClosedSystem system(&sim, engine_config);
 
   ccsim::AdaptiveMplController::Options options;
   options.interval = interval;
   options.min_mpl = static_cast<int>(config.GetIntOr("min_mpl", 5));
   options.max_mpl = engine_config.workload.mpl;
   options.step = static_cast<int>(config.GetIntOr("step", 10));
+  if (!config.CheckAllRead(std::cerr)) return 2;
+
+  ccsim::Simulator sim;
+  ccsim::ClosedSystem system(&sim, engine_config);
   ccsim::AdaptiveMplController controller(&sim, &system, options);
 
   std::cout << "Adaptive mpl control: " << engine_config.algorithm

@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
   ccsim::EngineConfig base;
   base.workload.ApplyConfig(config);
   base.seed = static_cast<uint64_t>(config.GetIntOr("seed", 42));
+  if (!config.CheckAllRead(std::cerr)) return 2;
 
   ccsim::RunLengths lengths = ccsim::RunLengths::FromEnv([] {
     ccsim::RunLengths defaults;

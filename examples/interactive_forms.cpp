@@ -25,12 +25,9 @@ int main(int argc, char** argv) {
   }
 
   ccsim::EngineConfig base;
-  base.workload.mpl = static_cast<int>(config.GetIntOr("mpl", 50));
-  base.workload.ApplyConfig(config);
-  base.resources = ccsim::ResourceConfig::Finite(
-      static_cast<int>(config.GetIntOr("num_cpus", 1)),
-      static_cast<int>(config.GetIntOr("num_disks", 2)));
-  base.seed = static_cast<uint64_t>(config.GetIntOr("seed", 42));
+  base.workload.mpl = 50;  // A sensible default; override with mpl=N.
+  base.ApplyConfig(config);
+  if (!config.CheckAllRead(std::cerr)) return 2;
 
   ccsim::RunLengths lengths = ccsim::RunLengths::FromEnv([] {
     ccsim::RunLengths defaults;

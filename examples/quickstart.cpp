@@ -4,8 +4,10 @@
 //
 //   ./quickstart [key=value ...]
 //
-// Any workload parameter can be overridden on the command line, e.g.
+// Any workload parameter, num_cpus, num_disks or seed can be overridden on
+// the command line, e.g.
 //   ./quickstart mpl=25 write_prob=0.5 db_size=5000
+// Any other key is rejected (exit 2) before anything runs.
 #include <iostream>
 #include <string>
 #include <vector>
@@ -25,11 +27,8 @@ int main(int argc, char** argv) {
 
   ccsim::EngineConfig base;
   base.workload.mpl = 25;  // A sensible default; override with mpl=N.
-  base.workload.ApplyConfig(config);
-  base.resources = ccsim::ResourceConfig::Finite(
-      static_cast<int>(config.GetIntOr("num_cpus", 1)),
-      static_cast<int>(config.GetIntOr("num_disks", 2)));
-  base.seed = static_cast<uint64_t>(config.GetIntOr("seed", 42));
+  base.ApplyConfig(config);
+  if (!config.CheckAllRead(std::cerr)) return 2;
 
   ccsim::RunLengths lengths = ccsim::RunLengths::FromEnv(ccsim::RunLengths{});
 

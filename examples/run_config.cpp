@@ -8,32 +8,9 @@
 //                num_disks=10 hot_fraction_db=0.2 hot_access_prob=0.8
 //   (one shell line; shown wrapped here)
 //
-// Recognized keys: every Table 1 workload parameter (db_size, tran_size,
-// min_size, max_size, write_prob, num_terms, mpl, ext_think_time,
-// int_think_time, obj_io_ms, obj_cpu_ms, cc_cpu_ms, hot_fraction_db,
-// hot_access_prob, read_only_fraction) plus:
-//   algorithms       comma list (default: the paper's three)
-//   mpls             comma list (default: the paper's sweep)
-//   num_cpus/num_disks or infinite=true
-//   restart_delay    none | fixed | adaptive (default: per-algorithm)
-//   fixed_delay_s    mean of the fixed delay
-//   victim           youngest | oldest | fewest_locks
-//   source           closed | open;  arrival_rate (tps, for open)
-//   x_lock_on_read_intent  true|false
-//   audit            true|false (or --audit): runtime invariant auditing +
-//                    replay digest (docs/AUDIT.md); any detected violation
-//                    fails the run with a nonzero exit
-//   obs              true|false: per-phase response breakdown + stats
-//                    registry (docs/OBSERVABILITY.md)
-//   trace            directory for Perfetto trace.json files (implies obs)
-//   sample_interval  time-series sampling period in simulated seconds
-//                    (implies obs; CSVs land next to csv=, or in ".")
-//   faults           fault-injection plan ("pool.task@hit:2;seed=7" —
-//                    docs/FAULTS.md; CCSIM_FAULTS overrides)
-//   disk_fault       simulated fault window on every disk, as
-//                    kind:start_s:end_s with kind stall|outage
-//   cpu_fault        same window syntax, on the CPU pool
-//   seed, batches, batch_seconds, warmup_seconds, csv=<path>, title=<text>
+// `--help` lists every key (kUsage below). A key the driver does not read is
+// rejected before anything runs, so a misspelling cannot silently leave the
+// experiment at its default.
 //
 // --trace[=path] streams the transaction lifecycle trace (one line per
 // submit/block/resume/restart/commit) to stderr or to `path` while the sweep
@@ -42,7 +19,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -85,25 +61,6 @@ constexpr char kUsage[] =
     "CCSIM_TRACE, CCSIM_HEARTBEAT_SECONDS, CCSIM_REPORT_COLUMNS,\n"
     "CCSIM_FAULTS and friends (docs/EXECUTION.md, docs/OBSERVABILITY.md,\n"
     "docs/FAULTS.md).\n";
-
-/// Every key this driver or WorkloadParams::ApplyConfig understands; any
-/// other key is a spelling mistake that would otherwise silently change the
-/// experiment being run.
-const std::set<std::string>& KnownKeys() {
-  static const std::set<std::string> keys = {
-      "db_size", "tran_size", "min_size", "max_size", "write_prob",
-      "num_terms", "mpl", "ext_think_time", "int_think_time", "obj_io_ms",
-      "obj_cpu_ms", "cc_cpu_ms", "buffer_hit_prob", "log_io_ms",
-      "hot_fraction_db", "hot_access_prob", "read_only_fraction",
-      "num_cpus", "num_disks", "infinite",
-      "algorithms", "mpls", "restart_delay", "fixed_delay_s", "victim",
-      "source", "arrival_rate", "x_lock_on_read_intent", "audit",
-      "seed", "batches", "batch_seconds", "warmup_seconds", "csv", "title",
-      "percentiles", "columns", "obs", "trace", "sample_interval",
-      "faults", "disk_fault", "cpu_fault",
-  };
-  return keys;
-}
 
 /// Parses a simulated fault window: kind:start_s:end_s (docs/FAULTS.md).
 bool ParseFaultWindow(const std::string& text, ccsim::FaultWindow* out,
@@ -204,22 +161,13 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  for (const auto& [key, value] : config.entries()) {
-    if (KnownKeys().count(key) == 0) {
-      std::cerr << "unknown key: " << key << "=" << value << "\n\n" << kUsage;
-      return 2;
-    }
-  }
-
+  // Every key is read before anything runs, so the unread-key check below
+  // sees the whole config; keys that only matter under a condition are read
+  // regardless.
   ccsim::SweepConfig sweep;
-  sweep.base.workload.ApplyConfig(config);
-
+  sweep.base.ApplyConfig(config);
   if (config.GetBoolOr("infinite", false)) {
     sweep.base.resources = ccsim::ResourceConfig::Infinite();
-  } else {
-    sweep.base.resources = ccsim::ResourceConfig::Finite(
-        static_cast<int>(config.GetIntOr("num_cpus", 1)),
-        static_cast<int>(config.GetIntOr("num_disks", 2)));
   }
 
   // Simulated resource-fault windows (docs/FAULTS.md, "Fault windows").
@@ -239,28 +187,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Fault-injection plan (docs/FAULTS.md). Installed before the sweep so
-  // sites fire from the first point; CCSIM_FAULTS, if also set, overrides
-  // when the runner reads the environment.
   const std::string faults_spec = config.GetStringOr("faults", "");
-  if (!faults_spec.empty()) {
-    ccsim::StatusOr<ccsim::FaultPlan> plan =
-        ccsim::FaultPlan::Parse(faults_spec);
-    if (!plan.ok()) {
-      std::cerr << "faults=" << faults_spec << ": "
-                << plan.status().ToString() << "\n";
-      return 1;
-    }
-    ccsim::InstallFaultPlan(*plan);
-  }
 
   std::string delay = config.GetStringOr("restart_delay", "");
+  const double fixed_delay_s = config.GetDoubleOr("fixed_delay_s", 1.0);
   if (delay == "none") {
     sweep.base.restart_delay_mode = ccsim::RestartDelayMode::kNone;
   } else if (delay == "fixed") {
     sweep.base.restart_delay_mode = ccsim::RestartDelayMode::kFixed;
-    sweep.base.fixed_restart_delay =
-        ccsim::FromSeconds(config.GetDoubleOr("fixed_delay_s", 1.0));
+    sweep.base.fixed_restart_delay = ccsim::FromSeconds(fixed_delay_s);
   } else if (delay == "adaptive") {
     sweep.base.restart_delay_mode = ccsim::RestartDelayMode::kAdaptive;
   } else if (!delay.empty()) {
@@ -281,9 +216,10 @@ int main(int argc, char** argv) {
   }
 
   std::string source = config.GetStringOr("source", "closed");
+  const double arrival_rate = config.GetDoubleOr("arrival_rate", 0.0);
   if (source == "open") {
     sweep.base.source_mode = ccsim::SourceMode::kOpen;
-    sweep.base.arrival_rate = config.GetDoubleOr("arrival_rate", 0.0);
+    sweep.base.arrival_rate = arrival_rate;
   } else if (source != "closed") {
     std::cerr << "unknown source mode: " << source << "\n";
     return 1;
@@ -291,7 +227,6 @@ int main(int argc, char** argv) {
   sweep.base.x_lock_on_read_intent =
       config.GetBoolOr("x_lock_on_read_intent", false);
   sweep.base.audit = config.GetBoolOr("audit", sweep.base.audit);
-  sweep.base.seed = static_cast<uint64_t>(config.GetIntOr("seed", 42));
 
   const std::string csv = config.GetStringOr("csv", "");
   sweep.base.obs.enabled = config.GetBoolOr("obs", false);
@@ -314,6 +249,47 @@ int main(int argc, char** argv) {
         slash == std::string::npos ? "." : csv.substr(0, slash);
   }
 
+  sweep.algorithms = ccsim::Split(
+      config.GetStringOr("algorithms", "blocking,immediate_restart,optimistic"),
+      ',');
+  sweep.mpls = config.Has("mpls") ? ParseIntList(*config.GetString("mpls"))
+                                  : ccsim::PaperMplLevels();
+
+  sweep.lengths.batches = static_cast<int>(config.GetIntOr("batches", 10));
+  sweep.lengths.batch_length =
+      ccsim::FromSeconds(config.GetDoubleOr("batch_seconds", 15.0));
+  sweep.lengths.warmup =
+      ccsim::FromSeconds(config.GetDoubleOr("warmup_seconds", 30.0));
+  sweep.lengths = ccsim::RunLengths::FromEnv(sweep.lengths);
+
+  // columns= replaces the default column set (CCSIM_REPORT_COLUMNS, applied
+  // inside PrintReportTable, still wins when set). A typo in the list is a
+  // hard error, same as the env knob.
+  ccsim::ReportColumns columns;
+  columns.percentiles = config.GetBoolOr("percentiles", false);
+  const std::string column_spec = config.GetStringOr("columns", "");
+  if (!column_spec.empty()) columns = ccsim::ReportColumns::Parse(column_spec);
+  const std::string title = config.GetStringOr("title", "run_config sweep");
+
+  if (!config.CheckAllRead(std::cerr)) {
+    std::cerr << "\n" << kUsage;
+    return 2;
+  }
+
+  // Fault-injection plan (docs/FAULTS.md). Installed before the sweep so
+  // sites fire from the first point; CCSIM_FAULTS, if also set, overrides
+  // when the runner reads the environment.
+  if (!faults_spec.empty()) {
+    ccsim::StatusOr<ccsim::FaultPlan> plan =
+        ccsim::FaultPlan::Parse(faults_spec);
+    if (!plan.ok()) {
+      std::cerr << "faults=" << faults_spec << ": "
+                << plan.status().ToString() << "\n";
+      return 1;
+    }
+    ccsim::InstallFaultPlan(*plan);
+  }
+
   std::unique_ptr<std::ofstream> trace_file;
   std::unique_ptr<ccsim::StreamTraceSink> trace_sink;
   if (lifecycle_trace) {
@@ -333,19 +309,6 @@ int main(int argc, char** argv) {
     // into an unreadable (and nondeterministically ordered) stream.
     sweep.jobs = 1;
   }
-
-  sweep.algorithms = ccsim::Split(
-      config.GetStringOr("algorithms", "blocking,immediate_restart,optimistic"),
-      ',');
-  sweep.mpls = config.Has("mpls") ? ParseIntList(*config.GetString("mpls"))
-                                  : ccsim::PaperMplLevels();
-
-  sweep.lengths.batches = static_cast<int>(config.GetIntOr("batches", 10));
-  sweep.lengths.batch_length =
-      ccsim::FromSeconds(config.GetDoubleOr("batch_seconds", 15.0));
-  sweep.lengths.warmup =
-      ccsim::FromSeconds(config.GetDoubleOr("warmup_seconds", 30.0));
-  sweep.lengths = ccsim::RunLengths::FromEnv(sweep.lengths);
 
   // The checked runner: a failed point (bad parameter combination, check
   // trip, watchdog budget) is reported and skipped while the rest of the
@@ -374,19 +337,7 @@ int main(int argc, char** argv) {
               << std::dec << "\n";
   }
 
-  // columns= replaces the default column set (CCSIM_REPORT_COLUMNS, applied
-  // inside PrintReportTable, still wins when set). A typo in the list is a
-  // hard error, same as the env knob.
-  ccsim::ReportColumns columns;
-  const std::string columns_spec = config.GetStringOr("columns", "");
-  if (!columns_spec.empty()) {
-    columns = ccsim::ReportColumns::Parse(columns_spec);
-  } else {
-    columns.percentiles = config.GetBoolOr("percentiles", false);
-  }
-  ccsim::PrintReportTable(std::cout,
-                          config.GetStringOr("title", "run_config sweep"),
-                          reports, columns);
+  ccsim::PrintReportTable(std::cout, title, reports, columns);
 
   if (!csv.empty()) {
     if (!ccsim::WriteReportCsv(csv, reports)) {

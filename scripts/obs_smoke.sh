@@ -4,7 +4,9 @@
 # Runs one bench point with the full observability stack on — phase
 # breakdown, time-series sampler, Perfetto trace export — and validates
 # the artifacts:
-#   * the report table carries the ph_* phase columns,
+#   * the report table header names every column group, and the fig03/fig04
+#     CSVs carry the 30 historical columns plus the 10 blame_* columns on
+#     every row,
 #   * every trace_*.json parses as JSON (structural check if python3 is
 #     absent) and is non-trivial,
 #   * every ts_*.csv is non-empty, rectangular, and time-monotone, with a
@@ -24,11 +26,36 @@ CCSIM_MPLS=25 CCSIM_CSV_DIR="${OUT}" CCSIM_SAMPLE_SECONDS=0.25 \
 CCSIM_TRACE="${OUT}" CCSIM_REPORT_COLUMNS=all \
   "${BENCH}" > "${OUT}/table.txt"
 
-# 1. Phase columns made it into the table.
-grep -q 'ph_blk' "${OUT}/table.txt" || {
-  echo "FAIL: report table has no phase columns"; cat "${OUT}/table.txt"; exit 1; }
+# 1. The `all` table header names every column group.
+for column in 'resp(s)' p50 blk_ratio d_util c_util avg_mpl ph_rdy wst_attr; do
+  grep -qF -- "${column}" "${OUT}/table.txt" || {
+    echo "FAIL: report table has no ${column} column"; cat "${OUT}/table.txt"
+    exit 1; }
+done
 
-# 2. Perfetto traces parse.
+# 2. The figure CSVs carry blame: the 30 historical columns, then the 10
+#    blame_* columns, on every row.
+HEADER='algorithm,mpl,throughput,throughput_hw,response_mean,response_sd,'
+HEADER+='response_p50,response_p90,response_p99,response_max,block_ratio,'
+HEADER+='restart_ratio,disk_util_total,disk_util_useful,cpu_util_total,'
+HEADER+='cpu_util_useful,avg_active_mpl,commits,restarts,blocks,'
+HEADER+='measured_seconds,phase_ready,phase_cc_block,phase_cpu,phase_disk,'
+HEADER+='phase_res_wait,phase_think,phase_restart_delay,phase_wasted,'
+HEADER+='phase_other,blame_wasted_us,blame_wasted_attr_us,blame_blocked_us,'
+HEADER+='blame_blocked_attr_us,blame_restarts_charged,blame_blocks_charged,'
+HEADER+='blame_genealogy_mean,blame_genealogy_max,blame_top_aborter_us,'
+HEADER+='blame_top_holder_us'
+for fig in fig03 fig04; do
+  csv="${OUT}/${fig}.csv"
+  [[ "$(head -n 1 "${csv}")" == "${HEADER}" ]] || {
+    echo "FAIL: ${csv} header is not the 30 + 10 blame columns"
+    head -n 1 "${csv}"; exit 1; }
+  awk -F, 'NF != 40 { print FILENAME ": row " NR " has " NF " fields"; exit 1 }
+           END { if (NR < 2) { print FILENAME ": no rows"; exit 1 } }' "${csv}"
+  echo "ok: ${csv}"
+done
+
+# 3. Perfetto traces parse.
 TRACES=("${OUT}"/trace_*.json)
 [[ -e "${TRACES[0]}" ]] || { echo "FAIL: no trace_*.json produced"; exit 1; }
 for trace in "${TRACES[@]}"; do
@@ -52,7 +79,7 @@ EOF
   echo "ok: ${trace}"
 done
 
-# 3. Time-series CSVs: non-empty, rectangular, strictly increasing time.
+# 4. Time-series CSVs: non-empty, rectangular, strictly increasing time.
 SERIES=("${OUT}"/ts_*.csv)
 [[ -e "${SERIES[0]}" ]] || { echo "FAIL: no ts_*.csv produced"; exit 1; }
 for csv in "${SERIES[@]}"; do

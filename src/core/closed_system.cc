@@ -12,6 +12,16 @@
 
 namespace ccsim {
 
+void EngineConfig::ApplyConfig(const Config& config) {
+  workload.ApplyConfig(config);
+  resources.num_cpus =
+      static_cast<int>(config.GetIntOr("num_cpus", resources.num_cpus));
+  resources.num_disks =
+      static_cast<int>(config.GetIntOr("num_disks", resources.num_disks));
+  seed = static_cast<uint64_t>(
+      config.GetIntOr("seed", static_cast<int64_t>(seed)));
+}
+
 // Streams 0-5 of the master seed, in docs/MODEL.md §1's fixed order, so a
 // run is a pure function of the seed.
 ClosedSystem::ClosedSystem(Simulator* sim, const EngineConfig& config)
@@ -68,9 +78,7 @@ ClosedSystem::ClosedSystem(Simulator* sim, const EngineConfig& config)
       std::max(config_.workload.num_terms, config_.workload.mpl)));
   terminal_commits_.assign(
       static_cast<size_t>(std::max(config_.workload.num_terms, 1)), 0);
-  class_response_.resize(static_cast<size_t>(config_.workload.ClassCount()));
-  class_commits_.assign(class_response_.size(), 0);
-  class_restarts_.assign(class_response_.size(), 0);
+  class_totals_.resize(static_cast<size_t>(config_.workload.ClassCount()));
   AttachListeners();
 }
 
@@ -307,8 +315,7 @@ bool ClosedSystem::Proceed(Txn& txn, CCDecision decision) {
       return true;
     case CCDecision::kBlocked:
       SetState(txn, TxnState::kBlocked);
-      ++batch_blocks_;
-      ++measured_blocks_;
+      ++batch_.blocks;
       Emit(EngineEventKind::kBlock, &txn);
       return false;
     case CCDecision::kRestart:
@@ -609,21 +616,21 @@ void ClosedSystem::Complete(TxnId id) {
   }
   double response = ToSeconds(sim_->Now() - txn.first_submit);
   restart_policy_.RecordResponse(response);
-  batch_response_.Add(response);
+  batch_.response.Add(response);
   measured_response_.Add(response);
   measured_response_hist_.Add(response);
-  auto class_index = static_cast<size_t>(txn.spec.class_index);
-  class_response_[class_index].Add(response);
-  ++class_commits_[class_index];
-  ++batch_commits_;
-  ++measured_commits_;
+  ClassTotals& class_totals =
+      class_totals_[static_cast<size_t>(txn.spec.class_index)];
+  class_totals.response.Add(response);
+  ++class_totals.commits;
+  ++batch_.commits;
   ++lifetime_commits_;
   if (txn.terminal >= 0 &&
       txn.terminal < static_cast<int>(terminal_commits_.size())) {
     ++terminal_commits_[static_cast<size_t>(txn.terminal)];
   }
-  batch_useful_cpu_ += txn.cpu_used;
-  batch_useful_disk_ += txn.disk_used;
+  batch_.useful_cpu += txn.cpu_used;
+  batch_.useful_disk += txn.disk_used;
   if (progress_ != nullptr) {
     progress_->commits.store(lifetime_commits_, std::memory_order_relaxed);
   }
@@ -658,10 +665,9 @@ void ClosedSystem::Restart(TxnId id, RestartCause cause) {
     sim_->Cancel(txn.pending_event);
     txn.pending_event = kInvalidEventId;
   }
-  ++batch_restarts_;
-  ++measured_restarts_;
+  ++batch_.restarts;
   ++lifetime_restarts_;
-  ++class_restarts_[static_cast<size_t>(txn.spec.class_index)];
+  ++class_totals_[static_cast<size_t>(txn.spec.class_index)].restarts;
   cc_->Abort(id);
   Deactivate();
 
@@ -816,67 +822,43 @@ void ClosedSystem::SetMpl(int new_mpl) {
 }
 
 void ClosedSystem::ResetMeasurement() {
-  batch_commits_ = 0;
-  batch_blocks_ = 0;
-  batch_restarts_ = 0;
-  batch_useful_cpu_ = 0;
-  batch_useful_disk_ = 0;
-  batch_response_.Reset();
-  measured_commits_ = 0;
   measured_blocks_ = 0;
-  measured_restarts_ = 0;
   measured_response_.Reset();
   measured_response_hist_ = Histogram(0.0, 600.0, 6000);
-  for (Welford& response : class_response_) response.Reset();
-  std::fill(class_commits_.begin(), class_commits_.end(), 0);
-  std::fill(class_restarts_.begin(), class_restarts_.end(), 0);
+  class_totals_.assign(class_totals_.size(), ClassTotals());
   // Fresh interval estimators: a second RunExperiment must not inherit the
   // previous measurement's batches.
-  throughput_bm_ = BatchMeans();
-  response_bm_ = BatchMeans();
-  block_ratio_bm_ = BatchMeans();
-  restart_ratio_bm_ = BatchMeans();
-  disk_total_bm_ = BatchMeans();
-  disk_useful_bm_ = BatchMeans();
-  cpu_total_bm_ = BatchMeans();
-  cpu_useful_bm_ = BatchMeans();
-  log_bm_ = BatchMeans();
+  estimators_ = Estimators();
   active_mpl_.ResetWindow(sim_->Now());
-  resources_.ResetWindow(sim_->Now());
   Emit(EngineEventKind::kMeasureReset);
 }
 
 void ClosedSystem::CloseBatch(SimTime batch_length) {
   SimTime now = sim_->Now();
   double seconds = ToSeconds(batch_length);
-  throughput_bm_.AddBatch(static_cast<double>(batch_commits_) / seconds);
-  if (batch_response_.count() > 0) {
-    response_bm_.AddBatch(batch_response_.Mean());
+  Estimators& e = estimators_;
+  e.throughput.AddBatch(static_cast<double>(batch_.commits) / seconds);
+  if (batch_.response.count() > 0) {
+    e.response.AddBatch(batch_.response.Mean());
   }
-  if (batch_commits_ > 0) {
-    block_ratio_bm_.AddBatch(static_cast<double>(batch_blocks_) /
-                             static_cast<double>(batch_commits_));
-    restart_ratio_bm_.AddBatch(static_cast<double>(batch_restarts_) /
-                               static_cast<double>(batch_commits_));
+  if (batch_.commits > 0) {
+    e.block_ratio.AddBatch(static_cast<double>(batch_.blocks) /
+                           static_cast<double>(batch_.commits));
+    e.restart_ratio.AddBatch(static_cast<double>(batch_.restarts) /
+                             static_cast<double>(batch_.commits));
   }
-  disk_total_bm_.AddBatch(resources_.DiskUtilization(now));
-  cpu_total_bm_.AddBatch(resources_.CpuUtilization(now));
-  log_bm_.AddBatch(resources_.LogUtilization(now));
+  e.disk_total.AddBatch(resources_.DiskUtilization(now));
+  e.cpu_total.AddBatch(resources_.CpuUtilization(now));
+  e.log.AddBatch(resources_.LogUtilization(now));
   if (!config_.resources.infinite) {
     double disk_capacity =
         seconds * static_cast<double>(config_.resources.num_disks);
     double cpu_capacity =
         seconds * static_cast<double>(config_.resources.num_cpus);
-    disk_useful_bm_.AddBatch(ToSeconds(batch_useful_disk_) / disk_capacity);
-    cpu_useful_bm_.AddBatch(ToSeconds(batch_useful_cpu_) / cpu_capacity);
+    e.disk_useful.AddBatch(ToSeconds(batch_.useful_disk) / disk_capacity);
+    e.cpu_useful.AddBatch(ToSeconds(batch_.useful_cpu) / cpu_capacity);
   }
-  batch_commits_ = 0;
-  batch_blocks_ = 0;
-  batch_restarts_ = 0;
-  batch_useful_cpu_ = 0;
-  batch_useful_disk_ = 0;
-  batch_response_.Reset();
-  resources_.ResetWindow(now);
+  measured_blocks_ += batch_.blocks;
 }
 
 MetricsReport ClosedSystem::RunExperiment(int batches, SimTime batch_length,
@@ -888,6 +870,8 @@ MetricsReport ClosedSystem::RunExperiment(int batches, SimTime batch_length,
   sim_->RunUntil(sim_->Now() + warmup);
   ResetMeasurement();
   for (int b = 0; b < batches; ++b) {
+    batch_ = BatchWindow();
+    resources_.ResetWindow(sim_->Now());
     sim_->RunUntil(sim_->Now() + batch_length);
     CloseBatch(batch_length);
   }
@@ -895,23 +879,21 @@ MetricsReport ClosedSystem::RunExperiment(int batches, SimTime batch_length,
   MetricsReport report;
   report.algorithm = cc_->name();
   report.mpl = mpl_;
-  report.throughput = throughput_bm_.Estimate();
-  report.response_mean = response_bm_.Estimate();
+  report.throughput = estimators_.throughput.Estimate();
+  report.response_mean = estimators_.response.Estimate();
   report.response_stddev = measured_response_.StdDev();
   report.response_p50 = measured_response_hist_.Quantile(0.50);
   report.response_p90 = measured_response_hist_.Quantile(0.90);
   report.response_p99 = measured_response_hist_.Quantile(0.99);
   report.response_max = measured_response_.Max();
-  report.block_ratio = block_ratio_bm_.Estimate();
-  report.restart_ratio = restart_ratio_bm_.Estimate();
-  report.disk_util_total = disk_total_bm_.Estimate();
-  report.disk_util_useful = disk_useful_bm_.Estimate();
-  report.cpu_util_total = cpu_total_bm_.Estimate();
-  report.cpu_util_useful = cpu_useful_bm_.Estimate();
-  report.log_util = log_bm_.Estimate();
+  report.block_ratio = estimators_.block_ratio.Estimate();
+  report.restart_ratio = estimators_.restart_ratio.Estimate();
+  report.disk_util_total = estimators_.disk_total.Estimate();
+  report.disk_util_useful = estimators_.disk_useful.Estimate();
+  report.cpu_util_total = estimators_.cpu_total.Estimate();
+  report.cpu_util_useful = estimators_.cpu_useful.Estimate();
+  report.log_util = estimators_.log.Estimate();
   report.avg_active_mpl = active_mpl_.Average(sim_->Now());
-  report.commits = measured_commits_;
-  report.restarts = measured_restarts_;
   report.blocks = measured_blocks_;
   report.measured_seconds = ToSeconds(batch_length) * batches;
   report.batches = batches;
@@ -930,14 +912,17 @@ MetricsReport ClosedSystem::RunExperiment(int batches, SimTime batch_length,
     report.replay_digest = auditor.digest();
   }
   if (obs_ != nullptr) obs_->Report(&report.phases, &report.blame);
-  for (size_t i = 0; i < class_response_.size(); ++i) {
+  for (size_t i = 0; i < class_totals_.size(); ++i) {
+    const ClassTotals& totals = class_totals_[i];
     ClassMetrics metrics;
     metrics.name = config_.workload.ClassName(static_cast<int>(i));
-    metrics.commits = class_commits_[i];
-    metrics.restarts = class_restarts_[i];
-    metrics.response_mean = class_response_[i].Mean();
-    metrics.response_stddev = class_response_[i].StdDev();
-    metrics.response_max = class_response_[i].Max();
+    metrics.commits = totals.commits;
+    metrics.restarts = totals.restarts;
+    metrics.response_mean = totals.response.Mean();
+    metrics.response_stddev = totals.response.StdDev();
+    metrics.response_max = totals.response.Max();
+    report.commits += totals.commits;
+    report.restarts += totals.restarts;
     report.per_class.push_back(std::move(metrics));
   }
   return report;

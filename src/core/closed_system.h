@@ -40,6 +40,7 @@
 #include "stats/histogram.h"
 #include "stats/time_weighted.h"
 #include "stats/welford.h"
+#include "util/config.h"
 #include "util/dense_table.h"
 #include "util/random.h"
 #include "wl/workload.h"
@@ -129,6 +130,11 @@ struct EngineConfig {
   /// production configs leave it empty.
   std::function<std::unique_ptr<ConcurrencyControl>(const EngineConfig&)>
       cc_factory;
+
+  /// Applies the `key=value` overrides the example drivers share: every
+  /// WorkloadParams::ApplyConfig key, num_cpus, num_disks and seed. Absent
+  /// keys keep the current values.
+  void ApplyConfig(const Config& config);
 };
 
 /// The simulation engine. Owns the workload, resources, and the concurrency
@@ -415,26 +421,32 @@ class ClosedSystem : private ServiceSink, private EventHandler {
   int active_count_ = 0;
   TimeWeightedValue active_mpl_;
 
-  // Batch-window counters.
-  int64_t batch_commits_ = 0;
-  int64_t batch_blocks_ = 0;
-  int64_t batch_restarts_ = 0;
-  SimTime batch_useful_cpu_ = 0;
-  SimTime batch_useful_disk_ = 0;
-  Welford batch_response_;
+  /// The open batch window's counts, zeroed as each batch opens.
+  struct BatchWindow {
+    int64_t commits = 0;
+    int64_t blocks = 0;
+    int64_t restarts = 0;
+    SimTime useful_cpu = 0;
+    SimTime useful_disk = 0;
+    Welford response;
+  };
+  BatchWindow batch_;
 
-  // Measurement-period accumulators.
-  int64_t measured_commits_ = 0;
+  // Measurement-period accumulators. Blocks are summed from closed batches
+  // (every measured event falls inside one); commits and restarts are the
+  // per-class totals' sums.
   int64_t measured_blocks_ = 0;
-  int64_t measured_restarts_ = 0;
   Welford measured_response_;
   /// Response-time distribution for percentile reporting (0.1 s resolution
   /// up to 10 minutes; the overflow share is reported alongside).
   Histogram measured_response_hist_{0.0, 600.0, 6000};
-  /// Per-class accumulators (single entry for single-class workloads).
-  std::vector<Welford> class_response_;
-  std::vector<int64_t> class_commits_;
-  std::vector<int64_t> class_restarts_;
+  struct ClassTotals {
+    Welford response;
+    int64_t commits = 0;
+    int64_t restarts = 0;
+  };
+  /// Per-class totals (single entry for single-class workloads).
+  std::vector<ClassTotals> class_totals_;
 
   // Lifetime counters (include warmup).
   int64_t lifetime_commits_ = 0;
@@ -442,16 +454,19 @@ class ClosedSystem : private ServiceSink, private EventHandler {
   /// Lifetime commits per terminal (kClosed) — the liveness oracle's view.
   std::vector<int64_t> terminal_commits_;
 
-  // Batch-means estimators.
-  BatchMeans throughput_bm_;
-  BatchMeans response_bm_;
-  BatchMeans block_ratio_bm_;
-  BatchMeans restart_ratio_bm_;
-  BatchMeans disk_total_bm_;
-  BatchMeans disk_useful_bm_;
-  BatchMeans cpu_total_bm_;
-  BatchMeans cpu_useful_bm_;
-  BatchMeans log_bm_;
+  /// One batch-means estimator per reported interval.
+  struct Estimators {
+    BatchMeans throughput;
+    BatchMeans response;
+    BatchMeans block_ratio;
+    BatchMeans restart_ratio;
+    BatchMeans disk_total;
+    BatchMeans disk_useful;
+    BatchMeans cpu_total;
+    BatchMeans cpu_useful;
+    BatchMeans log;
+  };
+  Estimators estimators_;
 
   // Listeners, attached only when their config field asks for them.
   // listeners_ runs them in this order: the auditor's end-of-run checks must

@@ -1,6 +1,7 @@
 #include "core/report.h"
 
 #include <algorithm>
+#include <variant>
 
 #include "inject/fault.h"
 #include "util/check.h"
@@ -9,34 +10,189 @@
 #include "util/str.h"
 
 namespace ccsim {
+namespace {
+
+using C = ReportColumns;
+using R = MetricsReport;
+
+/// One column's value in one report: text, an integer or a real.
+using Cell = std::variant<std::string, int64_t, double>;
+
+/// One report column. A column has a CSV name, a table header, or both; the
+/// table prints it `width` wide (negative left-aligns, as in printf), a real
+/// with `decimals` places.
+struct Column {
+  const char* csv;
+  const char* table;
+  int width;
+  int decimals;
+  bool C::*group;  ///< The flag that shows it; nullptr: always shown.
+  Cell (*get)(const R&);
+};
+
+/// An attribution fraction; 0/0 (no wasted or blocked time at all) is 0.
+double Fraction(int64_t part, int64_t whole) {
+  return whole > 0 ? static_cast<double>(part) / whole : 0.0;
+}
+
+/// Every column, in CSV order, which is also the table's order.
+constexpr Column kColumns[] = {
+    {"algorithm", "algorithm", -18, 0, nullptr,
+     [](const R& r) -> Cell { return r.algorithm; }},
+    {"mpl", "mpl", 5, 0, nullptr,
+     [](const R& r) -> Cell { return int64_t{r.mpl}; }},
+    {"throughput", "thruput", 9, 2, nullptr,
+     [](const R& r) -> Cell { return r.throughput.mean; }},
+    {"throughput_hw", "+-90%", 7, 2, nullptr,
+     [](const R& r) -> Cell { return r.throughput.half_width; }},
+    {"response_mean", "resp(s)", 8, 2, &C::response,
+     [](const R& r) -> Cell { return r.response_mean.mean; }},
+    {"response_sd", "resp_sd", 8, 2, &C::response,
+     [](const R& r) -> Cell { return r.response_stddev; }},
+    {"response_p50", "p50", 7, 2, &C::percentiles,
+     [](const R& r) -> Cell { return r.response_p50; }},
+    {"response_p90", "p90", 7, 2, &C::percentiles,
+     [](const R& r) -> Cell { return r.response_p90; }},
+    {"response_p99", "p99", 7, 2, &C::percentiles,
+     [](const R& r) -> Cell { return r.response_p99; }},
+    {"response_max", nullptr, 0, 0, nullptr,
+     [](const R& r) -> Cell { return r.response_max; }},
+    {"block_ratio", "blk_ratio", 9, 3, &C::ratios,
+     [](const R& r) -> Cell { return r.block_ratio.mean; }},
+    {"restart_ratio", "rst_ratio", 9, 3, &C::ratios,
+     [](const R& r) -> Cell { return r.restart_ratio.mean; }},
+    {"disk_util_total", "d_util", 7, 3, &C::disk_util,
+     [](const R& r) -> Cell { return r.disk_util_total.mean; }},
+    {"disk_util_useful", "d_usefl", 7, 3, &C::disk_util,
+     [](const R& r) -> Cell { return r.disk_util_useful.mean; }},
+    {"cpu_util_total", "c_util", 7, 3, &C::cpu_util,
+     [](const R& r) -> Cell { return r.cpu_util_total.mean; }},
+    {"cpu_util_useful", "c_usefl", 7, 3, &C::cpu_util,
+     [](const R& r) -> Cell { return r.cpu_util_useful.mean; }},
+    {"avg_active_mpl", "avg_mpl", 8, 1, &C::avg_mpl,
+     [](const R& r) -> Cell { return r.avg_active_mpl; }},
+    {"commits", nullptr, 0, 0, nullptr,
+     [](const R& r) -> Cell { return r.commits; }},
+    {"restarts", nullptr, 0, 0, nullptr,
+     [](const R& r) -> Cell { return r.restarts; }},
+    {"blocks", nullptr, 0, 0, nullptr,
+     [](const R& r) -> Cell { return r.blocks; }},
+    {"measured_seconds", nullptr, 0, 0, nullptr,
+     [](const R& r) -> Cell { return r.measured_seconds; }},
+    {"phase_ready", "ph_rdy", 7, 2, &C::phases,
+     [](const R& r) -> Cell { return r.phases.ready; }},
+    {"phase_cc_block", "ph_blk", 7, 2, &C::phases,
+     [](const R& r) -> Cell { return r.phases.cc_block; }},
+    {"phase_cpu", "ph_cpu", 7, 2, &C::phases,
+     [](const R& r) -> Cell { return r.phases.cpu; }},
+    {"phase_disk", "ph_dsk", 7, 2, &C::phases,
+     [](const R& r) -> Cell { return r.phases.disk; }},
+    {"phase_res_wait", "ph_rwt", 7, 2, &C::phases,
+     [](const R& r) -> Cell { return r.phases.resource_wait; }},
+    {"phase_think", "ph_thk", 7, 2, &C::phases,
+     [](const R& r) -> Cell { return r.phases.think; }},
+    {"phase_restart_delay", "ph_rdl", 7, 2, &C::phases,
+     [](const R& r) -> Cell { return r.phases.restart_delay; }},
+    {"phase_wasted", "ph_wst", 7, 2, &C::phases,
+     [](const R& r) -> Cell { return r.phases.wasted; }},
+    {"phase_other", "ph_oth", 7, 2, &C::phases,
+     [](const R& r) -> Cell { return r.phases.other; }},
+    {nullptr, "wst_attr", 8, 3, &C::blame, [](const R& r) -> Cell {
+       return Fraction(r.blame.wasted_attributed_us, r.blame.wasted_us);
+     }},
+    {nullptr, "blk_attr", 8, 3, &C::blame, [](const R& r) -> Cell {
+       return Fraction(r.blame.blocked_attributed_us, r.blame.blocked_us);
+     }},
+    {"blame_wasted_us", nullptr, 0, 0, &C::blame,
+     [](const R& r) -> Cell { return r.blame.wasted_us; }},
+    {"blame_wasted_attr_us", nullptr, 0, 0, &C::blame,
+     [](const R& r) -> Cell { return r.blame.wasted_attributed_us; }},
+    {"blame_blocked_us", nullptr, 0, 0, &C::blame,
+     [](const R& r) -> Cell { return r.blame.blocked_us; }},
+    {"blame_blocked_attr_us", nullptr, 0, 0, &C::blame,
+     [](const R& r) -> Cell { return r.blame.blocked_attributed_us; }},
+    {"blame_restarts_charged", nullptr, 0, 0, &C::blame,
+     [](const R& r) -> Cell { return r.blame.restarts_charged; }},
+    {"blame_blocks_charged", nullptr, 0, 0, &C::blame,
+     [](const R& r) -> Cell { return r.blame.blocks_charged; }},
+    {"blame_genealogy_mean", "gen_avg", 7, 2, &C::blame,
+     [](const R& r) -> Cell { return r.blame.genealogy_mean; }},
+    {"blame_genealogy_max", "gen_max", 7, 0, &C::blame,
+     [](const R& r) -> Cell { return r.blame.genealogy_max; }},
+    {"blame_top_aborter_us", nullptr, 0, 0, &C::blame,
+     [](const R& r) -> Cell { return r.blame.top_aborter_wasted_us; }},
+    {"blame_top_holder_us", nullptr, 0, 0, &C::blame,
+     [](const R& r) -> Cell { return r.blame.top_holder_blocked_us; }},
+};
+
+/// The column groups a ReportColumns spec names, in table order.
+constexpr struct {
+  const char* name;
+  bool C::*flag;
+} kGroups[] = {{"response", &C::response}, {"percentiles", &C::percentiles},
+               {"ratios", &C::ratios},     {"disk", &C::disk_util},
+               {"cpu", &C::cpu_util},      {"mpl", &C::avg_mpl},
+               {"phases", &C::phases},     {"blame", &C::blame}};
+
+/// "response, percentiles, ..., blame, or all".
+std::string GroupList() {
+  std::string list;
+  for (const auto& group : kGroups) list += std::string(group.name) + ", ";
+  return list + "or all";
+}
+
+bool CollectedBlame(const R& r) { return r.blame.collected; }
+
+/// The columns with a `name` in this rendering whose group `groups` shows.
+std::vector<const Column*> Shown(const char* Column::*name, const C& groups) {
+  std::vector<const Column*> shown;
+  for (const Column& column : kColumns) {
+    if (column.*name != nullptr &&
+        (column.group == nullptr || groups.*column.group)) {
+      shown.push_back(&column);
+    }
+  }
+  return shown;
+}
+
+std::string CsvField(const Cell& cell) {
+  if (const auto* text = std::get_if<std::string>(&cell)) return *text;
+  if (const auto* n = std::get_if<int64_t>(&cell)) return CsvWriter::Field(*n);
+  return CsvWriter::Field(std::get<double>(cell));
+}
+
+std::string TableField(const Column& column, const Cell& cell) {
+  if (const auto* text = std::get_if<std::string>(&cell)) {
+    return StringPrintf("%*s", column.width, text->c_str());
+  }
+  if (const auto* n = std::get_if<int64_t>(&cell)) {
+    return StringPrintf("%*lld", column.width, static_cast<long long>(*n));
+  }
+  return StringPrintf("%*.*f", column.width, column.decimals,
+                      std::get<double>(cell));
+}
+
+}  // namespace
+
+ReportColumns ReportColumns::ThroughputOnly() {
+  ReportColumns columns;
+  for (const auto& group : kGroups) columns.*group.flag = false;
+  return columns;
+}
 
 ReportColumns ReportColumns::Parse(const std::string& spec) {
   ReportColumns columns = ThroughputOnly();
   for (const std::string& token : Split(spec, ',')) {
     if (token.empty()) continue;  // Tolerate "a,,b" / trailing commas.
-    if (token == "response") {
-      columns.response = true;
-    } else if (token == "percentiles") {
-      columns.percentiles = true;
-    } else if (token == "ratios") {
-      columns.ratios = true;
-    } else if (token == "disk") {
-      columns.disk_util = true;
-    } else if (token == "cpu") {
-      columns.cpu_util = true;
-    } else if (token == "mpl") {
-      columns.avg_mpl = true;
-    } else if (token == "phases") {
-      columns.phases = true;
-    } else if (token == "blame") {
-      columns.blame = true;
-    } else if (token == "all") {
-      columns = ReportColumns{true, true, true, true, true, true, true, true};
-    } else {
-      CCSIM_CHECK(false) << "report columns: unknown column group '" << token
-                         << "' (expected response, percentiles, ratios, "
-                            "disk, cpu, mpl, phases, blame, or all)";
+    bool known = false;
+    for (const auto& group : kGroups) {
+      if (token == group.name || token == "all") {
+        columns.*group.flag = true;
+        known = true;
+      }
     }
+    CCSIM_CHECK(known) << "report columns: unknown column group '" << token
+                       << "' (expected " << GroupList() << ")";
   }
   return columns;
 }
@@ -50,75 +206,26 @@ ReportColumns ReportColumns::FromEnv(const ReportColumns& defaults) {
 void PrintReportTable(std::ostream& out, const std::string& title,
                       const std::vector<MetricsReport>& reports,
                       const ReportColumns& requested) {
-  ReportColumns columns = ReportColumns::FromEnv(requested);
-  out << "\n== " << title << " ==\n";
-  std::string header =
-      StringPrintf("%-18s %5s %9s %7s", "algorithm", "mpl", "thruput", "+-90%");
-  if (columns.response) header += StringPrintf(" %8s %8s", "resp(s)", "resp_sd");
-  if (columns.percentiles) {
-    header += StringPrintf(" %7s %7s %7s", "p50", "p90", "p99");
+  const std::vector<const Column*> shown =
+      Shown(&Column::table, ReportColumns::FromEnv(requested));
+  std::string header;
+  for (const Column* column : shown) {
+    if (!header.empty()) header += ' ';
+    header += StringPrintf("%*s", column->width, column->table);
   }
-  if (columns.ratios) header += StringPrintf(" %9s %9s", "blk_ratio", "rst_ratio");
-  if (columns.disk_util) header += StringPrintf(" %7s %7s", "d_util", "d_usefl");
-  if (columns.cpu_util) header += StringPrintf(" %7s %7s", "c_util", "c_usefl");
-  if (columns.avg_mpl) header += StringPrintf(" %8s", "avg_mpl");
-  if (columns.phases) {
-    header += StringPrintf(" %7s %7s %7s %7s %7s %7s %7s %7s %7s", "ph_rdy",
-                           "ph_blk", "ph_cpu", "ph_dsk", "ph_rwt", "ph_thk",
-                           "ph_rdl", "ph_wst", "ph_oth");
-  }
-  if (columns.blame) {
-    header += StringPrintf(" %8s %8s %7s %7s", "wst_attr", "blk_attr",
-                           "gen_avg", "gen_max");
-  }
-  out << header << "\n" << std::string(header.size(), '-') << "\n";
-
-  const std::string* last_algorithm = nullptr;
+  out << "\n== " << title << " ==\n"
+      << header << "\n" << std::string(header.size(), '-') << "\n";
+  const MetricsReport* last = nullptr;
   for (const MetricsReport& r : reports) {
-    if (last_algorithm != nullptr && *last_algorithm != r.algorithm) out << "\n";
-    last_algorithm = &r.algorithm;
-    std::string row = StringPrintf("%-18s %5d %9.2f %7.2f", r.algorithm.c_str(),
-                                   r.mpl, r.throughput.mean,
-                                   r.throughput.half_width);
-    if (columns.response) {
-      row += StringPrintf(" %8.2f %8.2f", r.response_mean.mean, r.response_stddev);
+    // A blank line separates algorithms, which the first column names.
+    if (last != nullptr && kColumns[0].get(*last) != kColumns[0].get(r)) {
+      out << "\n";
     }
-    if (columns.percentiles) {
-      row += StringPrintf(" %7.2f %7.2f %7.2f", r.response_p50, r.response_p90,
-                          r.response_p99);
-    }
-    if (columns.ratios) {
-      row += StringPrintf(" %9.3f %9.3f", r.block_ratio.mean, r.restart_ratio.mean);
-    }
-    if (columns.disk_util) {
-      row += StringPrintf(" %7.3f %7.3f", r.disk_util_total.mean,
-                          r.disk_util_useful.mean);
-    }
-    if (columns.cpu_util) {
-      row += StringPrintf(" %7.3f %7.3f", r.cpu_util_total.mean,
-                          r.cpu_util_useful.mean);
-    }
-    if (columns.avg_mpl) row += StringPrintf(" %8.1f", r.avg_active_mpl);
-    if (columns.phases) {
-      const PhaseBreakdown& p = r.phases;
-      row += StringPrintf(" %7.2f %7.2f %7.2f %7.2f %7.2f %7.2f %7.2f %7.2f %7.2f",
-                          p.ready, p.cc_block, p.cpu, p.disk, p.resource_wait,
-                          p.think, p.restart_delay, p.wasted, p.other);
-    }
-    if (columns.blame) {
-      const BlameBreakdown& b = r.blame;
-      // Attribution fractions; 0/0 (no wasted/blocked time at all) prints 0.
-      const double wst_attr =
-          b.wasted_us > 0
-              ? static_cast<double>(b.wasted_attributed_us) / b.wasted_us
-              : 0.0;
-      const double blk_attr =
-          b.blocked_us > 0
-              ? static_cast<double>(b.blocked_attributed_us) / b.blocked_us
-              : 0.0;
-      row += StringPrintf(" %8.3f %8.3f %7.2f %7lld", wst_attr, blk_attr,
-                          b.genealogy_mean,
-                          static_cast<long long>(b.genealogy_max));
+    last = &r;
+    std::string row;
+    for (const Column* column : shown) {
+      if (!row.empty()) row += ' ';
+      row += TableField(*column, column->get(r));
     }
     out << row << "\n";
   }
@@ -158,74 +265,19 @@ bool WriteReportCsv(const std::string& path,
   if (FaultPoint(FaultSite::kCsvWrite)) return false;
   CsvWriter csv(path);
   if (!csv.ok()) return false;
-  // Blame columns appear only when at least one report carries blame data
-  // (observability runs). Plain runs keep the historical 30-column layout
-  // byte-for-byte, which the reference-CSV diffs in scripts/bench_smoke.sh
-  // depend on.
-  bool any_blame = false;
-  for (const MetricsReport& r : reports) any_blame |= r.blame.collected;
-  std::vector<std::string> header = {
-      "algorithm", "mpl", "throughput", "throughput_hw", "response_mean",
-      "response_sd", "response_p50", "response_p90", "response_p99",
-      "response_max", "block_ratio", "restart_ratio", "disk_util_total",
-      "disk_util_useful", "cpu_util_total", "cpu_util_useful",
-      "avg_active_mpl", "commits", "restarts", "blocks", "measured_seconds",
-      "phase_ready", "phase_cc_block", "phase_cpu", "phase_disk",
-      "phase_res_wait", "phase_think", "phase_restart_delay", "phase_wasted",
-      "phase_other"};
-  if (any_blame) {
-    for (const char* name :
-         {"blame_wasted_us", "blame_wasted_attr_us", "blame_blocked_us",
-          "blame_blocked_attr_us", "blame_restarts_charged",
-          "blame_blocks_charged", "blame_genealogy_mean",
-          "blame_genealogy_max", "blame_top_aborter_us",
-          "blame_top_holder_us"}) {
-      header.push_back(name);
-    }
-  }
-  csv.WriteRow(header);
+  // Every group, but the blame columns only when at least one report
+  // carries blame data (observability runs). Plain runs keep the historical
+  // 30-column layout byte-for-byte, which the reference-CSV diffs in
+  // scripts/bench_smoke.sh depend on.
+  ReportColumns groups = ReportColumns::Parse("all");
+  groups.blame = std::any_of(reports.begin(), reports.end(), CollectedBlame);
+  const std::vector<const Column*> shown = Shown(&Column::csv, groups);
+  std::vector<std::string> row;
+  for (const Column* column : shown) row.push_back(column->csv);
+  csv.WriteRow(row);
   for (const MetricsReport& r : reports) {
-    std::vector<std::string> row =
-        {r.algorithm, CsvWriter::Field(static_cast<int64_t>(r.mpl)),
-                  CsvWriter::Field(r.throughput.mean),
-                  CsvWriter::Field(r.throughput.half_width),
-                  CsvWriter::Field(r.response_mean.mean),
-                  CsvWriter::Field(r.response_stddev),
-                  CsvWriter::Field(r.response_p50),
-                  CsvWriter::Field(r.response_p90),
-                  CsvWriter::Field(r.response_p99),
-                  CsvWriter::Field(r.response_max),
-                  CsvWriter::Field(r.block_ratio.mean),
-                  CsvWriter::Field(r.restart_ratio.mean),
-                  CsvWriter::Field(r.disk_util_total.mean),
-                  CsvWriter::Field(r.disk_util_useful.mean),
-                  CsvWriter::Field(r.cpu_util_total.mean),
-                  CsvWriter::Field(r.cpu_util_useful.mean),
-                  CsvWriter::Field(r.avg_active_mpl),
-                  CsvWriter::Field(r.commits), CsvWriter::Field(r.restarts),
-                  CsvWriter::Field(r.blocks),
-                  CsvWriter::Field(r.measured_seconds),
-                  CsvWriter::Field(r.phases.ready),
-                  CsvWriter::Field(r.phases.cc_block),
-                  CsvWriter::Field(r.phases.cpu),
-                  CsvWriter::Field(r.phases.disk),
-                  CsvWriter::Field(r.phases.resource_wait),
-                  CsvWriter::Field(r.phases.think),
-                  CsvWriter::Field(r.phases.restart_delay),
-                  CsvWriter::Field(r.phases.wasted),
-                  CsvWriter::Field(r.phases.other)};
-    if (any_blame) {
-      const BlameBreakdown& b = r.blame;
-      for (int64_t v :
-           {b.wasted_us, b.wasted_attributed_us, b.blocked_us,
-            b.blocked_attributed_us, b.restarts_charged, b.blocks_charged}) {
-        row.push_back(CsvWriter::Field(v));
-      }
-      row.push_back(CsvWriter::Field(b.genealogy_mean));
-      row.push_back(CsvWriter::Field(b.genealogy_max));
-      row.push_back(CsvWriter::Field(b.top_aborter_wasted_us));
-      row.push_back(CsvWriter::Field(b.top_holder_blocked_us));
-    }
+    row.clear();
+    for (const Column* column : shown) row.push_back(CsvField(column->get(r)));
     csv.WriteRow(row);
   }
   // Finish() flushes and reports stream health, so a write that hit a full

@@ -23,10 +23,8 @@ struct ReportColumns {
   bool phases = false;       ///< Per-phase response breakdown (obs runs).
   bool blame = false;        ///< Blame attribution summary (obs runs).
 
-  static ReportColumns ThroughputOnly() {
-    return ReportColumns{false, false, false, false,
-                         false, false, false, false};
-  }
+  /// Every group off: throughput, mpl and algorithm only.
+  static ReportColumns ThroughputOnly();
 
   /// Parses a comma-separated column-group spec (response, percentiles,
   /// ratios, disk, cpu, mpl, phases, blame, or all) into a ReportColumns

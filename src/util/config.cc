@@ -1,5 +1,7 @@
 #include "util/config.h"
 
+#include <ostream>
+
 #include "util/check.h"
 #include "util/str.h"
 
@@ -47,13 +49,13 @@ bool Config::ParseArgs(const std::vector<std::string>& args, std::string* error)
 
 void Config::Set(const std::string& key, const std::string& value) {
   entries_[key] = value;
+  unread_.insert(key);
 }
-
-bool Config::Has(const std::string& key) const { return entries_.count(key) > 0; }
 
 std::optional<std::string> Config::GetString(const std::string& key) const {
   auto it = entries_.find(key);
   if (it == entries_.end()) return std::nullopt;
+  unread_.erase(key);
   return it->second;
 }
 
@@ -99,6 +101,13 @@ bool Config::GetBoolOr(const std::string& key, bool fallback) const {
 std::string Config::GetStringOr(const std::string& key,
                                 const std::string& fallback) const {
   return GetString(key).value_or(fallback);
+}
+
+bool Config::CheckAllRead(std::ostream& err) const {
+  for (const std::string& key : unread_) {
+    err << "unknown key: " << key << "=" << entries_.at(key) << "\n";
+  }
+  return unread_.empty();
 }
 
 }  // namespace ccsim

@@ -6,15 +6,19 @@
 #ifndef CCSIM_UTIL_CONFIG_H_
 #define CCSIM_UTIL_CONFIG_H_
 
+#include <iosfwd>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace ccsim {
 
-/// A flat string-to-string configuration with typed accessors.
+/// A flat string-to-string configuration with typed accessors. Lookups
+/// record which keys were read, so a const Config is still not safe to share
+/// between threads.
 class Config {
  public:
   Config() = default;
@@ -30,7 +34,7 @@ class Config {
   /// Sets a key, overwriting any previous value.
   void Set(const std::string& key, const std::string& value);
 
-  bool Has(const std::string& key) const;
+  bool Has(const std::string& key) const { return GetString(key).has_value(); }
 
   /// Typed getters return nullopt when the key is absent; they abort via
   /// CCSIM_CHECK if the key is present but malformed, because a silently
@@ -45,10 +49,17 @@ class Config {
   bool GetBoolOr(const std::string& key, bool fallback) const;
   std::string GetStringOr(const std::string& key, const std::string& fallback) const;
 
-  const std::map<std::string, std::string>& entries() const { return entries_; }
+  /// True when Has or a getter looked up every key that was set. Otherwise
+  /// prints "unknown key: <key>=<value>" to `err` for each key nothing read,
+  /// and returns false. A driver checks this after its last read and before
+  /// it runs anything: such a key is a misspelling that would otherwise
+  /// silently leave the experiment at its default.
+  bool CheckAllRead(std::ostream& err) const;
 
  private:
   std::map<std::string, std::string> entries_;
+  /// The keys set since Has or a getter last looked them up.
+  mutable std::set<std::string> unread_;
 };
 
 }  // namespace ccsim

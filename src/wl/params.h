@@ -106,10 +106,10 @@ struct WorkloadParams {
   /// are ids [0, HotSetSize()).
   int64_t HotSetSize() const;
 
-  /// Applies `key=value` overrides from a Config; recognized keys match the
-  /// paper's parameter names (db_size, tran_size, min_size, max_size,
-  /// write_prob, num_terms, mpl, ext_think_time, int_think_time, obj_io,
-  /// obj_cpu, cc_cpu; times in seconds except obj_io/obj_cpu/cc_cpu in ms).
+  /// Applies `key=value` overrides from a Config. Each key is a field's
+  /// name, except that the service and log times are read in milliseconds
+  /// as obj_io_ms, obj_cpu_ms, cc_cpu_ms and log_io_ms; think times are in
+  /// seconds. The function body is the list of keys.
   void ApplyConfig(const Config& config);
 };
 

@@ -1,5 +1,8 @@
 // Integration tests for the closed-system engine: lifecycle, admission
 // control, metrics plumbing, determinism, and queueing-theory sanity checks.
+#include <sstream>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "closure_events.h"
@@ -33,6 +36,21 @@ EngineConfig SmallConfig(const std::string& algorithm) {
   config.algorithm = algorithm;
   config.seed = 7;
   return config;
+}
+
+TEST(EngineConfigTest, ApplyConfigReadsWorkloadResourcesAndSeed) {
+  EngineConfig engine;
+  Config config;
+  std::string error;
+  ASSERT_TRUE(config.ParseArgs({"mpl=7", "num_cpus=3", "seed=9"}, &error));
+  engine.ApplyConfig(config);
+  EXPECT_EQ(engine.workload.mpl, 7);
+  EXPECT_EQ(engine.resources.num_cpus, 3);
+  EXPECT_EQ(engine.resources.num_disks, 2);  // Absent keys keep their values.
+  EXPECT_FALSE(engine.resources.infinite);
+  EXPECT_EQ(engine.seed, 9u);
+  std::ostringstream unread;
+  EXPECT_TRUE(config.CheckAllRead(unread)) << unread.str();
 }
 
 TEST(EngineTest, EveryAlgorithmCommits) {

@@ -144,6 +144,52 @@ TEST(ConfigTest, LastSetWins) {
   EXPECT_EQ(config.GetInt("k").value(), 2);
 }
 
+// What Config::CheckAllRead prints; empty when every key was read.
+std::string UnreadReport(const Config& config) {
+  std::ostringstream err;
+  const bool all_read = config.CheckAllRead(err);
+  EXPECT_EQ(all_read, err.str().empty());
+  return err.str();
+}
+
+TEST(ConfigTest, KeysReadThroughHasOrAnyGetterAreNotReported) {
+  Config config;
+  std::string error;
+  ASSERT_TRUE(config.ParseArgs({"has=x", "s=x", "i=1", "d=1.5", "b=true",
+                                "so=x", "io=1", "do=1.5", "bo=true"},
+                               &error));
+  EXPECT_TRUE(config.Has("has"));
+  EXPECT_TRUE(config.GetString("s").has_value());
+  EXPECT_TRUE(config.GetInt("i").has_value());
+  EXPECT_TRUE(config.GetDouble("d").has_value());
+  EXPECT_TRUE(config.GetBool("b").has_value());
+  EXPECT_EQ(config.GetStringOr("so", ""), "x");
+  EXPECT_EQ(config.GetIntOr("io", 0), 1);
+  EXPECT_DOUBLE_EQ(config.GetDoubleOr("do", 0.0), 1.5);
+  EXPECT_TRUE(config.GetBoolOr("bo", false));
+  EXPECT_EQ(UnreadReport(config), "");
+}
+
+TEST(ConfigTest, KeyOnlySetIsReported) {
+  Config config;
+  std::string error;
+  ASSERT_TRUE(
+      config.ParseText("mpl = 5\nwrite_prb = 0.9\nmpll = 3\n", &error));
+  EXPECT_EQ(config.GetIntOr("mpl", 1), 5);
+  EXPECT_EQ(UnreadReport(config),
+            "unknown key: mpll=3\nunknown key: write_prb=0.9\n");
+}
+
+TEST(ConfigTest, LookingUpAnAbsentKeyAddsNothing) {
+  Config config;
+  EXPECT_FALSE(config.Has("absent"));
+  EXPECT_EQ(config.GetIntOr("absent", 3), 3);
+  EXPECT_EQ(UnreadReport(config), "");
+  // A lookup before the key was set does not count as reading it.
+  config.Set("absent", "1");
+  EXPECT_EQ(UnreadReport(config), "unknown key: absent=1\n");
+}
+
 TEST(CsvTest, WritesQuotedFields) {
   std::string path = testing::TempDir() + "/ccsim_csv_test.csv";
   {
