@@ -7,7 +7,7 @@
 // three ways: fault-free, with a mid-run disk-array stall window, and with
 // a mid-run CPU outage window. A robust harness shows bounded throughput
 // loss (work deferred by the window completes after it) and elevated — but
-// finite — response times; a livelock-prone one would blow its watchdog
+// finite — response times; a livelock-prone one would blow its event
 // budget and fail the point instead of printing a row.
 //
 // The windows open well past warmup and close well before the run ends, so

@@ -6,13 +6,11 @@
 // Environment knobs (see core/experiment.h and docs/EXECUTION.md):
 // CCSIM_BATCHES, CCSIM_BATCH_SECONDS, CCSIM_WARMUP_SECONDS, CCSIM_MPLS,
 // CCSIM_SEED, CCSIM_JOBS (worker threads for the sweep; results are
-// identical at any job count), CCSIM_MAX_EVENTS / CCSIM_POINT_TIMEOUT_SECONDS
-// (per-point watchdog budgets),
+// identical at any job count), CCSIM_MAX_EVENTS (per-point event budget),
 // CCSIM_OBS / CCSIM_SAMPLE_SECONDS / CCSIM_TRACE (observability: phase
 // breakdown, time-series sampler, Perfetto trace export),
 // CCSIM_HEARTBEAT_SECONDS (wall-clock progress lines),
-// CCSIM_REPORT_COLUMNS (table column selection) — docs/OBSERVABILITY.md,
-// CCSIM_FAULTS (deterministic fault-injection plan — docs/FAULTS.md).
+// CCSIM_REPORT_COLUMNS (table column selection) — docs/OBSERVABILITY.md.
 #ifndef CCSIM_BENCH_HARNESS_H_
 #define CCSIM_BENCH_HARNESS_H_
 
@@ -39,7 +37,7 @@ EngineConfig PaperBaseConfig();
 /// CCSIM_JOBS worker threads; progress lines arrive in completion order but
 /// the returned reports are always in sweep order.
 ///
-/// Runs through the checked runner: a failed point (check trip, watchdog
+/// Runs through the checked runner: a failed point (check trip, event
 /// budget, audit violation) prints a FAILED line plus its diagnostics, is
 /// dropped from the returned reports, and makes BenchExitCode() nonzero —
 /// the sweep's healthy points still complete and print.

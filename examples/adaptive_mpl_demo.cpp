@@ -23,6 +23,11 @@ int main(int argc, char** argv) {
     std::cerr << "usage: adaptive_mpl_demo [key=value ...]\n" << error << "\n";
     return 1;
   }
+  if (config.Has("mpl")) {
+    std::cerr << "adaptive_mpl_demo: mpl is not used; the run starts at "
+                 "start_mpl (default 200)\n";
+    return 2;
+  }
 
   ccsim::EngineConfig engine_config;
   engine_config.ApplyConfig(config);

@@ -25,6 +25,14 @@ int main(int argc, char** argv) {
     std::cerr << "usage: capacity_planning [key=value ...]\n" << error << "\n";
     return 1;
   }
+  const std::vector<int> mpls = {10, 25, 50, 100, 200};
+  if (config.Has("mpl")) {
+    std::cerr << "capacity_planning: mpl is not used; each hardware size "
+                 "sweeps mpl";
+    for (int mpl : mpls) std::cerr << " " << mpl;
+    std::cerr << "\n";
+    return 2;
+  }
 
   ccsim::EngineConfig base;
   base.workload.ApplyConfig(config);
@@ -43,7 +51,6 @@ int main(int argc, char** argv) {
     int cpus, disks;
   };
   const std::vector<Hardware> configs = {{1, 2}, {5, 10}, {25, 50}};
-  const std::vector<int> mpls = {10, 25, 50, 100, 200};
 
   std::cout << "Capacity planning: best-tuned throughput per hardware size\n";
   std::vector<ccsim::MetricsReport> all;

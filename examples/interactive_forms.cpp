@@ -23,6 +23,24 @@ int main(int argc, char** argv) {
     std::cerr << "usage: interactive_forms [key=value ...]\n" << error << "\n";
     return 1;
   }
+  // Internal/external think pairs keep the thinking:active ratio roughly
+  // fixed, as in the paper's Experiment 5.
+  struct Setting {
+    double int_think_s, ext_think_s;
+  };
+  const std::vector<Setting> settings = {
+      {0.0, 1.0}, {1.0, 3.0}, {5.0, 11.0}, {10.0, 21.0}};
+  for (const char* key : {"int_think_time", "ext_think_time"}) {
+    if (!config.Has(key)) continue;
+    std::cerr << "interactive_forms: " << key
+              << " is not used; the study sweeps internal/external think "
+                 "times (s)";
+    for (const Setting& s : settings) {
+      std::cerr << " " << s.int_think_s << "/" << s.ext_think_s;
+    }
+    std::cerr << "\n";
+    return 2;
+  }
 
   ccsim::EngineConfig base;
   base.workload.mpl = 50;  // A sensible default; override with mpl=N.
@@ -36,14 +54,6 @@ int main(int argc, char** argv) {
     defaults.warmup = ccsim::FromSeconds(60);
     return defaults;
   }());
-
-  // Internal/external think pairs keep the thinking:active ratio roughly
-  // fixed, as in the paper's Experiment 5.
-  struct Setting {
-    double int_think_s, ext_think_s;
-  };
-  const std::vector<Setting> settings = {
-      {0.0, 1.0}, {1.0, 3.0}, {5.0, 11.0}, {10.0, 21.0}};
 
   std::vector<ccsim::MetricsReport> all;
   std::cout << "Interactive form-screen study: when does user think time make\n"

@@ -25,7 +25,6 @@
 
 #include "core/experiment.h"
 #include "core/report.h"
-#include "inject/fault.h"
 #include "obs/trace.h"
 #include "util/config.h"
 #include "util/str.h"
@@ -46,21 +45,19 @@ constexpr char kUsage[] =
     "              source arrival_rate x_lock_on_read_intent audit\n"
     "  run:        seed batches batch_seconds warmup_seconds csv title\n"
     "              percentiles columns obs trace sample_interval\n"
-    "  faults:     faults (injection plan, docs/FAULTS.md), disk_fault and\n"
-    "              cpu_fault (simulated windows, kind:start_s:end_s with\n"
-    "              kind stall|outage)\n"
+    "  faults:     disk_fault cpu_fault (simulated windows,\n"
+    "              kind:start_s:end_s with kind stall|outage)\n"
     "\n"
-    "Flags: --audit (same as audit=true), --faults=<plan> (same as\n"
-    "faults=<plan>), --columns=<list> (same as columns=<list>: report table\n"
-    "column groups — response, percentiles, ratios, disk, cpu, mpl, phases,\n"
-    "blame, or all; a typo is a hard error; CCSIM_REPORT_COLUMNS, if set,\n"
-    "overrides), --trace[=path] (stream the transaction lifecycle trace\n"
-    "to stderr or to <path>; forces jobs=1), --help.\n"
-    "Environment: CCSIM_JOBS, CCSIM_MAX_EVENTS,\n"
-    "CCSIM_POINT_TIMEOUT_SECONDS, CCSIM_OBS, CCSIM_SAMPLE_SECONDS,\n"
-    "CCSIM_TRACE, CCSIM_HEARTBEAT_SECONDS, CCSIM_REPORT_COLUMNS,\n"
-    "CCSIM_FAULTS and friends (docs/EXECUTION.md, docs/OBSERVABILITY.md,\n"
-    "docs/FAULTS.md).\n";
+    "Flags: --audit (same as audit=true), --columns=<list> (same as\n"
+    "columns=<list>: report table column groups — response, percentiles,\n"
+    "ratios, disk, cpu, mpl, phases, blame, or all; a typo is a hard error;\n"
+    "CCSIM_REPORT_COLUMNS, if set, overrides), --trace[=path] (stream the\n"
+    "transaction lifecycle trace to stderr or to <path>; forces jobs=1),\n"
+    "--help.\n"
+    "Environment: CCSIM_JOBS, CCSIM_MAX_EVENTS, CCSIM_OBS,\n"
+    "CCSIM_SAMPLE_SECONDS, CCSIM_TRACE, CCSIM_HEARTBEAT_SECONDS,\n"
+    "CCSIM_REPORT_COLUMNS and friends (docs/EXECUTION.md,\n"
+    "docs/OBSERVABILITY.md).\n";
 
 /// Parses a simulated fault window: kind:start_s:end_s (docs/FAULTS.md).
 bool ParseFaultWindow(const std::string& text, ccsim::FaultWindow* out,
@@ -133,8 +130,6 @@ int main(int argc, char** argv) {
     }
     if (arg == "--audit") {
       arg = "audit=true";
-    } else if (ccsim::StartsWith(arg, "--faults=")) {
-      arg = arg.substr(2);  // --faults=SPEC is sugar for faults=SPEC.
     } else if (ccsim::StartsWith(arg, "--columns=")) {
       arg = arg.substr(2);  // --columns=LIST is sugar for columns=LIST.
     } else if (ccsim::StartsWith(arg, "--")) {
@@ -186,8 +181,6 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-
-  const std::string faults_spec = config.GetStringOr("faults", "");
 
   std::string delay = config.GetStringOr("restart_delay", "");
   const double fixed_delay_s = config.GetDoubleOr("fixed_delay_s", 1.0);
@@ -276,20 +269,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Fault-injection plan (docs/FAULTS.md). Installed before the sweep so
-  // sites fire from the first point; CCSIM_FAULTS, if also set, overrides
-  // when the runner reads the environment.
-  if (!faults_spec.empty()) {
-    ccsim::StatusOr<ccsim::FaultPlan> plan =
-        ccsim::FaultPlan::Parse(faults_spec);
-    if (!plan.ok()) {
-      std::cerr << "faults=" << faults_spec << ": "
-                << plan.status().ToString() << "\n";
-      return 1;
-    }
-    ccsim::InstallFaultPlan(*plan);
-  }
-
   std::unique_ptr<std::ofstream> trace_file;
   std::unique_ptr<ccsim::StreamTraceSink> trace_sink;
   if (lifecycle_trace) {
@@ -311,7 +290,7 @@ int main(int argc, char** argv) {
   }
 
   // The checked runner: a failed point (bad parameter combination, check
-  // trip, watchdog budget) is reported and skipped while the rest of the
+  // trip, event budget) is reported and skipped while the rest of the
   // sweep still completes and prints.
   ccsim::SweepOutcome outcome =
       ccsim::RunSweepChecked(sweep, [](const ccsim::PointResult& point) {

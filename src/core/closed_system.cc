@@ -675,8 +675,8 @@ void ClosedSystem::Restart(TxnId id, RestartCause cause) {
   // re-entry could recurse Restart -> Activate -> conflict -> Restart inside
   // a single event: a zero-delay restart spin (e.g. immediate restart with a
   // conflicting replay and no delay) would then livelock *inside* one event,
-  // where neither the event budget nor the wall-clock watchdog (both checked
-  // between events, sim/simulator.h RunGuard) could ever interrupt it.
+  // where the event budget (checked between events, sim/simulator.h
+  // RunGuard) could never interrupt it.
   SimTime delay = restart_policy_.NextDelay(&delay_rng_);
   SetState(txn, TxnState::kRestartDelay);
   txn.pending_event =

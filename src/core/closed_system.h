@@ -179,7 +179,7 @@ class ClosedSystem : private ServiceSink, private EventHandler {
   const Auditor* auditor() const;
 
   /// One-line transaction census ("census: 3 running, 44 blocked, ...") for
-  /// watchdog diagnostics: where the population was when a budget tripped.
+  /// event-budget diagnostics: where the population was when it tripped.
   std::string DescribeCensus() const;
 
   /// Committed-response-time running mean in seconds (drives the adaptive

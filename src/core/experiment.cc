@@ -8,7 +8,6 @@
 
 #include "exec/jobs.h"
 #include "exec/thread_pool.h"
-#include "inject/fault.h"
 #include "obs/obs_config.h"
 #include "util/check.h"
 #include "util/env.h"
@@ -86,37 +85,19 @@ StatusOr<MetricsReport> TryRunOnePoint(const EngineConfig& config,
           static_cast<unsigned long long>(config.seed));
       heartbeat = std::make_unique<HeartbeatThread>(
           budget.heartbeat_seconds, [&progress, label] {
-            std::string line = StringPrintf(
-                "[heartbeat] %s: sim=%.1fs events=%llu commits=%lld",
+            std::fprintf(
+                stderr, "[heartbeat] %s: sim=%.1fs events=%llu commits=%lld\n",
                 label.c_str(),
                 ToSeconds(progress.sim_time_us.load(std::memory_order_relaxed)),
                 static_cast<unsigned long long>(
                     progress.events.load(std::memory_order_relaxed)),
                 static_cast<long long>(
                     progress.commits.load(std::memory_order_relaxed)));
-            // With a fault plan installed, a hung-looking run is often a
-            // fault loop; say how often the plan's sites were consulted and
-            // how often they fired.
-            if (FaultPlanActive()) {
-              uint64_t hits = 0;
-              uint64_t fires = 0;
-              for (FaultSite site : AllFaultSites()) {
-                hits += FaultHits(site);
-                fires += FaultFires(site);
-              }
-              line += StringPrintf(
-                  " fault_hits=%llu fault_fires=%llu",
-                  static_cast<unsigned long long>(hits),
-                  static_cast<unsigned long long>(fires));
-            }
-            std::fprintf(stderr, "%s\n", line.c_str());
           });
     }
-    WatchdogTimer timer(budget.wall_timeout_seconds);
     if (!budget.unlimited()) {
       RunGuard guard;
       guard.max_events = budget.max_events;
-      guard.interrupt = timer.expired_flag();
       guard.on_violation = [&sim, &system](const char* reason) {
         throw PointTimeout(StringPrintf(
             "%s at simulated time %.3f s after %llu events; %s", reason,
@@ -199,17 +180,15 @@ SweepOutcome RunPointsChecked(
     const std::vector<EngineConfig>& configs, const RunLengths& lengths,
     int jobs, const std::function<void(const PointResult&)>& progress) {
   // Environment-dependent policy is read once, on the calling thread —
-  // getenv from pool workers would race with setenv in tests. The fault
-  // plan (CCSIM_FAULTS) follows the same discipline: parsed and installed
-  // here, before any worker exists, then only read.
-  InstallFaultPlanFromEnv();
+  // getenv from pool workers would race with setenv in tests.
   const PointBudget budget = PointBudget::FromEnv();
 
   // Every point starts pre-failed: a point's entry only turns OK when its
-  // body actually completes. Without this, an exception that escapes the
-  // pool machinery *around* a task (the injected pool.task fault, or a
-  // std::bad_alloc in the task wrapper itself) would leave the point
-  // looking successful with an all-zero report.
+  // body actually completes. Without this, an exception that escapes a task
+  // *around* TryRunOnePoint (a throwing progress callback, or a
+  // std::bad_alloc in the task wrapper itself) would leave the point it
+  // consumed — and, on the serial path, every point after it — looking
+  // successful with an all-zero report.
   const char* kNeverRan =
       "point never ran: the sweep was interrupted before a worker finished it";
   SweepOutcome outcome;
@@ -258,10 +237,10 @@ SweepOutcome RunPointsChecked(
     ParallelFor(static_cast<int64_t>(configs.size()), ResolveJobs(jobs),
                 run_point);
   } catch (const std::exception& e) {
-    // Every task still ran (ThreadPool::Wait rethrows only after the queue
-    // drains), so points that completed keep their results; the ones the
-    // escaped exception consumed keep their pre-failed status, upgraded
-    // with the cause.
+    // Points that completed keep their results (on a pool, every task still
+    // ran: ThreadPool::Wait rethrows only after the queue drains). The ones
+    // the escaped exception consumed or cut off keep their pre-failed
+    // status, upgraded with the cause.
     for (PointResult& point : outcome.points) {
       if (!point.ok() && point.status.message() == kNeverRan) {
         point.status = Status::Internal(
@@ -278,7 +257,7 @@ std::vector<MetricsReport> RunPoints(
     const std::function<void(size_t, const MetricsReport&)>& progress) {
   // The unchecked entry point keeps its fail-stop contract by running the
   // checked path and treating any failed point as fatal (it still gains
-  // watchdog diagnostics from the environment knobs).
+  // the event budget's diagnostics from CCSIM_MAX_EVENTS).
   std::function<void(const PointResult&)> checked_progress;
   if (progress) {
     checked_progress = [&progress](const PointResult& point) {

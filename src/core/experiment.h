@@ -62,10 +62,10 @@ std::vector<uint64_t> DeriveSeeds(uint64_t master_seed, size_t count);
 MetricsReport RunOnePoint(const EngineConfig& config, const RunLengths& lengths);
 
 /// Recoverable variant of RunOnePoint: the point runs under a check trap and
-/// the given budgets, and every failure mode becomes a Status instead of a
+/// the given budget, and every failure mode becomes a Status instead of a
 /// process abort —
 ///   * a CCSIM_CHECK trip (invalid config, engine invariant) → kInternal;
-///   * a tripped event budget or wall-clock deadline → kDeadlineExceeded,
+///   * a tripped event budget → kDeadlineExceeded,
 ///     with diagnostics (simulated time, events fired, transaction census);
 ///   * audit violations in a completed run (config.audit) → kInternal.
 /// The trap only covers this call on this thread; nested engine code keeps

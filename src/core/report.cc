@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <variant>
 
-#include "inject/fault.h"
 #include "util/check.h"
 #include "util/csv.h"
 #include "util/env.h"
@@ -259,10 +258,6 @@ void PrintPerClassTable(std::ostream& out, const std::string& title,
 
 bool WriteReportCsv(const std::string& path,
                     const std::vector<MetricsReport>& reports) {
-  // Injected CSV-write failure: report it exactly as an unopenable path, so
-  // callers exercise their no-CSV degradation (bench/harness.cc counts the
-  // failure and skips the .gp) without touching the filesystem.
-  if (FaultPoint(FaultSite::kCsvWrite)) return false;
   CsvWriter csv(path);
   if (!csv.ok()) return false;
   // Every group, but the blame columns only when at least one report

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "inject/fault.h"
 #include "util/check.h"
 
 namespace ccsim {
@@ -72,10 +71,6 @@ void ThreadPool::WorkerLoop() {
       queue_.pop_front();
     }
     try {
-      // Injected task failure: the task "throws" before its body runs.
-      // ThrowInjected lives in inject/ so this file stays free of bare
-      // throw (lint R6); the exception takes the normal capture path below.
-      if (FaultPoint(FaultSite::kPoolTask)) ThrowInjected(FaultSite::kPoolTask);
       task();
     } catch (...) {
       std::lock_guard<std::mutex> lock(mu_);

@@ -2,7 +2,6 @@
 
 #include <chrono>
 
-#include "inject/fault.h"
 #include "util/check.h"
 #include "util/env.h"
 
@@ -14,51 +13,11 @@ PointBudget PointBudget::FromEnv() {
   CCSIM_CHECK_GE(max_events, 0)
       << "CCSIM_MAX_EVENTS must be >= 0 (0 = unlimited), got " << max_events;
   budget.max_events = static_cast<uint64_t>(max_events);
-  budget.wall_timeout_seconds = GetEnvDouble("CCSIM_POINT_TIMEOUT_SECONDS", 0.0);
-  CCSIM_CHECK_GE(budget.wall_timeout_seconds, 0.0)
-      << "CCSIM_POINT_TIMEOUT_SECONDS must be >= 0 (0 = unlimited), got "
-      << budget.wall_timeout_seconds;
   budget.heartbeat_seconds = GetEnvDouble("CCSIM_HEARTBEAT_SECONDS", 0.0);
   CCSIM_CHECK_GE(budget.heartbeat_seconds, 0.0)
       << "CCSIM_HEARTBEAT_SECONDS must be >= 0 (0 = disabled), got "
       << budget.heartbeat_seconds;
   return budget;
-}
-
-WatchdogTimer::WatchdogTimer(double seconds) {
-  if (seconds <= 0.0) return;
-  armed_ = true;
-  // Injected misfire: the deadline "expires" at arm time with no thread
-  // spawned (armed_ stays true so expired_flag() still hands the flag to
-  // the run guard). The event loop sees an already-set flag on its first
-  // poll, so the point fails kDeadlineExceeded through the same path as a
-  // real timeout.
-  if (FaultPoint(FaultSite::kWatchdogMisfire)) {
-    expired_.store(true, std::memory_order_relaxed);
-    return;
-  }
-  auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double>(seconds));
-  thread_ = std::thread([this, deadline] {
-    std::unique_lock<std::mutex> lock(mu_);
-    // Wakes early on cancellation; sets the flag only on a true deadline.
-    if (!cv_.wait_until(lock, deadline, [this] { return cancelled_; })) {
-      expired_.store(true, std::memory_order_relaxed);
-    }
-  });
-}
-
-WatchdogTimer::~WatchdogTimer() {
-  // joinable(), not armed_: an injected misfire arms the flag but spawns no
-  // thread.
-  if (!thread_.joinable()) return;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    cancelled_ = true;
-  }
-  cv_.notify_all();
-  thread_.join();
 }
 
 HeartbeatThread::HeartbeatThread(double seconds, std::function<void()> tick) {

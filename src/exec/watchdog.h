@@ -1,27 +1,22 @@
-// Per-point execution budgets and the wall-clock watchdog
+// Per-point execution budget and the progress heartbeat
 // (docs/EXECUTION.md, "Failure semantics").
 //
 // The paper's most interesting operating points — thrashing at mpl 200,
 // restart-storm regimes — are exactly the ones that can run pathologically
 // long or livelock outright (a zero-delay restart chain generates events at
 // one simulated instant forever). A sweep worker stuck in such a point would
-// otherwise hang its slot for the rest of the run. Two independent budgets
-// bound every point:
+// otherwise hang its slot for the rest of the run. One budget bounds every
+// point: a simulated-event ceiling, checked inside the event loop
+// (Simulator::RunGuard), which catches livelock deterministically. A tripped
+// budget surfaces as PointTimeout, which TryRunOnePoint converts into a
+// kDeadlineExceeded Status carrying diagnostics (last event time, event
+// count, transaction census).
 //
-//  * a simulated-event ceiling, checked inside the event loop
-//    (Simulator::RunGuard) — catches livelock deterministically;
-//  * a wall-clock deadline, enforced by a WatchdogTimer thread that flips an
-//    atomic flag the event loop polls — catches "merely pathologically
-//    slow" points without touching simulation determinism (a point that
-//    finishes within the deadline is bit-identical with or without it).
-//
-// A tripped budget surfaces as PointTimeout, which TryRunOnePoint converts
-// into a kDeadlineExceeded Status carrying diagnostics (last event time,
-// event count, transaction census).
+// The opt-in heartbeat (HeartbeatThread) only reports a running point's
+// progress; it never stops one.
 #ifndef CCSIM_EXEC_WATCHDOG_H_
 #define CCSIM_EXEC_WATCHDOG_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -31,26 +26,20 @@
 
 namespace ccsim {
 
-/// Budgets applied to one simulation point. Zero means unlimited.
+/// The budget applied to one simulation point. Zero means unlimited.
 struct PointBudget {
   /// Ceiling on simulated events per point (CCSIM_MAX_EVENTS).
   uint64_t max_events = 0;
-  /// Wall-clock deadline per point in seconds (CCSIM_POINT_TIMEOUT_SECONDS;
-  /// fractional values allowed).
-  double wall_timeout_seconds = 0.0;
   /// Opt-in progress heartbeat period in wall-clock seconds
   /// (CCSIM_HEARTBEAT_SECONDS); 0 disables. Purely observational — the
   /// reporter thread reads relaxed atomics the event loop publishes, so a
   /// heartbeat can never change a result.
   double heartbeat_seconds = 0.0;
 
-  bool unlimited() const {
-    return max_events == 0 && wall_timeout_seconds <= 0.0;
-  }
+  bool unlimited() const { return max_events == 0; }
 
-  /// Reads CCSIM_MAX_EVENTS, CCSIM_POINT_TIMEOUT_SECONDS, and
-  /// CCSIM_HEARTBEAT_SECONDS; negative or malformed values are a hard error
-  /// (util/env.h semantics).
+  /// Reads CCSIM_MAX_EVENTS and CCSIM_HEARTBEAT_SECONDS; negative or
+  /// malformed values are a hard error (util/env.h semantics).
   static PointBudget FromEnv();
 };
 
@@ -59,34 +48,6 @@ struct PointBudget {
 class PointTimeout : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
-};
-
-/// A one-shot wall-clock alarm: arms a background thread that sets an atomic
-/// flag `seconds` after construction; destruction cancels and joins.
-/// With seconds <= 0 the timer is inert and no thread is spawned.
-class WatchdogTimer {
- public:
-  explicit WatchdogTimer(double seconds);
-  ~WatchdogTimer();
-
-  WatchdogTimer(const WatchdogTimer&) = delete;
-  WatchdogTimer& operator=(const WatchdogTimer&) = delete;
-
-  /// The flag the deadline sets; nullptr when the timer is inert. Stable for
-  /// the timer's lifetime, so it can be handed to Simulator::RunGuard.
-  const std::atomic<bool>* expired_flag() const {
-    return armed_ ? &expired_ : nullptr;
-  }
-
-  bool expired() const { return expired_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<bool> expired_{false};
-  bool armed_ = false;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool cancelled_ = false;
-  std::thread thread_;
 };
 
 /// A periodic wall-clock ticker: calls `tick` every `seconds` on a

@@ -1,6 +1,5 @@
 #include "obs/trace_json.h"
 
-#include "inject/fault.h"
 #include "util/check.h"
 #include "util/str.h"
 
@@ -83,9 +82,6 @@ void TraceEventWriter::FlowEnd(int pid, int64_t tid, const std::string& name,
 bool TraceEventWriter::Finish() {
   CCSIM_CHECK(!finished_) << "TraceEventWriter::Finish called twice";
   finished_ = true;
-  // Injected trace-write failure: poison the stream so the close-out below
-  // reports ill health exactly as a real full-disk write would.
-  if (FaultPoint(FaultSite::kTraceWrite)) out_.setstate(std::ios::failbit);
   out_ << "\n]}\n";
   out_.flush();
   const bool healthy = out_.good();

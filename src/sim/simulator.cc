@@ -8,27 +8,9 @@
 
 namespace ccsim {
 
-void Simulator::SetRunGuard(RunGuard guard) {
-  guard_ = std::move(guard);
-  guard_armed_ =
-      guard_.max_events > 0 || guard_.interrupt != nullptr;
-}
+void Simulator::SetRunGuard(RunGuard guard) { guard_ = std::move(guard); }
 
-void Simulator::ClearRunGuard() {
-  guard_ = RunGuard{};
-  guard_armed_ = false;
-}
-
-// Small enough to inline into FireNext; the report stays out of line.
-void Simulator::EnforceGuard() {
-  if (guard_.max_events > 0 && events_fired_ >= guard_.max_events) {
-    TripGuard("simulated-event budget exhausted");
-  }
-  if (guard_.interrupt != nullptr &&
-      guard_.interrupt->load(std::memory_order_relaxed)) {
-    TripGuard("interrupted (wall-clock watchdog deadline)");
-  }
-}
+void Simulator::ClearRunGuard() { guard_ = RunGuard{}; }
 
 void Simulator::TripGuard(const char* reason) {
   if (guard_.on_violation) guard_.on_violation(reason);
@@ -91,7 +73,10 @@ bool Simulator::FireNext(SimTime until) {
   const bool due_now = (nonempty_ & 1) != 0;
   const SimTime next = due_now ? base_ : LowestBucketMin();
   if (next > until) return false;
-  if (guard_armed_) EnforceGuard();
+  // The event budget (RunGuard); TripGuard builds the report out of line.
+  if (guard_.max_events != 0 && events_fired_ >= guard_.max_events) {
+    TripGuard("simulated-event budget exhausted");
+  }
   if (!due_now) Rebucket(next);
   uint32_t slot = head_[0];
   if (ActiveChoicePoint() != nullptr) slot = ResolveTie();

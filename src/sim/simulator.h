@@ -82,20 +82,17 @@ class EventHandler {
   ~EventHandler() = default;
 };
 
-/// Execution limits checked inside the event loop (the per-point watchdog,
+/// The event budget checked inside the event loop (the per-point budget,
 /// docs/EXECUTION.md). A livelocked model — e.g. a zero-delay restart chain
 /// re-requesting the same lock at one simulated instant forever — never
-/// leaves Step(), so budgets must be enforced between events, not by the
+/// leaves Step(), so the budget must be enforced between events, not by the
 /// code driving RunUntil().
 struct RunGuard {
   /// Ceiling on events_fired(); 0 = unlimited.
   uint64_t max_events = 0;
-  /// External interrupt (set by a watchdog thread at a wall-clock deadline);
-  /// polled with relaxed loads before each event. nullptr = none.
-  const std::atomic<bool>* interrupt = nullptr;
-  /// Called once when a limit trips, with a short reason ("event budget
-  /// exhausted" / "interrupted"). Expected to throw a diagnostic exception;
-  /// if it returns, the simulator falls back to a CCSIM_CHECK failure.
+  /// Called once when the ceiling trips, with a short reason ("event budget
+  /// exhausted"). Expected to throw a diagnostic exception; if it returns,
+  /// the simulator falls back to a CCSIM_CHECK failure.
   /// std::function is fine here (ccsim-lint R5 allowlist): the guard is
   /// installed once per run and the callback fires at most once.
   std::function<void(const char* reason)> on_violation;
@@ -190,8 +187,8 @@ class Simulator {
   /// (pinned by SimulatorTest.CancelStormKeepsHeapBounded).
   size_t arena_slots() const { return slots_.size(); }
 
-  /// Installs execution limits checked before every event fires; replaces
-  /// any previous guard. An inert guard (no limits) costs one branch per
+  /// Installs an event budget checked before every event fires; replaces
+  /// any previous guard. An inert guard (no ceiling) costs one branch per
   /// event.
   void SetRunGuard(RunGuard guard);
 
@@ -204,9 +201,6 @@ class Simulator {
   void SetProgressCell(ProgressCell* cell) { progress_ = cell; }
 
  private:
-  /// Enforces the guard: trips it if a limit is reached.
-  void EnforceGuard();
-
   /// Calls guard_.on_violation (which throws) with `reason`; never returns.
   [[noreturn]] void TripGuard(const char* reason);
 
@@ -321,7 +315,6 @@ class Simulator {
   uint64_t events_fired_ = 0;
   size_t live_events_ = 0;
   bool stop_requested_ = false;
-  bool guard_armed_ = false;
   RunGuard guard_;
   ProgressCell* progress_ = nullptr;
   std::vector<Slot> slots_;

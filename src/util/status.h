@@ -5,7 +5,7 @@
 // corrupted model must never produce numbers. The *orchestration* layer
 // above it (run one point, sweep many points, parse a config) deals in
 // expected failures: a poisoned configuration, a tripped invariant, a point
-// that blew its watchdog budget. Those travel as Status/StatusOr so a sweep
+// that blew its event budget. Those travel as Status/StatusOr so a sweep
 // can record the failure and keep running its remaining points
 // (docs/EXECUTION.md, "Failure semantics").
 #ifndef CCSIM_UTIL_STATUS_H_
@@ -25,7 +25,7 @@ namespace ccsim {
 enum class StatusCode {
   kOk = 0,
   kInvalidArgument,   ///< Rejected before running (bad config, bad flag).
-  kDeadlineExceeded,  ///< Watchdog budget trip (events or wall clock).
+  kDeadlineExceeded,  ///< Event-budget trip (CCSIM_MAX_EVENTS).
   kInternal,          ///< CCSIM_CHECK trip or audit violation inside a run.
 };
 
@@ -33,7 +33,7 @@ enum class StatusCode {
 const char* StatusCodeName(StatusCode code);
 
 /// A success-or-error value: either OK, or a code plus a human-readable
-/// message carrying the diagnostics (check text, watchdog census, ...).
+/// message carrying the diagnostics (check text, event-budget census, ...
 class Status {
  public:
   /// Default is OK.

@@ -2,6 +2,7 @@
 // CSV output, and the adaptive-mpl controller.
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -222,6 +223,21 @@ TEST(ReportTest, CsvRoundTrip) {
   EXPECT_NE(header.find("throughput"), std::string::npos);
   EXPECT_NE(row1.find("blocking,5,12.5"), std::string::npos);
   EXPECT_NE(row2.find("optimistic,10"), std::string::npos);
+}
+
+TEST(ReportTest, CsvWriteFailureIsReported) {
+  // A directory squatting on the path makes the CSV unopenable:
+  // WriteReportCsv must say so instead of pretending the file landed.
+  std::vector<MetricsReport> reports(1);
+  reports[0].algorithm = "blocking";
+  reports[0].mpl = 5;
+  const std::string path = testing::TempDir() + "/ccsim_squatted.csv";
+  std::filesystem::remove_all(path);
+  std::filesystem::create_directory(path);
+  EXPECT_FALSE(WriteReportCsv(path, reports));
+  std::filesystem::remove(path);
+  EXPECT_TRUE(WriteReportCsv(path, reports));
+  std::filesystem::remove(path);
 }
 
 TEST(ReportTest, GnuplotScriptReferencesEverySeries) {

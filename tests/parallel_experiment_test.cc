@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
-#include "inject/fault.h"
 
 namespace ccsim {
 namespace {
@@ -151,24 +150,27 @@ TEST(ParallelSweepTest, PointSeedsAreDistinctAndUpFront) {
   }
 }
 
-TEST(JournalResumeTest, InterruptedSweepResumesBitIdentical) {
+TEST(ParallelSweepTest, InterruptedSweepResumesByRerun) {
   // The resume property: a sweep cut short part way through is resumed by
-  // running the same sweep again, and the resumed run matches the
-  // uninterrupted reference bit for bit. The interruption is an injected
-  // pool.task fault that consumes one point before it runs.
+  // running the same sweep again, and the re-run matches the uninterrupted
+  // reference bit for bit. The cut is one point whose config fails the
+  // engine's check (immediate_restart needs a restart delay).
   SweepConfig sweep = SmallSweep(2);
   SweepOutcome reference = RunSweepChecked(sweep);
   ASSERT_TRUE(reference.ok()) << reference.FailureSummary();
-
-  SweepOutcome interrupted;
-  {
-    auto plan = FaultPlan::Parse("pool.task@hit:2");
-    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-    ScopedFaultPlan scoped(*plan);
-    interrupted = RunSweepChecked(sweep);
+  std::vector<EngineConfig> configs;
+  for (const PointResult& point : reference.points) {
+    configs.push_back(point.config);
   }
+
+  std::vector<EngineConfig> broken = configs;
+  broken[4].algorithm = "immediate_restart";
+  broken[4].restart_delay_mode = RestartDelayMode::kNone;
+  SweepOutcome interrupted =
+      RunPointsChecked(broken, sweep.lengths, sweep.jobs);
   ASSERT_EQ(interrupted.points.size(), reference.points.size());
-  EXPECT_EQ(interrupted.failures().size(), 1u);
+  ASSERT_EQ(interrupted.failures().size(), 1u);
+  EXPECT_EQ(interrupted.failures()[0]->index, 4u);
   // The points that did complete already equal the reference.
   for (const PointResult& point : interrupted.points) {
     if (!point.ok()) continue;
@@ -178,7 +180,7 @@ TEST(JournalResumeTest, InterruptedSweepResumesBitIdentical) {
     EXPECT_EQ(point.report.replay_digest, expected.replay_digest);
   }
 
-  SweepOutcome resumed = RunSweepChecked(sweep);
+  SweepOutcome resumed = RunPointsChecked(configs, sweep.lengths, sweep.jobs);
   ASSERT_TRUE(resumed.ok()) << resumed.FailureSummary();
   ExpectBitIdentical(reference.SuccessfulReports(),
                      resumed.SuccessfulReports());

@@ -33,12 +33,13 @@ Rules (docs/VERIFICATION.md):
                    allocation-free (docs/PERFORMANCE.md). Allowlisted:
                    RunGuard::on_violation in sim/simulator.h (installed once
                    per run, fires at most once).
-  R6 status-errors src/ outside util/ and inject/ must not raise or die with
-                   bare `throw` / abort() / exit() / quick_exit() / _Exit():
+  R6 status-errors src/ outside util/ must not raise or die with bare
+                   `throw` / abort() / exit() / quick_exit() / _Exit():
                    recoverable failures flow through util/status.h (Status /
                    StatusOr) or CCSIM_CHECK (trappable via ScopedCheckTrap),
                    so one poisoned sweep point can fail alone instead of
-                   taking the process down (docs/FAULTS.md). Allowlisted:
+                   taking the process down (docs/EXECUTION.md, "Failure
+                   semantics"). Allowlisted:
                    the PointTimeout throw in core/experiment.cc (caught two
                    frames up by design) and the PrunedRunError throw in
                    verify/explorer.cc (the explorer's internal backtrack
@@ -126,9 +127,9 @@ R5_TOKEN = re.compile(
 R5_ALLOWLIST = {"src/sim/simulator.h": 1}  # RunGuard::on_violation.
 
 # R6: process-killing / bare-exception escape hatches. Only util/ (the
-# Status and CCSIM_CHECK machinery itself) and inject/ (ThrowInjected) may
-# use them; everything else returns Status or trips a trappable check.
-R6_EXEMPT_PREFIXES = ("src/util/", "src/inject/")
+# Status and CCSIM_CHECK machinery itself) may use them; everything else
+# returns Status or trips a trappable check.
+R6_EXEMPT_PREFIX = "src/util/"
 R6_TOKEN = re.compile(
     r"\bthrow\b|\b(?:std::)?(?:abort|exit|quick_exit|_Exit)\s*\("
 )
@@ -387,7 +388,7 @@ class Linter:
     def check_status_errors(self):
         for path in self.cpp_files("src"):
             rel = self.rel(path)
-            if rel.startswith(R6_EXEMPT_PREFIXES):
+            if rel.startswith(R6_EXEMPT_PREFIX):
                 continue
             text = path.read_text(encoding="utf-8")
             code = strip_comments_and_strings(text)
@@ -400,10 +401,10 @@ class Linter:
                     rel,
                     line_of(code, match.start()),
                     "R6",
-                    f"bare `{token}` outside util/ and inject/; fail the "
-                    "operation with a Status (util/status.h) or a trappable "
-                    "CCSIM_CHECK so one bad point cannot kill a sweep "
-                    "(docs/FAULTS.md)",
+                    f"bare `{token}` outside util/; fail the operation with "
+                    "a Status (util/status.h) or a trappable CCSIM_CHECK so "
+                    "one bad point cannot kill a sweep (docs/EXECUTION.md, "
+                    "\"Failure semantics\")",
                 )
 
     # --- R7 -----------------------------------------------------------------
@@ -566,11 +567,9 @@ def self_test(tmp_root):
             SELF_TEST_SNIPPETS["R5_allowlisted"]
         )
         (root / "src/sim/bad_throw.cc").write_text(SELF_TEST_SNIPPETS["R6"])
-        # util/ and inject/ own the escape hatches: both stay silent.
+        # util/ owns the escape hatches: it stays silent.
         (root / "src/util").mkdir(parents=True)
         (root / "src/util/check.cc").write_text(SELF_TEST_SNIPPETS["R6_exempt"])
-        (root / "src/inject").mkdir(parents=True)
-        (root / "src/inject/fault.cc").write_text(SELF_TEST_SNIPPETS["R6_exempt"])
         # The allowlisted file may carry exactly one throw; a second fires.
         (root / "src/core").mkdir(parents=True)
         (root / "src/core/experiment.cc").write_text(
@@ -638,8 +637,7 @@ def self_test(tmp_root):
         expect("[R6]", 4)  # throw/abort/exit + the over-allowance throw.
         expect("bad_throw.cc", 3)  # Not the comment on line 4.
         expect("experiment.cc:2", 1)  # Allowlisted first throw: silent.
-        expect("check.cc", 0)  # util/ and inject/ own the escape hatches.
-        expect("fault.cc", 0)
+        expect("check.cc", 0)  # util/ owns the escape hatches.
         expect("[R7]", 3)  # undocumented_counter + both "dup" sites.
         expect("undocumented_counter", 1)
         expect("documented_gauge", 0)  # Catalogued: silent.
