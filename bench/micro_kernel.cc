@@ -182,13 +182,13 @@ struct CcDecisionResult {
 /// engine's state machine per transaction: predeclare (if required), reads,
 /// write upgrades, validate, then commit on a later visit (so optimistic
 /// flush claims stay live across other transactions' steps, as they do under
-/// the real engine). Blocked transactions re-issue the same request after an
-/// on_granted callback; kRestart and wounds abort and replay the same spec
-/// under the same id (new incarnation, stable first_start), exactly the
+/// the real engine). Blocked transactions re-issue the same request after
+/// OnGranted; kRestart and wounds abort and replay the same spec under the
+/// same id (new incarnation, stable first_start), exactly the
 /// engine's restart semantics. Decisions = Predeclare + ReadRequest +
 /// WriteRequest + Validate calls; the measured rate is the per-request cost
 /// of the dense-state cc hot path.
-class CcDecisionDriver {
+class CcDecisionDriver final : private ccsim::CCEngine {
  public:
   static constexpr int kTxns = 8;
   static constexpr int64_t kObjects = 64;
@@ -198,14 +198,7 @@ class CcDecisionDriver {
   explicit CcDecisionDriver(const std::string& name)
       : cc_(ccsim::MakeConcurrencyControl(name)) {
     cc_->ReserveCapacity(kObjects, kTxns);
-    ccsim::CCCallbacks callbacks;
-    callbacks.on_granted = [this](ccsim::TxnId id) { granted_.push_back(id); };
-    callbacks.on_wound = [this](ccsim::TxnId id) {
-      int slot = SlotOf(id);
-      if (slot >= 0) txns_[static_cast<size_t>(slot)].doomed = true;
-    };
-    callbacks.now = [this] { return clock_; };
-    cc_->SetCallbacks(std::move(callbacks));
+    cc_->SetCallbacks({.engine = this});
     for (int slot = 0; slot < kTxns; ++slot) BeginFresh(slot);
   }
 
@@ -270,7 +263,7 @@ class CcDecisionDriver {
             t.step = (t.step == kPredeclareStep) ? 0 : t.step + 1;
             break;
           case ccsim::CCDecision::kBlocked:
-            // on_granted later re-issues this same request (engine semantics).
+            // OnGranted later re-issues this same request (engine semantics).
             t.blocked = true;
             break;
           case ccsim::CCDecision::kRestart:
@@ -325,6 +318,17 @@ class CcDecisionDriver {
       }
     }
   }
+
+  // The engine side of the algorithm's signals.
+  void OnGranted(ccsim::TxnId id) override { granted_.push_back(id); }
+  void OnWound(ccsim::TxnId id) override {
+    int slot = SlotOf(id);
+    if (slot >= 0) txns_[static_cast<size_t>(slot)].doomed = true;
+  }
+  ccsim::SimTime Now() const override { return clock_; }
+  void OnVersionRead(ccsim::TxnId, ccsim::ObjectId, ccsim::TxnId) override {}
+  void OnBlame(ccsim::TxnId, ccsim::TxnId, ccsim::ObjectId,
+               ccsim::BlameKind) override {}
 
   int SlotOf(ccsim::TxnId id) const {
     for (int slot = 0; slot < kTxns; ++slot) {

@@ -283,12 +283,24 @@ void BM_LockAuditCheck(benchmark::State& state) {
 }
 BENCHMARK(BM_LockAuditCheck)->Arg(1000)->Arg(10000);
 
+/// An engine that ignores every signal and serves a settable clock.
+class NullCcEngine final : public CCEngine {
+ public:
+  void OnGranted(TxnId) override {}
+  void OnWound(TxnId) override {}
+  SimTime Now() const override { return now; }
+  void OnVersionRead(TxnId, ObjectId, TxnId) override {}
+  void OnBlame(TxnId, TxnId, ObjectId, BlameKind) override {}
+
+  SimTime now = 0;
+};
+
 void BM_OptimisticValidate(benchmark::State& state) {
   // Validation cost against a populated committed-writes table.
+  NullCcEngine engine;
   OptimisticCC cc;
-  SimTime now = 0;
-  cc.SetCallbacks(CCCallbacks{[](TxnId) {}, [](TxnId) {},
-                              [&now]() { return now; }, nullptr, nullptr});
+  SimTime& now = engine.now;
+  cc.SetCallbacks({.engine = &engine});
   // Populate history: 1000 committed writers, run one after another. Each
   // begins at the current time, so it never overlaps an earlier writer of
   // its object and must validate.
@@ -317,9 +329,9 @@ void BM_OptimisticValidate(benchmark::State& state) {
 BENCHMARK(BM_OptimisticValidate);
 
 void BM_BasicToRequests(benchmark::State& state) {
+  NullCcEngine engine;
   BasicTimestampOrderingCC cc;
-  cc.SetCallbacks(CCCallbacks{[](TxnId) {}, [](TxnId) {}, []() { return 0; },
-                              nullptr, nullptr});
+  cc.SetCallbacks({.engine = &engine});
   TxnId next = 1;
   for (auto _ : state) {
     TxnId t = next++;
@@ -333,9 +345,9 @@ BENCHMARK(BM_BasicToRequests);
 
 void BM_MvtoVersionChain(benchmark::State& state) {
   // Read cost against a deep (GC-bounded) version chain on a hot object.
+  NullCcEngine engine;
   MultiversionTimestampOrderingCC cc;
-  cc.SetCallbacks(CCCallbacks{[](TxnId) {}, [](TxnId) {}, []() { return 0; },
-                              nullptr, nullptr});
+  cc.SetCallbacks({.engine = &engine});
   for (TxnId t = 1; t <= 64; ++t) {
     cc.OnBegin(t, 0, 0);
     cc.WriteRequest(t, 0);

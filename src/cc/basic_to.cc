@@ -25,18 +25,14 @@ CCDecision BasicTimestampOrderingCC::ReadRequest(TxnId txn, ObjectId obj) {
   if (state.ts < object.wts) {
     // A newer write already committed; this read is too late.
     ++stats_.timestamp_rejections;
-    if (callbacks_.on_blame) {
-      callbacks_.on_blame(txn, object.last_writer, obj, BlameKind::kTimestamp);
-    }
+    callbacks_.on_blame(txn, object.last_writer, obj, BlameKind::kTimestamp);
     return CCDecision::kRestart;
   }
   if (object.pending_writer != kInvalidTxn && object.pending_ts < state.ts &&
       object.pending_writer != txn) {
     // An older write is in flight; its value is the one this read must see.
     ++stats_.lock_conflicts;
-    if (callbacks_.on_blame) {
-      callbacks_.on_blame(txn, object.pending_writer, obj, BlameKind::kBlock);
-    }
+    callbacks_.on_blame(txn, object.pending_writer, obj, BlameKind::kBlock);
     object.waiters.push_back(txn);
     state.waiting_on = obj;
     return CCDecision::kBlocked;
@@ -57,12 +53,10 @@ CCDecision BasicTimestampOrderingCC::WriteRequest(TxnId txn, ObjectId obj) {
     // Someone with a larger timestamp already read/wrote the value this
     // write would supersede.
     ++stats_.timestamp_rejections;
-    if (callbacks_.on_blame) {
-      callbacks_.on_blame(txn,
-                          state.ts < object.rts ? object.last_reader
-                                                : object.last_writer,
-                          obj, BlameKind::kTimestamp);
-    }
+    callbacks_.on_blame(txn,
+                        state.ts < object.rts ? object.last_reader
+                                              : object.last_writer,
+                        obj, BlameKind::kTimestamp);
     return CCDecision::kRestart;
   }
   if (object.pending_writer == txn) {
@@ -72,10 +66,7 @@ CCDecision BasicTimestampOrderingCC::WriteRequest(TxnId txn, ObjectId obj) {
     if (object.pending_ts < state.ts) {
       // Writes publish in timestamp order: wait for the older write.
       ++stats_.lock_conflicts;
-      if (callbacks_.on_blame) {
-        callbacks_.on_blame(txn, object.pending_writer, obj,
-                            BlameKind::kBlock);
-      }
+      callbacks_.on_blame(txn, object.pending_writer, obj, BlameKind::kBlock);
       object.waiters.push_back(txn);
       state.waiting_on = obj;
       return CCDecision::kBlocked;
@@ -83,10 +74,7 @@ CCDecision BasicTimestampOrderingCC::WriteRequest(TxnId txn, ObjectId obj) {
     // A newer write is already pending; ordering this one before it would
     // require buffering multiple versions — restart instead (conservative).
     ++stats_.timestamp_rejections;
-    if (callbacks_.on_blame) {
-      callbacks_.on_blame(txn, object.pending_writer, obj,
-                          BlameKind::kTimestamp);
-    }
+    callbacks_.on_blame(txn, object.pending_writer, obj, BlameKind::kTimestamp);
     return CCDecision::kRestart;
   }
   object.pending_writer = txn;

@@ -30,13 +30,9 @@ CCDecision BlockingCC::HandleRequest(TxnId txn, ObjectId obj, LockMode mode) {
   ++stats_.lock_conflicts;
 
   // Deadlock detection runs each time a transaction blocks.
-  VictimContext context{
-      [this](TxnId t) { return start_times_.At(t); },
-      [this](TxnId t) { return locks_.NumHeld(t); },
-  };
   if (deadlock_searches_ != nullptr) deadlock_searches_->Inc();
   const DeadlockResolution& resolution =
-      detector_.Resolve(txn, doomed_, context);
+      detector_.Resolve(txn, doomed_, start_times_);
   stats_.deadlocks_detected += resolution.cycles_found;
   if (cycle_length_hist_ != nullptr) {
     for (int length : resolution.cycle_lengths) {
@@ -48,14 +44,12 @@ CCDecision BlockingCC::HandleRequest(TxnId txn, ObjectId obj, LockMode mode) {
     ++stats_.deadlock_victims;
     doomed_.insert(victim);
     // The victim dies so the requester's cycle breaks: blame the requester.
-    if (callbacks_.on_blame) {
-      callbacks_.on_blame(victim, txn, obj, BlameKind::kWound);
-    }
+    callbacks_.on_blame(victim, txn, obj, BlameKind::kWound);
     callbacks_.on_wound(victim);
   }
   if (resolution.requester_is_victim) {
     ++stats_.deadlock_victims;
-    if (callbacks_.on_blame) {
+    if (callbacks_.blame) {
       locks_.AppendBlockersOf(txn, &blockers_scratch_);
       callbacks_.on_blame(
           txn, blockers_scratch_.empty() ? kInvalidTxn : blockers_scratch_[0],
@@ -65,7 +59,7 @@ CCDecision BlockingCC::HandleRequest(TxnId txn, ObjectId obj, LockMode mode) {
     // releases the locks this incarnation holds.
     return CCDecision::kRestart;
   }
-  if (callbacks_.on_blame) {
+  if (callbacks_.blame) {
     locks_.AppendBlockersOf(txn, &blockers_scratch_);
     callbacks_.on_blame(
         txn, blockers_scratch_.empty() ? kInvalidTxn : blockers_scratch_[0],

@@ -59,7 +59,7 @@ class BlockingCC : public ConcurrencyControl {
   DeadlockDetector detector_;
   /// Incarnation start per active transaction (victim selection).
   TxnSlotMap<SimTime> start_times_;
-  /// Victims announced via on_wound whose Abort() has not arrived yet; the
+  /// Victims announced via OnWound whose Abort() has not arrived yet; the
   /// detector treats them as already gone.
   SmallIdSet doomed_;
   /// Blame-attribution scratch (reused; obs-only path).

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "cc/types.h"
@@ -22,16 +21,17 @@ class StatsRegistry;
 /// Abstract concurrency control algorithm.
 ///
 /// Threading/reentrancy contract: the engine calls these methods from event
-/// context, never concurrently. Callbacks (`on_granted`, `on_wound`) may be
-/// invoked synchronously from inside Commit()/Abort()/Read/WriteRequest();
-/// the engine defers actual state transitions to zero-delay events, so
-/// algorithms never see reentrant calls for the same transaction.
+/// context, never concurrently. An algorithm may signal its CCEngine
+/// (`OnGranted`, `OnWound`) synchronously from inside Commit()/Abort()/
+/// Read/WriteRequest(); the engine defers actual state transitions to
+/// zero-delay events, so algorithms never see reentrant calls for the same
+/// transaction.
 class ConcurrencyControl {
  public:
   virtual ~ConcurrencyControl() = default;
 
   /// Engine hookup; must be called before any transaction activity.
-  void SetCallbacks(CCCallbacks callbacks) { callbacks_ = std::move(callbacks); }
+  void SetCallbacks(CCCallbacks callbacks) { callbacks_ = callbacks; }
 
   /// Human-readable algorithm name (used in reports).
   virtual std::string name() const = 0;
@@ -60,7 +60,7 @@ class ConcurrencyControl {
 
   /// Predeclaration of the incarnation's complete read set and write set
   /// (write set ⊆ read set). kGranted lets execution start immediately;
-  /// kBlocked defers it until an on_granted callback. Default: no-op.
+  /// kBlocked defers it until the engine's OnGranted. Default: no-op.
   virtual CCDecision Predeclare(TxnId txn, const std::vector<ObjectId>& reads,
                                 const std::vector<ObjectId>& writes) {
     (void)txn;

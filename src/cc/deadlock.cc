@@ -18,29 +18,30 @@ std::vector<TxnId> DeadlockDetector::FindCycle(
   return cycle;
 }
 
-TxnId DeadlockDetector::PickVictim(const std::vector<TxnId>& cycle,
-                                   const VictimContext& context) const {
+TxnId DeadlockDetector::PickVictim(
+    const std::vector<TxnId>& cycle,
+    const TxnSlotMap<SimTime>& start_times) const {
   CCSIM_CHECK(!cycle.empty());
   TxnId victim = cycle.front();
   for (TxnId candidate : cycle) {
     switch (policy_) {
       case VictimPolicy::kYoungest: {
-        SimTime vs = context.start_time(victim);
-        SimTime cs = context.start_time(candidate);
+        SimTime vs = start_times.At(victim);
+        SimTime cs = start_times.At(candidate);
         // Younger = later start; break ties toward the larger id (assigned
         // later, hence younger).
         if (cs > vs || (cs == vs && candidate > victim)) victim = candidate;
         break;
       }
       case VictimPolicy::kOldest: {
-        SimTime vs = context.start_time(victim);
-        SimTime cs = context.start_time(candidate);
+        SimTime vs = start_times.At(victim);
+        SimTime cs = start_times.At(candidate);
         if (cs < vs || (cs == vs && candidate < victim)) victim = candidate;
         break;
       }
       case VictimPolicy::kFewestLocks: {
-        size_t vl = context.locks_held(victim);
-        size_t cl = context.locks_held(candidate);
+        size_t vl = locks_->NumHeld(victim);
+        size_t cl = locks_->NumHeld(candidate);
         if (cl < vl || (cl == vl && candidate > victim)) victim = candidate;
         break;
       }
@@ -70,7 +71,7 @@ TxnId DeadlockDetector::PickVictim(const std::vector<TxnId>& cycle,
 
 const DeadlockResolution& DeadlockDetector::Resolve(
     TxnId requester, const SmallIdSet& doomed,
-    const VictimContext& context) const {
+    const TxnSlotMap<SimTime>& start_times) const {
   DeadlockResolution& resolution = resolution_;
   resolution.requester_is_victim = false;
   resolution.victims.clear();
@@ -81,7 +82,7 @@ const DeadlockResolution& DeadlockDetector::Resolve(
   while (locks_->FindCycleThrough(requester, excluded_scratch_, &cycle_)) {
     ++resolution.cycles_found;
     resolution.cycle_lengths.push_back(static_cast<int>(cycle_.size()));
-    TxnId victim = PickVictim(cycle_, context);
+    TxnId victim = PickVictim(cycle_, start_times);
     if (victim == requester) {
       resolution.requester_is_victim = true;
       break;  // Restarting the requester clears every cycle through it.

@@ -19,7 +19,6 @@
 #ifndef CCSIM_CC_DEADLOCK_H_
 #define CCSIM_CC_DEADLOCK_H_
 
-#include <functional>
 #include <vector>
 
 #include "cc/lock_manager.h"
@@ -33,14 +32,6 @@ enum class VictimPolicy {
   kYoungest,    ///< Most recent incarnation start (the paper's choice).
   kOldest,      ///< Earliest incarnation start.
   kFewestLocks, ///< Holder of the fewest locks (cheapest to redo, roughly).
-};
-
-/// Per-transaction facts the detector needs, supplied by the algorithm.
-struct VictimContext {
-  /// Incarnation start time of a transaction.
-  std::function<SimTime(TxnId)> start_time;
-  /// Number of locks currently held (for kFewestLocks).
-  std::function<size_t(TxnId)> locks_held;
 };
 
 /// Result of resolving deadlocks after `requester` blocked.
@@ -70,9 +61,12 @@ class DeadlockDetector {
   /// but not yet aborted by the engine) are treated as absent, since their
   /// locks are about to be released. If the requester is ever selected, the
   /// search stops: restarting the requester removes all cycles through it.
+  /// `start_times` is the algorithm's incarnation start per transaction
+  /// (kYoungest, kOldest); kFewestLocks counts locks in the lock manager.
   /// The result lives in the detector and is valid until the next Resolve.
-  const DeadlockResolution& Resolve(TxnId requester, const SmallIdSet& doomed,
-                                    const VictimContext& context) const;
+  const DeadlockResolution& Resolve(
+      TxnId requester, const SmallIdSet& doomed,
+      const TxnSlotMap<SimTime>& start_times) const;
 
   /// Finds one cycle through `start` (ignoring `excluded` transactions);
   /// returns the cycle's members, or empty if none. Exposed for tests.
@@ -80,7 +74,7 @@ class DeadlockDetector {
 
  private:
   TxnId PickVictim(const std::vector<TxnId>& cycle,
-                   const VictimContext& context) const;
+                   const TxnSlotMap<SimTime>& start_times) const;
 
   const LockManager* locks_;
   VictimPolicy policy_;

@@ -13,8 +13,10 @@
 
 namespace ccsim {
 
-/// Names accepted by MakeConcurrencyControl: "blocking", "immediate_restart",
-/// "optimistic", "wound_wait", "wait_die".
+/// Names accepted by MakeConcurrencyControl: every AllAlgorithms() entry
+/// (the paper's blocking, immediate_restart and optimistic, then
+/// optimistic_forward, wound_wait, wait_die, basic_to, mvto and
+/// static_locking). Any other name fails a CCSIM_CHECK.
 std::unique_ptr<ConcurrencyControl> MakeConcurrencyControl(
     const std::string& name, VictimPolicy victim_policy = VictimPolicy::kYoungest);
 
@@ -24,10 +26,11 @@ const std::vector<std::string>& PaperAlgorithms();
 /// All implemented algorithms (paper three + extensions).
 const std::vector<std::string>& AllAlgorithms();
 
-/// Conventional delay default: adaptive for immediate_restart (its restarts
-/// must outlast the conflicting transaction), none for the others (blocking
+/// Conventional delay default: adaptive for immediate_restart and wait_die
+/// (their restarts must outlast the still-running conflicting transaction;
+/// the engine rejects either without a delay), none for the others (blocking
 /// restarts only on deadlock, optimistic conflicts are with already-committed
-/// transactions).
+/// transactions). kNone for an unknown name.
 RestartDelayMode DefaultRestartDelayMode(const std::string& name);
 
 }  // namespace ccsim

@@ -67,7 +67,7 @@ class ImmediateRestartCC : public ConcurrencyControl {
         locks_.Request(txn, obj, mode, /*enqueue_on_conflict=*/false);
     if (outcome == LockRequestOutcome::kGranted) return CCDecision::kGranted;
     ++stats_.lock_conflicts;
-    if (callbacks_.on_blame) {
+    if (callbacks_.blame) {
       // A denied request leaves no queue trace; the holders are the
       // transactions the requester lost to.
       std::vector<TxnId> holders = locks_.HoldersOf(obj);

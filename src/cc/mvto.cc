@@ -46,9 +46,7 @@ CCDecision MultiversionTimestampOrderingCC::ReadRequest(TxnId txn,
     if (pending.writer != txn && pending.ts > version.wts &&
         pending.ts < state.ts) {
       ++stats_.lock_conflicts;
-      if (callbacks_.on_blame) {
-        callbacks_.on_blame(txn, pending.writer, obj, BlameKind::kBlock);
-      }
+      callbacks_.on_blame(txn, pending.writer, obj, BlameKind::kBlock);
       object.waiters.push_back(txn);
       state.waiting_on = obj;
       return CCDecision::kBlocked;
@@ -58,9 +56,7 @@ CCDecision MultiversionTimestampOrderingCC::ReadRequest(TxnId txn,
     version.max_rts = state.ts;
     version.max_reader = txn;
   }
-  if (callbacks_.on_version_read) {
-    callbacks_.on_version_read(txn, obj, version.writer);
-  }
+  callbacks_.on_version_read(txn, obj, version.writer);
   return CCDecision::kGranted;
 }
 
@@ -75,10 +71,7 @@ CCDecision MultiversionTimestampOrderingCC::WriteRequest(TxnId txn,
     // A later reader already observed the version this write would follow;
     // inserting the write now would invalidate that read.
     ++stats_.timestamp_rejections;
-    if (callbacks_.on_blame) {
-      callbacks_.on_blame(txn, version.max_reader, obj,
-                          BlameKind::kTimestamp);
-    }
+    callbacks_.on_blame(txn, version.max_reader, obj, BlameKind::kTimestamp);
     return CCDecision::kRestart;
   }
   for (const PendingWrite& pending : object.pending) {

@@ -51,10 +51,7 @@ bool OptimisticCC::Validate(TxnId txn) {
     const CommittedWrite* committed = committed_writes_.Find(obj);
     if (committed != nullptr && committed->time > state.start) {
       ++stats_.validation_failures;
-      if (callbacks_.on_blame) {
-        callbacks_.on_blame(txn, committed->writer, obj,
-                            BlameKind::kValidation);
-      }
+      callbacks_.on_blame(txn, committed->writer, obj, BlameKind::kValidation);
       return false;
     }
     const FlushClaim* flushing = flushing_.Find(obj);
@@ -62,10 +59,7 @@ bool OptimisticCC::Validate(TxnId txn) {
       // A validated transaction is writing this object; it will commit before
       // us, inside our lifetime.
       ++stats_.validation_failures;
-      if (callbacks_.on_blame) {
-        callbacks_.on_blame(txn, flushing->writer, obj,
-                            BlameKind::kValidation);
-      }
+      callbacks_.on_blame(txn, flushing->writer, obj, BlameKind::kValidation);
       return false;
     }
   }

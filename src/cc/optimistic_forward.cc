@@ -25,9 +25,7 @@ CCDecision ForwardOptimisticCC::ReadRequest(TxnId txn, ObjectId obj) {
     // observe the pre-image with no later check to catch it. Wait out the
     // flush (it completes at the flusher's commit).
     ++stats_.lock_conflicts;
-    if (callbacks_.on_blame) {
-      callbacks_.on_blame(txn, flushing->writer, obj, BlameKind::kBlock);
-    }
+    callbacks_.on_blame(txn, flushing->writer, obj, BlameKind::kBlock);
     waiters_.Touch(obj).push_back(txn);
     state.waiting_on = obj;
     return CCDecision::kBlocked;
@@ -48,9 +46,7 @@ CCDecision ForwardOptimisticCC::WriteRequest(TxnId txn, ObjectId obj) {
   const FlushClaim* flushing = flushing_.Find(obj);
   if (flushing != nullptr && flushing->count > 0) {
     ++stats_.lock_conflicts;
-    if (callbacks_.on_blame) {
-      callbacks_.on_blame(txn, flushing->writer, obj, BlameKind::kBlock);
-    }
+    callbacks_.on_blame(txn, flushing->writer, obj, BlameKind::kBlock);
     waiters_.Touch(obj).push_back(txn);
     state.waiting_on = obj;
     return CCDecision::kBlocked;
@@ -72,10 +68,7 @@ bool ForwardOptimisticCC::Validate(TxnId txn) {
     const FlushClaim* flushing = flushing_.Find(obj);
     if (flushing != nullptr && flushing->count > 0) {
       ++stats_.validation_failures;
-      if (callbacks_.on_blame) {
-        callbacks_.on_blame(txn, flushing->writer, obj,
-                            BlameKind::kValidation);
-      }
+      callbacks_.on_blame(txn, flushing->writer, obj, BlameKind::kValidation);
       return false;
     }
   }
@@ -91,9 +84,7 @@ bool ForwardOptimisticCC::Validate(TxnId txn) {
         other.doomed = true;
         ++stats_.wounds;
         // Forward validation sacrifices the reader in the validator's favor.
-        if (callbacks_.on_blame) {
-          callbacks_.on_blame(other_id, txn, obj, BlameKind::kWound);
-        }
+        callbacks_.on_blame(other_id, txn, obj, BlameKind::kWound);
         callbacks_.on_wound(other_id);
       }
     });

@@ -31,7 +31,7 @@ CCDecision StaticLockingCC::Predeclare(TxnId txn,
     return CCDecision::kGranted;
   }
   ++stats_.lock_conflicts;
-  if (callbacks_.on_blame) {
+  if (callbacks_.blame) {
     // First declared object with a conflicting holder, mirroring the
     // CanAcquire walk; among readers the smallest id keeps the attribution
     // deterministic.

@@ -47,16 +47,12 @@ CCDecision TimestampLockingCC::HandleRequest(TxnId txn, ObjectId obj,
       if (doomed_.count(blocker) > 0) continue;  // About to release anyway.
       if (Older(blocker, txn)) {
         // The requester dies in the older holder's favor.
-        if (callbacks_.on_blame) {
-          callbacks_.on_blame(txn, blocker, obj, BlameKind::kDenied);
-        }
+        callbacks_.on_blame(txn, blocker, obj, BlameKind::kDenied);
         return CCDecision::kRestart;
       }
     }
-    if (callbacks_.on_blame) {
-      callbacks_.on_blame(txn, blockers.empty() ? kInvalidTxn : blockers[0],
-                          obj, BlameKind::kBlock);
-    }
+    callbacks_.on_blame(txn, blockers.empty() ? kInvalidTxn : blockers[0],
+                        obj, BlameKind::kBlock);
     return CCDecision::kBlocked;
   }
 
@@ -66,41 +62,29 @@ CCDecision TimestampLockingCC::HandleRequest(TxnId txn, ObjectId obj,
     if (Older(txn, blocker)) {
       ++stats_.wounds;
       doomed_.insert(blocker);
-      if (callbacks_.on_blame) {
-        callbacks_.on_blame(blocker, txn, obj, BlameKind::kWound);
-      }
+      callbacks_.on_blame(blocker, txn, obj, BlameKind::kWound);
       callbacks_.on_wound(blocker);
     }
   }
   // Safety net against queue-fairness cycles (see header).
-  VictimContext context{
-      [this](TxnId t) { return incarnation_starts_.At(t); },
-      [this](TxnId t) { return locks_.NumHeld(t); },
-  };
   if (deadlock_searches_ != nullptr) deadlock_searches_->Inc();
   const DeadlockResolution& resolution =
-      detector_.Resolve(txn, doomed_, context);
+      detector_.Resolve(txn, doomed_, incarnation_starts_);
   stats_.deadlocks_detected += resolution.cycles_found;
   for (TxnId victim : resolution.victims) {
     ++stats_.deadlock_victims;
     doomed_.insert(victim);
-    if (callbacks_.on_blame) {
-      callbacks_.on_blame(victim, txn, obj, BlameKind::kWound);
-    }
+    callbacks_.on_blame(victim, txn, obj, BlameKind::kWound);
     callbacks_.on_wound(victim);
   }
   if (resolution.requester_is_victim) {
     ++stats_.deadlock_victims;
-    if (callbacks_.on_blame) {
-      callbacks_.on_blame(txn, blockers.empty() ? kInvalidTxn : blockers[0],
-                          obj, BlameKind::kWound);
-    }
+    callbacks_.on_blame(txn, blockers.empty() ? kInvalidTxn : blockers[0],
+                        obj, BlameKind::kWound);
     return CCDecision::kRestart;
   }
-  if (callbacks_.on_blame) {
-    callbacks_.on_blame(txn, blockers.empty() ? kInvalidTxn : blockers[0],
-                        obj, BlameKind::kBlock);
-  }
+  callbacks_.on_blame(txn, blockers.empty() ? kInvalidTxn : blockers[0],
+                      obj, BlameKind::kBlock);
   return CCDecision::kBlocked;
 }
 

@@ -3,7 +3,6 @@
 #define CCSIM_CC_TYPES_H_
 
 #include <cstdint>
-#include <functional>
 
 #include "sim/time.h"
 #include "wl/params.h"
@@ -20,12 +19,12 @@ inline constexpr TxnId kInvalidTxn = -1;
 /// Outcome of a concurrency control request.
 enum class CCDecision {
   kGranted,  ///< Proceed to the object access.
-  kBlocked,  ///< Wait; a later on_granted callback resumes the transaction.
+  kBlocked,  ///< Wait; a later CCEngine::OnGranted resumes the transaction.
   kRestart,  ///< Abort this incarnation and re-run the transaction.
 };
 
 /// Why a transaction is being charged for another's delay (causal blame
-/// attribution, docs/OBSERVABILITY.md). The opponent in an on_blame call is
+/// attribution, docs/OBSERVABILITY.md). The opponent in an OnBlame call is
 /// the transaction that caused the conflict; kInvalidTxn is legal where an
 /// algorithm does not record one (e.g. a pure timestamp rejection whose
 /// reader has already committed).
@@ -47,32 +46,53 @@ struct CCStats {
   int64_t timestamp_rejections = 0;  ///< T/O too-late read/write rejections.
 };
 
-/// Engine services available to concurrency control algorithms.
-///
-/// Algorithms never mutate engine state directly; they signal through these
-/// callbacks. `on_granted` announces that a previously blocked request is now
-/// granted. `on_wound` asks the engine to abort a *different* transaction
-/// (deadlock victim, or a wounded transaction in wound-wait); the engine
-/// performs the abort asynchronously and then calls Abort() on the algorithm.
+/// The engine as a concurrency control algorithm sees it. Algorithms never
+/// mutate engine state directly; they answer requests and signal back here.
+/// `OnGranted` announces that a previously blocked request is now granted.
+/// `OnWound` asks the engine to abort a *different* transaction (deadlock
+/// victim, or a wounded transaction in wound-wait); the engine performs the
+/// abort asynchronously and then calls Abort() on the algorithm.
+class CCEngine {
+ public:
+  virtual void OnGranted(TxnId txn) = 0;
+  virtual void OnWound(TxnId txn) = 0;
+  virtual SimTime Now() const = 0;
+  /// Multiversion algorithms report which writer's version each granted
+  /// read observed, so the engine's history recorder can build a
+  /// multiversion serialization graph. `version_writer` is kInvalidTxn for
+  /// the initial version.
+  virtual void OnVersionRead(TxnId txn, ObjectId obj,
+                             TxnId version_writer) = 0;
+  /// Causal blame attribution. Fired at every conflict the algorithm
+  /// resolves — a block, a wound, a denial, a validation failure, a
+  /// timestamp rejection — naming the victim and the opposing transaction
+  /// (kInvalidTxn when unknown). Pure observer: it must never influence a
+  /// decision.
+  virtual void OnBlame(TxnId victim, TxnId opponent, ObjectId obj,
+                       BlameKind kind) = 0;
+
+ protected:
+  ~CCEngine() = default;
+};
+
+/// An algorithm's handle on its engine. The two optional signals reach the
+/// engine only while their flag is set: `version_reads` when it records the
+/// history, `blame` when observability is on. Off, each costs one test.
 struct CCCallbacks {
-  std::function<void(TxnId)> on_granted;
-  std::function<void(TxnId)> on_wound;
-  std::function<SimTime()> now;
-  /// Optional (may be null): multiversion algorithms report which writer's
-  /// version each granted read observed, so the engine's history recorder
-  /// can build a multiversion serialization graph. `version_writer` is
-  /// kInvalidTxn for the initial version.
-  std::function<void(TxnId txn, ObjectId obj, TxnId version_writer)>
-      on_version_read;
-  /// Optional (may be null): causal blame attribution. Fired at every
-  /// conflict the algorithm resolves — a block, a wound, a denial, a
-  /// validation failure, a timestamp rejection — naming the victim and the
-  /// opposing transaction (kInvalidTxn when unknown). Pure observer: the
-  /// engine installs it only when observability is on, and it must never
-  /// influence a decision.
-  std::function<void(TxnId victim, TxnId opponent, ObjectId obj,
-                     BlameKind kind)>
-      on_blame;
+  CCEngine* engine = nullptr;
+  bool version_reads = false;
+  bool blame = false;
+
+  void on_granted(TxnId txn) const { engine->OnGranted(txn); }
+  void on_wound(TxnId txn) const { engine->OnWound(txn); }
+  SimTime now() const { return engine->Now(); }
+  void on_version_read(TxnId txn, ObjectId obj, TxnId version_writer) const {
+    if (version_reads) engine->OnVersionRead(txn, obj, version_writer);
+  }
+  void on_blame(TxnId victim, TxnId opponent, ObjectId obj,
+                BlameKind kind) const {
+    if (blame) engine->OnBlame(victim, opponent, obj, kind);
+  }
 };
 
 }  // namespace ccsim

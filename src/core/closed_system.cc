@@ -7,7 +7,6 @@
 #include "obs/obs_listener.h"
 #include "sim/choice.h"
 #include "util/check.h"
-#include "util/logging.h"
 #include "util/str.h"
 
 namespace ccsim {
@@ -58,9 +57,9 @@ ClosedSystem::ClosedSystem(Simulator* sim, const EngineConfig& config)
   }
   // Algorithms that restart against a still-running conflictor livelock
   // without a delay: the restarted transaction re-requests the same lock at
-  // the same simulated instant, forever.
-  if (config_.algorithm == "immediate_restart" ||
-      config_.algorithm == "wait_die") {
+  // the same simulated instant, forever. They are the ones whose default
+  // delay is not kNone.
+  if (DefaultRestartDelayMode(config_.algorithm) != RestartDelayMode::kNone) {
     CCSIM_CHECK(restart_policy_.mode() != RestartDelayMode::kNone)
         << config_.algorithm
         << " requires a restart delay (fixed or adaptive)";
@@ -85,25 +84,12 @@ ClosedSystem::ClosedSystem(Simulator* sim, const EngineConfig& config)
 ClosedSystem::~ClosedSystem() = default;
 
 void ClosedSystem::AttachListeners() {
-  CCCallbacks callbacks{
-      [this](TxnId id) { OnGranted(id); },
-      [this](TxnId id) { OnWound(id); },
-      [this]() { return sim_->Now(); },
-      nullptr,
-      nullptr,
-  };
   if (config_.audit) {
     audit_ = std::make_unique<AuditListener>(this, sim_);
     cc_->SetAuditor(&audit_->auditor());
     listeners_.push_back(audit_.get());
   }
-  if (config_.record_history) {
-    listeners_.push_back(&history_);
-    callbacks.on_version_read = [this](TxnId id, ObjectId obj, TxnId writer) {
-      Dispatch(EngineEventKind::kVersionRead, &GetTxn(id),
-               {.object = obj, .opponent = writer});
-    };
-  }
+  if (config_.record_history) listeners_.push_back(&history_);
   if (config_.lifecycle_sink != nullptr) {
     lifecycle_ = std::make_unique<TraceSinkListener>(config_.lifecycle_sink);
     listeners_.push_back(lifecycle_.get());
@@ -111,14 +97,10 @@ void ClosedSystem::AttachListeners() {
   if (config_.obs.enabled) {
     AttachObservability();
     listeners_.push_back(obs_.get());
-    callbacks.on_blame = [this](TxnId victim, TxnId opponent, ObjectId obj,
-                                BlameKind kind) {
-      Dispatch(EngineEventKind::kBlame, nullptr,
-               {.txn = victim, .object = obj, .opponent = opponent,
-                .blame = kind});
-    };
   }
-  cc_->SetCallbacks(std::move(callbacks));
+  cc_->SetCallbacks({.engine = this,
+                     .version_reads = config_.record_history,
+                     .blame = config_.obs.enabled});
 }
 
 void ClosedSystem::Dispatch(EngineEventKind kind, const Txn* txn,

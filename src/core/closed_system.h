@@ -67,8 +67,9 @@ enum class SourceMode {
 struct EngineConfig {
   WorkloadParams workload;
   ResourceConfig resources;
-  /// One of: blocking, immediate_restart, optimistic, wound_wait, wait_die,
-  /// basic_to, mvto.
+  /// One of AllAlgorithms() (cc/factory.h): blocking, immediate_restart,
+  /// optimistic, optimistic_forward, wound_wait, wait_die, basic_to, mvto,
+  /// static_locking.
   std::string algorithm = "blocking";
   SourceMode source_mode = SourceMode::kClosed;
   /// Mean Poisson arrival rate (transactions/second) for SourceMode::kOpen.
@@ -95,7 +96,8 @@ struct EngineConfig {
   /// checkers stay consistent with what the cc algorithm saw.
   int lock_granule_size = 1;
   /// Restart delay mode; nullopt selects the algorithm's conventional
-  /// default (adaptive for immediate_restart, none otherwise).
+  /// default (DefaultRestartDelayMode: adaptive for immediate_restart and
+  /// wait_die, none otherwise).
   std::optional<RestartDelayMode> restart_delay_mode;
   /// Mean for RestartDelayMode::kFixed.
   SimTime fixed_restart_delay = 0;
@@ -139,13 +141,15 @@ struct EngineConfig {
 
 /// The simulation engine. Owns the workload, resources, and the concurrency
 /// control algorithm; drives every transaction through its lifecycle. It is
-/// the resource pools' ServiceSink (OnServiceDone) and the handler of its
-/// own timers (OnEvent). At each lifecycle point it emits one EngineEvent to
-/// its listeners — built from the config: the auditor, the history
-/// recorder, the lifecycle sink, observability — which see the event and
-/// the const views below only, so none of them can steer a run. With no
-/// listener an emit costs one empty-list test.
-class ClosedSystem : private ServiceSink, private EventHandler {
+/// the resource pools' ServiceSink (OnServiceDone), the handler of its own
+/// timers (OnEvent) and its algorithm's CCEngine. At each lifecycle point it
+/// emits one EngineEvent to its listeners — built from the config: the
+/// auditor, the history recorder, the lifecycle sink, observability — which
+/// see the event and the const views below only, so none of them can steer
+/// a run. With no listener an emit costs one empty-list test.
+class ClosedSystem : private ServiceSink,
+                     private EventHandler,
+                     private CCEngine {
  public:
   ClosedSystem(Simulator* sim, const EngineConfig& config);
   ~ClosedSystem();
@@ -321,9 +325,21 @@ class ClosedSystem : private ServiceSink, private EventHandler {
   void Serve(ServiceKind kind, TxnId txn, int incarnation, SimTime service);
   void OnServiceDone(const ServiceRequest& request) override;
 
-  // Concurrency control callbacks.
-  void OnGranted(TxnId id);
-  void OnWound(TxnId id);
+  // The algorithm's signals (CCEngine). The last two reach here only while
+  // the history is recorded or observability is on (AttachListeners).
+  void OnGranted(TxnId id) override;
+  void OnWound(TxnId id) override;
+  SimTime Now() const override { return sim_->Now(); }
+  void OnVersionRead(TxnId id, ObjectId obj, TxnId writer) override {
+    Dispatch(EngineEventKind::kVersionRead, &GetTxn(id),
+             {.object = obj, .opponent = writer});
+  }
+  void OnBlame(TxnId victim, TxnId opponent, ObjectId obj,
+               BlameKind kind) override {
+    Dispatch(EngineEventKind::kBlame, nullptr,
+             {.txn = victim, .object = obj, .opponent = opponent,
+              .blame = kind});
+  }
 
   // Timers: simulator Events whose kind is a Timer, dispatched by OnEvent.
   enum class Timer : uint8_t {

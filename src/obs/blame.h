@@ -1,9 +1,9 @@
 // Causal blame attribution (docs/OBSERVABILITY.md).
 //
 // The phase breakdown (obs/phase.h) says *where* response time goes; blame
-// says *who made it go there*. Every conflict the cc layer resolves fires
-// CCCallbacks::on_blame naming the opposing transaction; the engine charges
-// the resulting delay to that opponent:
+// says *who made it go there*. Every conflict the cc layer resolves calls
+// CCEngine::OnBlame naming the opposing transaction; the engine charges the
+// resulting delay to that opponent:
 //
 //   * wasted-µs charged to aborters — each restarted incarnation's lifetime
 //     (the integer µs the phase breakdown books as `wasted`) is charged to

@@ -8,7 +8,7 @@
 // classical top-K guarantee that true heavy hitters are never lost. Memory
 // is O(capacity) regardless of db_size.
 //
-// The profiler is fed from the engine's on_blame hook, so it sees exactly
+// The profiler is fed from the engine's OnBlame events, so it sees exactly
 // the conflicts the blame layer attributes, keyed on simulated time only —
 // same-seed runs produce byte-identical hot CSVs.
 #ifndef CCSIM_OBS_CONTENTION_H_

@@ -33,8 +33,8 @@ enum class EngineEventKind : uint8_t {
   /// A transition finished and the census is consistent: NextStep entry, a
   /// resume, the end of a commit or restart. Names no transaction.
   kSettled,
-  kBlame,        ///< cc on_blame: `txn` is the victim of `opponent`.
-  kVersionRead,  ///< cc on_version_read: `opponent` wrote the version read.
+  kBlame,        ///< CCEngine::OnBlame: `txn` is the victim of `opponent`.
+  kVersionRead,  ///< CCEngine::OnVersionRead: `opponent` wrote the version.
   // Run (no transaction).
   kRunStart,      ///< Prime(): the terminals are about to start.
   kMeasureReset,  ///< Warmup ended; measurement accumulators reset.

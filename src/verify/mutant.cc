@@ -1,7 +1,6 @@
 #include "verify/mutant.h"
 
 #include <string>
-#include <utility>
 
 #include "cc/factory.h"
 
@@ -41,7 +40,7 @@ class IgnoreConflictsMutant : public ConcurrencyControl {
 
 /// The real blocking algorithm with its grant wire cut: the lock table hands
 /// the lock over, the engine never hears about it.
-class DropGrantMutant : public ConcurrencyControl {
+class DropGrantMutant : public ConcurrencyControl, private CCEngine {
  public:
   explicit DropGrantMutant(int drops)
       : inner_(MakeConcurrencyControl("blocking")), drops_remaining_(drops) {}
@@ -82,22 +81,32 @@ class DropGrantMutant : public ConcurrencyControl {
   void AuditCheck() const override { inner_->AuditCheck(); }
 
  private:
-  /// SetCallbacks is non-virtual (it only stores), so the engine's callbacks
-  /// land in this wrapper; the first transaction forwards them to the inner
-  /// algorithm with the grant wire intercepted.
+  /// SetCallbacks is non-virtual (it only stores), so the engine's handle
+  /// lands in this wrapper; the first transaction hands the inner algorithm
+  /// one on this mutant, which forwards every signal but the dropped grants.
   void EnsureWired() {
     if (wired_) return;
     wired_ = true;
     CCCallbacks wrapped = callbacks_;
-    auto original = callbacks_.on_granted;
-    wrapped.on_granted = [this, original](TxnId id) {
-      if (drops_remaining_ > 0) {
-        --drops_remaining_;
-        return;  // Lost wakeup: the waiter never resumes.
-      }
-      original(id);
-    };
-    inner_->SetCallbacks(std::move(wrapped));
+    wrapped.engine = this;
+    inner_->SetCallbacks(wrapped);
+  }
+
+  void OnGranted(TxnId txn) override {
+    if (drops_remaining_ > 0) {
+      --drops_remaining_;
+      return;  // Lost wakeup: the waiter never resumes.
+    }
+    callbacks_.on_granted(txn);
+  }
+  void OnWound(TxnId txn) override { callbacks_.on_wound(txn); }
+  SimTime Now() const override { return callbacks_.now(); }
+  void OnVersionRead(TxnId txn, ObjectId obj, TxnId writer) override {
+    callbacks_.on_version_read(txn, obj, writer);
+  }
+  void OnBlame(TxnId victim, TxnId opponent, ObjectId obj,
+               BlameKind kind) override {
+    callbacks_.on_blame(victim, opponent, obj, kind);
   }
 
   std::unique_ptr<ConcurrencyControl> inner_;

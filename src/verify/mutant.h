@@ -19,9 +19,9 @@ namespace verify {
 /// committed history is not conflict-serializable (oracle rule 1).
 std::unique_ptr<ConcurrencyControl> MakeIgnoreConflictsMutant();
 
-/// Wraps the real blocking algorithm but swallows the first `drops` grant
-/// callbacks: the lock is granted inside the lock table, yet the waiter is
-/// never told — the classic lost wakeup. The waiter stays blocked forever,
+/// Wraps the real blocking algorithm but swallows its first `drops`
+/// OnGranted calls: the lock is granted inside the lock table, yet the
+/// waiter is never told — the classic lost wakeup. The waiter stays blocked forever,
 /// tripping the liveness rule (3) and the audit lost-wakeup check (4).
 std::unique_ptr<ConcurrencyControl> MakeDropGrantMutant(int drops);
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -49,14 +50,22 @@ EngineConfig ContendedConfig() {
   return config;
 }
 
-MetricsReport RunContended(const std::string& algorithm) {
+// With `version_reads`, the run also records its history and reports how
+// many version reads it holds.
+MetricsReport RunContended(const std::string& algorithm,
+                           size_t* version_reads = nullptr) {
   EngineConfig config = ContendedConfig();
   config.algorithm = algorithm;
   config.obs.enabled = true;
+  config.record_history = version_reads != nullptr;
   Simulator sim;
   ClosedSystem system(&sim, config);
-  return system.RunExperiment(/*batches=*/2, /*batch_length=*/5 * kSecond,
-                              /*warmup=*/0);
+  MetricsReport report = system.RunExperiment(
+      /*batches=*/2, /*batch_length=*/5 * kSecond, /*warmup=*/0);
+  if (version_reads != nullptr) {
+    *version_reads = system.history().version_reads().size();
+  }
+  return report;
 }
 
 // --- The conservation law ------------------------------------------------
@@ -111,6 +120,51 @@ TEST(BlameConservationTest, IdentityHoldsExactlyForAllNineAlgorithms) {
       EXPECT_GT(b.top_holder_blocked_us, 0) << algorithm;
       EXPECT_LE(b.top_holder_blocked_us, b.blocked_attributed_us) << algorithm;
     }
+  }
+}
+
+// Pins who each algorithm charges, and for how long, at the contended
+// point, with the history recorded too: every blame site and every version
+// read must keep reporting the same opponents however they reach the
+// engine. Conservation alone would let a charge move between victims.
+TEST(BlamePinTest, ChargesAndVersionReadsMatchForAllNineAlgorithms) {
+  struct Pin {
+    const char* algorithm;
+    int64_t restarts_charged;
+    int64_t blocks_charged;
+    int64_t wasted_attributed_us;
+    int64_t blocked_attributed_us;
+    TxnId top_aborter;
+    TxnId top_holder;
+    size_t version_reads;
+  };
+  const Pin kPins[] = {
+      {"blocking", 12, 43, 1590264, 2649453, 88, 141, 0},
+      {"immediate_restart", 54, 0, 5287865, 0, 90, kInvalidTxn, 0},
+      {"optimistic", 50, 0, 8088997, 0, 88, kInvalidTxn, 0},
+      {"optimistic_forward", 18, 18, 2114158, 905982, 88, 127, 0},
+      {"wound_wait", 23, 51, 2038813, 1689934, 143, 139, 0},
+      {"wait_die", 36, 18, 2800172, 1202804, 88, 141, 0},
+      {"basic_to", 52, 12, 10752722, 445000, 90, 85, 0},
+      {"mvto", 52, 12, 10752722, 445000, 90, 85, 1150},
+      {"static_locking", 0, 43, 0, 5090244, kInvalidTxn, 31, 0},
+  };
+  ASSERT_EQ(std::size(kPins), AllAlgorithms().size());
+  for (size_t i = 0; i < std::size(kPins); ++i) {
+    const Pin& pin = kPins[i];
+    ASSERT_EQ(pin.algorithm, AllAlgorithms()[i]);
+    size_t version_reads = 0;
+    MetricsReport report = RunContended(pin.algorithm, &version_reads);
+    const BlameBreakdown& b = report.blame;
+    EXPECT_EQ(b.restarts_charged, pin.restarts_charged) << pin.algorithm;
+    EXPECT_EQ(b.blocks_charged, pin.blocks_charged) << pin.algorithm;
+    EXPECT_EQ(b.wasted_attributed_us, pin.wasted_attributed_us)
+        << pin.algorithm;
+    EXPECT_EQ(b.blocked_attributed_us, pin.blocked_attributed_us)
+        << pin.algorithm;
+    EXPECT_EQ(b.top_aborter, pin.top_aborter) << pin.algorithm;
+    EXPECT_EQ(b.top_holder, pin.top_holder) << pin.algorithm;
+    EXPECT_EQ(version_reads, pin.version_reads) << pin.algorithm;
   }
 }
 

@@ -1,5 +1,5 @@
 // Unit tests for the concurrency control algorithms, driven directly with
-// fake engine callbacks (no simulator).
+// a fake engine (no simulator).
 #include <memory>
 #include <vector>
 
@@ -11,6 +11,7 @@
 #include "cc/optimistic.h"
 #include "cc/optimistic_forward.h"
 #include "cc/timestamp_locking.h"
+#include "fake_cc_engine.h"
 
 namespace ccsim {
 namespace {
@@ -18,33 +19,12 @@ namespace {
 constexpr TxnId kT1 = 1, kT2 = 2, kT3 = 3;
 constexpr ObjectId kA = 10, kB = 20;
 
-/// Captures callback activity and provides a settable clock.
-struct FakeEngine {
-  std::vector<TxnId> granted;
-  std::vector<TxnId> wounded;
-  SimTime now = 0;
-
-  std::vector<std::pair<ObjectId, TxnId>> version_reads;
-
-  CCCallbacks Callbacks() {
-    return CCCallbacks{
-        [this](TxnId t) { granted.push_back(t); },
-        [this](TxnId t) { wounded.push_back(t); },
-        [this]() { return now; },
-        [this](TxnId, ObjectId obj, TxnId writer) {
-          version_reads.emplace_back(obj, writer);
-        },
-        nullptr,
-    };
-  }
-};
-
 // ---------------------------------------------------------------- Blocking
 
 class BlockingTest : public testing::Test {
  protected:
   void SetUp() override { cc_.SetCallbacks(engine_.Callbacks()); }
-  FakeEngine engine_;
+  FakeCCEngine engine_;
   BlockingCC cc_;
 };
 
@@ -153,7 +133,7 @@ TEST_F(BlockingTest, RestartedTxnReacquiresCleanly) {
 class ImmediateRestartTest : public testing::Test {
  protected:
   void SetUp() override { cc_.SetCallbacks(engine_.Callbacks()); }
-  FakeEngine engine_;
+  FakeCCEngine engine_;
   ImmediateRestartCC cc_;
 };
 
@@ -199,7 +179,7 @@ TEST_F(ImmediateRestartTest, SharedReadersCoexist) {
 class OptimisticTest : public testing::Test {
  protected:
   void SetUp() override { cc_.SetCallbacks(engine_.Callbacks()); }
-  FakeEngine engine_;
+  FakeCCEngine engine_;
   OptimisticCC cc_;
 };
 
@@ -314,7 +294,7 @@ TEST_F(OptimisticTest, LastCommittedWriteUnwrittenIsNegative) {
 class ForwardOptimisticTest : public testing::Test {
  protected:
   void SetUp() override { cc_.SetCallbacks(engine_.Callbacks()); }
-  FakeEngine engine_;
+  FakeCCEngine engine_;
   ForwardOptimisticCC cc_;
 };
 
@@ -422,7 +402,7 @@ TEST_F(ForwardOptimisticTest, AbortedWaiterLeavesQueue) {
 class WoundWaitTest : public testing::Test {
  protected:
   void SetUp() override { cc_.SetCallbacks(engine_.Callbacks()); }
-  FakeEngine engine_;
+  FakeCCEngine engine_;
   TimestampLockingCC cc_{TimestampLockingCC::Flavor::kWoundWait};
 };
 
@@ -469,7 +449,7 @@ TEST_F(WoundWaitTest, TimestampSurvivesRestart) {
 class WaitDieTest : public testing::Test {
  protected:
   void SetUp() override { cc_.SetCallbacks(engine_.Callbacks()); }
-  FakeEngine engine_;
+  FakeCCEngine engine_;
   TimestampLockingCC cc_{TimestampLockingCC::Flavor::kWaitDie};
 };
 

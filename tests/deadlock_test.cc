@@ -1,6 +1,6 @@
 // Unit tests for waits-for cycle detection and victim selection.
-#include <memory>
-#include <unordered_map>
+#include <initializer_list>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,16 +14,13 @@ namespace {
 constexpr TxnId kT1 = 1, kT2 = 2, kT3 = 3;
 constexpr ObjectId kA = 10, kB = 20, kC = 30;
 
-/// Helper: detector context with fixed start times (id order = age order)
-/// and lock counts from the manager.
-VictimContext MakeContext(const LockManager& lm,
-                          std::unordered_map<TxnId, SimTime> starts) {
-  auto starts_ptr = std::make_shared<std::unordered_map<TxnId, SimTime>>(
-      std::move(starts));
-  return VictimContext{
-      [starts_ptr](TxnId t) { return starts_ptr->at(t); },
-      [&lm](TxnId t) { return lm.NumHeld(t); },
-  };
+/// Helper: the incarnation start times the detector reads (id order = age
+/// order in most tests); kFewestLocks counts locks in the manager itself.
+TxnSlotMap<SimTime> Starts(
+    std::initializer_list<std::pair<TxnId, SimTime>> starts) {
+  TxnSlotMap<SimTime> table;
+  for (const auto& [txn, start] : starts) table.Insert(txn) = start;
+  return table;
 }
 
 TEST(DeadlockTest, NoCycleWhenSimplyWaiting) {
@@ -32,7 +29,7 @@ TEST(DeadlockTest, NoCycleWhenSimplyWaiting) {
   lm.Request(kT2, kA, LockMode::kShared, true);  // T2 -> T1, no cycle.
   DeadlockDetector detector(&lm, VictimPolicy::kYoungest);
   EXPECT_TRUE(detector.FindCycle(kT2, {}).empty());
-  auto resolution = detector.Resolve(kT2, {}, MakeContext(lm, {{kT1, 1}, {kT2, 2}}));
+  auto resolution = detector.Resolve(kT2, {}, Starts({{kT1, 1}, {kT2, 2}}));
   EXPECT_FALSE(resolution.requester_is_victim);
   EXPECT_TRUE(resolution.victims.empty());
   EXPECT_EQ(resolution.cycles_found, 0);
@@ -50,7 +47,7 @@ TEST(DeadlockTest, TwoTxnUpgradeDeadlock) {
   ASSERT_EQ(cycle.size(), 2u);
 
   // T2 started later (younger) => T2 is the victim; requester itself.
-  auto resolution = detector.Resolve(kT2, {}, MakeContext(lm, {{kT1, 5}, {kT2, 9}}));
+  auto resolution = detector.Resolve(kT2, {}, Starts({{kT1, 5}, {kT2, 9}}));
   EXPECT_TRUE(resolution.requester_is_victim);
   EXPECT_TRUE(resolution.victims.empty());
   EXPECT_EQ(resolution.cycles_found, 1);
@@ -65,7 +62,7 @@ TEST(DeadlockTest, TwoTxnDeadlockOtherVictim) {
 
   DeadlockDetector detector(&lm, VictimPolicy::kYoungest);
   // T1 is younger this time => the non-requesting T1 is chosen.
-  auto resolution = detector.Resolve(kT2, {}, MakeContext(lm, {{kT1, 9}, {kT2, 5}}));
+  auto resolution = detector.Resolve(kT2, {}, Starts({{kT1, 9}, {kT2, 5}}));
   EXPECT_FALSE(resolution.requester_is_victim);
   ASSERT_EQ(resolution.victims.size(), 1u);
   EXPECT_EQ(resolution.victims[0], kT1);
@@ -85,7 +82,7 @@ TEST(DeadlockTest, ThreeTxnCycleAcrossObjects) {
   EXPECT_EQ(cycle.size(), 3u);
 
   auto resolution =
-      detector.Resolve(kT3, {}, MakeContext(lm, {{kT1, 1}, {kT2, 2}, {kT3, 3}}));
+      detector.Resolve(kT3, {}, Starts({{kT1, 1}, {kT2, 2}, {kT3, 3}}));
   EXPECT_TRUE(resolution.requester_is_victim);  // T3 is youngest.
 }
 
@@ -101,7 +98,7 @@ TEST(DeadlockTest, DoomedTxnsAreInvisible) {
   SmallIdSet doomed = {kT1};
   EXPECT_TRUE(detector.FindCycle(kT2, doomed).empty());
   auto resolution =
-      detector.Resolve(kT2, doomed, MakeContext(lm, {{kT1, 1}, {kT2, 2}}));
+      detector.Resolve(kT2, doomed, Starts({{kT1, 1}, {kT2, 2}}));
   EXPECT_FALSE(resolution.requester_is_victim);
   EXPECT_TRUE(resolution.victims.empty());
 }
@@ -114,7 +111,7 @@ TEST(DeadlockTest, OldestVictimPolicy) {
   lm.Request(kT2, kA, LockMode::kExclusive, true);
 
   DeadlockDetector detector(&lm, VictimPolicy::kOldest);
-  auto resolution = detector.Resolve(kT2, {}, MakeContext(lm, {{kT1, 1}, {kT2, 9}}));
+  auto resolution = detector.Resolve(kT2, {}, Starts({{kT1, 1}, {kT2, 9}}));
   EXPECT_FALSE(resolution.requester_is_victim);
   ASSERT_EQ(resolution.victims.size(), 1u);
   EXPECT_EQ(resolution.victims[0], kT1);  // Oldest.
@@ -129,7 +126,7 @@ TEST(DeadlockTest, FewestLocksVictimPolicy) {
   lm.Request(kT2, kA, LockMode::kExclusive, true);
 
   DeadlockDetector detector(&lm, VictimPolicy::kFewestLocks);
-  auto resolution = detector.Resolve(kT2, {}, MakeContext(lm, {{kT1, 1}, {kT2, 2}}));
+  auto resolution = detector.Resolve(kT2, {}, Starts({{kT1, 1}, {kT2, 2}}));
   // T2 holds fewer locks => victim is the requester.
   EXPECT_TRUE(resolution.requester_is_victim);
 }
@@ -142,7 +139,7 @@ TEST(DeadlockTest, YoungestTieBreaksOnLargerId) {
   lm.Request(kT2, kA, LockMode::kExclusive, true);
 
   DeadlockDetector detector(&lm, VictimPolicy::kYoungest);
-  auto resolution = detector.Resolve(kT2, {}, MakeContext(lm, {{kT1, 5}, {kT2, 5}}));
+  auto resolution = detector.Resolve(kT2, {}, Starts({{kT1, 5}, {kT2, 5}}));
   EXPECT_TRUE(resolution.requester_is_victim);  // Equal starts: larger id.
 }
 
@@ -198,7 +195,7 @@ TEST(DeadlockTest, MultipleCyclesThroughRequesterAllResolved) {
 
   DeadlockDetector detector(&lm, VictimPolicy::kYoungest);
   auto resolution =
-      detector.Resolve(kT3, {}, MakeContext(lm, {{kT1, 1}, {kT2, 2}, {kT3, 3}}));
+      detector.Resolve(kT3, {}, Starts({{kT1, 1}, {kT2, 2}, {kT3, 3}}));
   // T3 is youngest and in the only cycle => requester victim.
   EXPECT_TRUE(resolution.requester_is_victim);
   EXPECT_EQ(resolution.cycles_found, 1);
@@ -213,7 +210,7 @@ TEST(DeadlockTest, VictimOtherThanRequesterThenNoResidualCycle) {
 
   DeadlockDetector detector(&lm, VictimPolicy::kYoungest);
   // T2 younger: chosen although not the requester.
-  auto resolution = detector.Resolve(kT1, {}, MakeContext(lm, {{kT1, 1}, {kT2, 2}}));
+  auto resolution = detector.Resolve(kT1, {}, Starts({{kT1, 1}, {kT2, 2}}));
   EXPECT_FALSE(resolution.requester_is_victim);
   ASSERT_EQ(resolution.victims.size(), 1u);
   EXPECT_EQ(resolution.victims[0], kT2);

@@ -314,11 +314,26 @@ TEST(EngineTest, ReadOnlyWorkloadHasNoConflicts) {
   }
 }
 
+// Both algorithms whose default delay is not kNone livelock without one.
 TEST(EngineDeathTest, ImmediateRestartWithNoDelayIsRejected) {
-  Simulator sim;
-  EngineConfig config = SmallConfig("immediate_restart");
-  config.restart_delay_mode = RestartDelayMode::kNone;
-  EXPECT_DEATH(ClosedSystem(&sim, config), "restart delay");
+  for (const char* algorithm : {"immediate_restart", "wait_die"}) {
+    SCOPED_TRACE(algorithm);
+    Simulator sim;
+    EngineConfig config = SmallConfig(algorithm);
+    config.restart_delay_mode = RestartDelayMode::kNone;
+    EXPECT_DEATH(ClosedSystem(&sim, config), "requires a restart delay");
+  }
+}
+
+TEST(EngineDeathTest, XLockOnReadIntentIsRejectedForTimestampOrdering) {
+  for (const char* algorithm : {"basic_to", "mvto"}) {
+    SCOPED_TRACE(algorithm);
+    Simulator sim;
+    EngineConfig config = SmallConfig(algorithm);
+    config.x_lock_on_read_intent = true;
+    EXPECT_DEATH(ClosedSystem(&sim, config),
+                 "x_lock_on_read_intent is not supported");
+  }
 }
 
 TEST(EngineDeathTest, PrimeTwiceAborts) {

@@ -275,12 +275,10 @@ TEST(DeadlockFuzzTest, MatchesReferenceSearchCycleForCycle) {
           static_cast<int>(rng.UniformInt(range.min_txns, range.max_txns));
       const int objects =
           static_cast<int>(rng.UniformInt(1, range.max_objects));
-      std::unordered_map<TxnId, SimTime> starts;
-      for (TxnId t = 1; t <= txns; ++t) starts[t] = rng.UniformInt(0, 4);
-      VictimContext context{
-          [&starts](TxnId t) { return starts.at(t); },
-          [&lm](TxnId t) { return lm.NumHeld(t); },
-      };
+      TxnSlotMap<SimTime> starts;
+      for (TxnId t = 1; t <= txns; ++t) {
+        starts.Insert(t) = rng.UniformInt(0, 4);
+      }
       for (int step = 0; step < range.steps; ++step) {
         const TxnId txn = rng.UniformInt(1, txns);
         if (lm.IsWaiting(txn)) continue;
@@ -300,7 +298,7 @@ TEST(DeadlockFuzzTest, MatchesReferenceSearchCycleForCycle) {
             << "round " << round << " txn " << txn;
 
         const DeadlockResolution resolution =
-            detector.Resolve(txn, doomed, context);
+            detector.Resolve(txn, doomed, starts);
         SmallIdSet excluded = doomed;
         std::vector<int> lengths;
         std::vector<TxnId> victims;
@@ -317,8 +315,8 @@ TEST(DeadlockFuzzTest, MatchesReferenceSearchCycleForCycle) {
           lengths.push_back(static_cast<int>(cycle.size()));
           TxnId victim = cycle.front();
           for (TxnId member : cycle) {
-            if (starts.at(member) > starts.at(victim) ||
-                (starts.at(member) == starts.at(victim) && member > victim)) {
+            if (starts.At(member) > starts.At(victim) ||
+                (starts.At(member) == starts.At(victim) && member > victim)) {
               victim = member;
             }
           }
@@ -348,13 +346,9 @@ TEST(DeadlockFuzzTest, ResolutionAlwaysClearsRequesterCycles) {
   for (int round = 0; round < 60; ++round) {
     LockManager lm;
     DeadlockDetector detector(&lm, VictimPolicy::kYoungest);
-    std::unordered_map<TxnId, SimTime> starts;
-    VictimContext context{
-        [&starts](TxnId t) { return starts[t]; },
-        [&lm](TxnId t) { return lm.NumHeld(t); },
-    };
+    TxnSlotMap<SimTime> starts;
     const int txns = 8, objects = 5;
-    for (TxnId t = 1; t <= txns; ++t) starts[t] = t;
+    for (TxnId t = 1; t <= txns; ++t) starts.Insert(t) = t;
 
     SmallIdSet doomed;
     for (int step = 0; step < 80; ++step) {
@@ -364,7 +358,7 @@ TEST(DeadlockFuzzTest, ResolutionAlwaysClearsRequesterCycles) {
       LockMode mode = rng.Bernoulli(0.4) ? LockMode::kExclusive
                                          : LockMode::kShared;
       if (lm.Request(txn, obj, mode, true) == LockRequestOutcome::kWaiting) {
-        DeadlockResolution resolution = detector.Resolve(txn, doomed, context);
+        DeadlockResolution resolution = detector.Resolve(txn, doomed, starts);
         if (resolution.requester_is_victim) {
           lm.ReleaseAll(txn);
           continue;

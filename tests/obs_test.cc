@@ -23,6 +23,7 @@
 #include "core/experiment.h"
 #include "core/report.h"
 #include "exec/watchdog.h"
+#include "fake_cc_engine.h"
 #include "obs/obs_config.h"
 #include "obs/registry.h"
 #include "obs/sampler.h"
@@ -109,13 +110,10 @@ TEST(StatsRegistryTest, LockTableGaugeDropsToZeroAfterLastRelease) {
   // static-locking table.
   for (const char* algorithm : {"blocking", "static_locking"}) {
     SCOPED_TRACE(algorithm);
+    FakeCCEngine engine;
     std::unique_ptr<ConcurrencyControl> cc = MakeConcurrencyControl(algorithm);
     cc->ReserveCapacity(/*num_objects=*/16, /*num_txns=*/4);
-    CCCallbacks callbacks;
-    callbacks.on_granted = [](TxnId) {};
-    callbacks.on_wound = [](TxnId) {};
-    callbacks.now = [] { return static_cast<SimTime>(0); };
-    cc->SetCallbacks(std::move(callbacks));
+    cc->SetCallbacks(engine.Callbacks());
     StatsRegistry registry;
     cc->RegisterStats(&registry);
     EXPECT_EQ(registry.ValueOf("lock_table_objects"), 0.0);

@@ -27,6 +27,7 @@
 
 #include "cc/concurrency_control.h"
 #include "cc/factory.h"
+#include "fake_cc_engine.h"
 #include "sim/simulator.h"
 
 namespace {
@@ -117,16 +118,13 @@ TEST(SimAllocTest, BlockingDecisionPathIsAllocationFree) {
   // (running the deadlock detector), a's commit grants b, b re-issues and
   // finishes. Fresh ids every cycle, like the real engine (commit -> new
   // transaction), so this also pins the TxnSlotMap recycle path.
+  FakeCCEngine engine;
   std::unique_ptr<ConcurrencyControl> cc = MakeConcurrencyControl("blocking");
   cc->ReserveCapacity(/*num_objects=*/64, /*num_txns=*/8);
-  std::vector<TxnId> granted;
+  std::vector<TxnId>& granted = engine.granted;
   granted.reserve(16);
-  SimTime clock = 0;
-  CCCallbacks callbacks;
-  callbacks.on_granted = [&granted](TxnId id) { granted.push_back(id); };
-  callbacks.on_wound = [](TxnId) {};
-  callbacks.now = [&clock] { return clock; };
-  cc->SetCallbacks(std::move(callbacks));
+  SimTime& clock = engine.now;
+  cc->SetCallbacks(engine.Callbacks());
 
   auto cycle = [&](TxnId a) {
     const TxnId b = a + 1;

@@ -4,26 +4,13 @@
 #include <gtest/gtest.h>
 
 #include "cc/static_locking.h"
+#include "fake_cc_engine.h"
 
 namespace ccsim {
 namespace {
 
 constexpr TxnId kT1 = 1, kT2 = 2, kT3 = 3;
 constexpr ObjectId kA = 10, kB = 20, kC = 30;
-
-struct FakeEngine {
-  std::vector<TxnId> granted;
-
-  CCCallbacks Callbacks() {
-    return CCCallbacks{
-        [this](TxnId t) { granted.push_back(t); },
-        [](TxnId) { FAIL() << "static locking never wounds"; },
-        []() { return SimTime{0}; },
-        nullptr,
-        nullptr,
-    };
-  }
-};
 
 class StaticLockingTest : public testing::Test {
  protected:
@@ -35,7 +22,7 @@ class StaticLockingTest : public testing::Test {
     return cc_.Predeclare(txn, reads, writes);
   }
 
-  FakeEngine engine_;
+  FakeCCEngine engine_{"static locking never wounds"};
   StaticLockingCC cc_;
 };
 

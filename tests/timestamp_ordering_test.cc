@@ -1,5 +1,5 @@
 // Unit tests for basic and multiversion timestamp ordering, driven directly
-// with fake engine callbacks. Timestamps are assigned per OnBegin, so test
+// with a fake engine. Timestamps are assigned per OnBegin, so test
 // "age" is controlled by begin order.
 #include <utility>
 #include <vector>
@@ -8,6 +8,7 @@
 
 #include "cc/basic_to.h"
 #include "cc/mvto.h"
+#include "fake_cc_engine.h"
 
 namespace ccsim {
 namespace {
@@ -15,30 +16,12 @@ namespace {
 constexpr TxnId kT1 = 1, kT2 = 2, kT3 = 3;
 constexpr ObjectId kA = 10, kB = 20;
 
-struct FakeEngine {
-  std::vector<TxnId> granted;
-  std::vector<std::pair<ObjectId, TxnId>> version_reads;
-  SimTime now = 0;
-
-  CCCallbacks Callbacks() {
-    return CCCallbacks{
-        [this](TxnId t) { granted.push_back(t); },
-        [](TxnId) { FAIL() << "T/O algorithms never wound"; },
-        [this]() { return now; },
-        [this](TxnId, ObjectId obj, TxnId writer) {
-          version_reads.emplace_back(obj, writer);
-        },
-        nullptr,
-    };
-  }
-};
-
 // ----------------------------------------------------------------- BasicTO
 
 class BasicToTest : public testing::Test {
  protected:
   void SetUp() override { cc_.SetCallbacks(engine_.Callbacks()); }
-  FakeEngine engine_;
+  FakeCCEngine engine_{"T/O algorithms never wound"};
   BasicTimestampOrderingCC cc_;
 };
 
@@ -172,7 +155,7 @@ TEST_F(BasicToTest, RestartWithFreshTimestampSucceeds) {
 class MvtoTest : public testing::Test {
  protected:
   void SetUp() override { cc_.SetCallbacks(engine_.Callbacks()); }
-  FakeEngine engine_;
+  FakeCCEngine engine_{"T/O algorithms never wound"};
   MultiversionTimestampOrderingCC cc_;
 };
 

@@ -25,12 +25,14 @@ Rules (docs/VERIFICATION.md):
                    (obs/obs_listener.h): observers reach it only as
                    listeners.
   R5 plain-events  No type-erased callable (std::function and its
-                   move-only / copyable / function_ref siblings) in src/sim
-                   or src/res: events and completions are plain records. The
-                   simulator fires an Event record at its EventHandler, and
-                   a pool hands a ServiceRequest record back to its
-                   ServiceSink, so steady-state scheduling stays
-                   allocation-free (docs/PERFORMANCE.md). Allowlisted:
+                   move-only / copyable / function_ref siblings) in src/sim,
+                   src/res or src/cc: events, completions and cc signals are
+                   plain records and typed calls. The simulator fires an
+                   Event record at its EventHandler, a pool hands a
+                   ServiceRequest record back to its ServiceSink, and an
+                   algorithm signals its CCEngine, so steady-state
+                   scheduling and cc decisions stay allocation-free
+                   (docs/PERFORMANCE.md). Allowlisted:
                    RunGuard::on_violation in sim/simulator.h (installed once
                    per run, fires at most once).
   R6 status-errors src/ outside util/ must not raise or die with bare
@@ -119,7 +121,7 @@ R4_ENGINE_OBS_ALLOWED = (
     "obs/obs_listener.h",
 )
 
-R5_HOT_DIRS = ("src/sim", "src/res")
+R5_HOT_DIRS = ("src/sim", "src/res", "src/cc")
 R5_TOKEN = re.compile(
     r"\bstd::(?:function|move_only_function|copyable_function|function_ref)\b"
 )
@@ -377,9 +379,10 @@ class Linter:
                     rel,
                     line_of(code, match.start()),
                     "R5",
-                    f"{match.group(0)} in src/sim or src/res; events and "
-                    "completions are plain records (an Event for an "
-                    "EventHandler, a ServiceRequest for a ServiceSink), "
+                    f"{match.group(0)} in src/sim, src/res or src/cc; "
+                    "events, completions and cc signals are plain records "
+                    "and typed calls (an Event for an EventHandler, a "
+                    "ServiceRequest for a ServiceSink, a CCEngine call), "
                     "docs/PERFORMANCE.md",
                 )
 
@@ -554,10 +557,11 @@ def self_test(tmp_root):
         # Under src/sim/, not src/cc/: cc implementations may share names.
         (root / "src/sim/bad_obs.cc").write_text(SELF_TEST_SNIPPETS["R3"])
         (root / "src/cc/bad_include.cc").write_text(SELF_TEST_SNIPPETS["R4"])
-        # Both event layers: a std::function in each, and a move-only one
+        # All three layers: a std::function in each, and a move-only one
         # in src/sim.
         (root / "src/res").mkdir(parents=True)
         (root / "src/res/bad_fn.h").write_text(SELF_TEST_SNIPPETS["R5"])
+        (root / "src/cc/bad_fn.h").write_text(SELF_TEST_SNIPPETS["R5"])
         (root / "src/sim/bad_fn.h").write_text(
             SELF_TEST_SNIPPETS["R5"] + SELF_TEST_SNIPPETS["R5_move_only"]
         )
@@ -626,10 +630,11 @@ def self_test(tmp_root):
         # obs/blame.h in the engine (engine_event.h is allowed).
         expect("[R4]", 3)
         expect("closed_system.cc:1", 1)
-        # Both bad_fn.h plants (not their comments) and the over-allowance
-        # in simulator.h.
-        expect("[R5]", 4)
+        # The three bad_fn.h plants (not their comments) and the
+        # over-allowance in simulator.h.
+        expect("[R5]", 5)
         expect("src/res/bad_fn.h:1", 1)
+        expect("src/cc/bad_fn.h:1", 1)
         expect("src/sim/bad_fn.h", 2)
         expect("std::move_only_function", 1)
         expect("simulator.h:2", 1)  # The allowlisted first occurrence: silent.
