@@ -457,7 +457,18 @@ EndToEndResult RunEndToEnd(const RunLengths& lengths) {
 int main(int argc, char** argv) {
   std::string out_path =
       ccsim::GetEnv("CCSIM_BENCH_JSON").value_or("BENCH_sim.json");
-  if (argc > 1) out_path = argv[1];
+  if (argc > 1) {
+    const std::string arg = argv[1];
+    const bool help = arg == "--help";
+    if (help || argc > 2 || arg.starts_with("-")) {
+      std::cerr << "usage: micro_kernel [OUTPUT.json]\n"
+                   "Runs the hot-path microbenchmarks and writes their JSON "
+                   "to OUTPUT.json\n(default: $CCSIM_BENCH_JSON, else "
+                   "BENCH_sim.json).\n";
+      return help ? 0 : 2;
+    }
+    out_path = arg;
+  }
 
   RunLengths lengths = ccsim::bench::BenchLengths(/*batch_seconds=*/2.0,
                                                   /*warmup_seconds=*/2.0);

@@ -1,29 +1,30 @@
 #include "cc/factory.h"
 
 #include "cc/basic_to.h"
-#include "cc/blocking.h"
-#include "cc/immediate_restart.h"
+#include "cc/dynamic_locking.h"
 #include "cc/mvto.h"
 #include "cc/optimistic.h"
 #include "cc/optimistic_forward.h"
 #include "cc/static_locking.h"
-#include "cc/timestamp_locking.h"
 #include "util/check.h"
 
 namespace ccsim {
 
 std::unique_ptr<ConcurrencyControl> MakeConcurrencyControl(
     const std::string& name, VictimPolicy victim_policy) {
-  if (name == "blocking") return std::make_unique<BlockingCC>(victim_policy);
-  if (name == "immediate_restart") return std::make_unique<ImmediateRestartCC>();
+  if (name == "blocking") {
+    return std::make_unique<DynamicLockingCC>(ConflictRule::kBlock,
+                                              victim_policy);
+  }
+  if (name == "immediate_restart") {
+    return std::make_unique<DynamicLockingCC>(ConflictRule::kRestart);
+  }
   if (name == "optimistic") return std::make_unique<OptimisticCC>();
   if (name == "wound_wait") {
-    return std::make_unique<TimestampLockingCC>(
-        TimestampLockingCC::Flavor::kWoundWait);
+    return std::make_unique<DynamicLockingCC>(ConflictRule::kWoundWait);
   }
   if (name == "wait_die") {
-    return std::make_unique<TimestampLockingCC>(
-        TimestampLockingCC::Flavor::kWaitDie);
+    return std::make_unique<DynamicLockingCC>(ConflictRule::kWaitDie);
   }
   if (name == "basic_to") return std::make_unique<BasicTimestampOrderingCC>();
   if (name == "mvto") {

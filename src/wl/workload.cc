@@ -47,7 +47,7 @@ void WorkloadGenerator::NextTransaction(TxnSpec* out) {
     // strata and interleaved in a uniformly shuffled order.
     int64_t hot_size = params_.HotSetSize();
     int hot_picks = 0;
-    is_hot_.assign(static_cast<size_t>(size), false);
+    is_hot_.assign(static_cast<size_t>(size), 0);
     for (int i = 0; i < size; ++i) {
       is_hot_[static_cast<size_t>(i)] =
           spec_rng_.Bernoulli(params_.hot_access_prob);
@@ -67,7 +67,12 @@ void WorkloadGenerator::NextTransaction(TxnSpec* out) {
       }
     }
   }
-  spec.writes.assign(spec.reads.size(), false);
+  // The flags grow with the read buffer, so a reused spec stops allocating
+  // as soon as its reads do.
+  if (spec.writes.capacity() < spec.reads.capacity()) {
+    spec.writes.reserve(spec.reads.capacity());
+  }
+  spec.writes.assign(spec.reads.size(), 0);
   bool read_only = params_.read_only_fraction > 0.0 &&
                    spec_rng_.Bernoulli(params_.read_only_fraction);
   if (!read_only && write_prob > 0.0) {

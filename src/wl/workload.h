@@ -11,6 +11,7 @@
 #define CCSIM_WL_WORKLOAD_H_
 
 #include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "sim/time.h"
@@ -23,9 +24,10 @@ namespace ccsim {
 struct TxnSpec {
   /// Objects read, in access order.
   std::vector<ObjectId> reads;
-  /// writes[i] is true iff reads[i] is also written. Writes are performed in
-  /// readset order during the write phase.
-  std::vector<bool> writes;
+  /// writes[i] is nonzero iff reads[i] is also written. Writes are performed
+  /// in readset order during the write phase. One byte per flag: refilling a
+  /// std::vector<bool> calls an out-of-line fill on every transaction.
+  std::vector<uint8_t> writes;
   /// Which TxnClass produced this transaction (0 for single-class).
   int class_index = 0;
 
@@ -95,7 +97,7 @@ class WorkloadGenerator {
   Rng spec_rng_;
   Rng think_rng_;
   // Sampling scratch, reused across NextTransaction calls.
-  std::vector<bool> is_hot_;
+  std::vector<uint8_t> is_hot_;
   std::vector<ObjectId> hot_;
   std::vector<ObjectId> cold_;
 };

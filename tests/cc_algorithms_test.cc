@@ -5,12 +5,10 @@
 
 #include <gtest/gtest.h>
 
-#include "cc/blocking.h"
+#include "cc/dynamic_locking.h"
 #include "cc/factory.h"
-#include "cc/immediate_restart.h"
 #include "cc/optimistic.h"
 #include "cc/optimistic_forward.h"
-#include "cc/timestamp_locking.h"
 #include "fake_cc_engine.h"
 
 namespace ccsim {
@@ -25,7 +23,7 @@ class BlockingTest : public testing::Test {
  protected:
   void SetUp() override { cc_.SetCallbacks(engine_.Callbacks()); }
   FakeCCEngine engine_;
-  BlockingCC cc_;
+  DynamicLockingCC cc_{ConflictRule::kBlock};
 };
 
 TEST_F(BlockingTest, GrantsNonConflictingReads) {
@@ -134,7 +132,7 @@ class ImmediateRestartTest : public testing::Test {
  protected:
   void SetUp() override { cc_.SetCallbacks(engine_.Callbacks()); }
   FakeCCEngine engine_;
-  ImmediateRestartCC cc_;
+  DynamicLockingCC cc_{ConflictRule::kRestart};
 };
 
 TEST_F(ImmediateRestartTest, GrantsWithoutConflict) {
@@ -403,7 +401,7 @@ class WoundWaitTest : public testing::Test {
  protected:
   void SetUp() override { cc_.SetCallbacks(engine_.Callbacks()); }
   FakeCCEngine engine_;
-  TimestampLockingCC cc_{TimestampLockingCC::Flavor::kWoundWait};
+  DynamicLockingCC cc_{ConflictRule::kWoundWait};
 };
 
 TEST_F(WoundWaitTest, OlderRequesterWoundsYoungerHolder) {
@@ -446,11 +444,46 @@ TEST_F(WoundWaitTest, TimestampSurvivesRestart) {
   EXPECT_TRUE(engine_.wounded.empty());
 }
 
+TEST_F(WoundWaitTest, SafetyNetBreaksUpgradeJumpCycle) {
+  // An upgrade that jumps the queue adds a wait edge no wound examined; only
+  // the cycle search finds the deadlock it closes. Ids run against age so
+  // that the oldest and fewest-locks policies would pick O, not Y: the
+  // search always restarts the youngest, whatever policy the factory got.
+  constexpr TxnId kQ = 1, kY = 2, kH = 3, kO = 4;
+  for (VictimPolicy policy : {VictimPolicy::kYoungest, VictimPolicy::kOldest,
+                              VictimPolicy::kFewestLocks}) {
+    SCOPED_TRACE(static_cast<int>(policy));
+    FakeCCEngine engine;
+    std::unique_ptr<ConcurrencyControl> cc =
+        MakeConcurrencyControl("wound_wait", policy);
+    cc->SetCallbacks(engine.Callbacks());
+    cc->OnBegin(kO, 0, 0);
+    cc->OnBegin(kH, 5, 5);
+    cc->OnBegin(kY, 10, 10);
+    cc->OnBegin(kQ, 20, 20);
+    EXPECT_EQ(cc->ReadRequest(kO, kB), CCDecision::kGranted);
+    EXPECT_EQ(cc->ReadRequest(kY, kA), CCDecision::kGranted);
+    EXPECT_EQ(cc->ReadRequest(kH, kA), CCDecision::kGranted);
+    // Q, the youngest, waits for the readers of A.
+    EXPECT_EQ(cc->WriteRequest(kQ, kA), CCDecision::kBlocked);
+    // O queues behind Q and wounds it.
+    EXPECT_EQ(cc->ReadRequest(kO, kA), CCDecision::kBlocked);
+    // Y's upgrade jumps ahead of O and waits for the older H.
+    EXPECT_EQ(cc->WriteRequest(kY, kA), CCDecision::kBlocked);
+    // H waits for the older O: H -> O -> Y -> H, and no rule wounds anyone.
+    EXPECT_EQ(cc->WriteRequest(kH, kB), CCDecision::kBlocked);
+    EXPECT_EQ(engine.wounded, (std::vector<TxnId>{kQ, kY}));
+    EXPECT_EQ(cc->stats().wounds, 1);
+    EXPECT_EQ(cc->stats().deadlocks_detected, 1);
+    EXPECT_EQ(cc->stats().deadlock_victims, 1);
+  }
+}
+
 class WaitDieTest : public testing::Test {
  protected:
   void SetUp() override { cc_.SetCallbacks(engine_.Callbacks()); }
   FakeCCEngine engine_;
-  TimestampLockingCC cc_{TimestampLockingCC::Flavor::kWaitDie};
+  DynamicLockingCC cc_{ConflictRule::kWaitDie};
 };
 
 TEST_F(WaitDieTest, OlderRequesterWaits) {

@@ -2,7 +2,9 @@
 // the behavior-preservation anchor of the dense-state migration: every
 // algorithm's replay digest at a pinned contended configuration must equal
 // the value recorded with the pre-migration hash-map implementation.
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -281,6 +283,7 @@ struct DigestPin {
   const char* algorithm;
   uint64_t replay_digest;
   int64_t commits;
+  VictimPolicy victim_policy = VictimPolicy::kYoungest;
 };
 
 /// Replay digests recorded at this exact configuration with the pre-dense
@@ -298,11 +301,22 @@ constexpr DigestPin kPins[] = {
     {"basic_to", 0xe3f56e74ce3b59cfull, 164},
     {"mvto", 0xe3f56e74ce3b59cfull, 164},
     {"static_locking", 0xd126504c8b7e86a6ull, 201},
+    // Blocking under its other two victim policies, which restart other
+    // cycle members here: the engine's policy must reach the algorithm.
+    {"blocking", 0x1f447453f74ec0c5ull, 199, VictimPolicy::kOldest},
+    {"blocking", 0x8587d94ff589deeeull, 199, VictimPolicy::kFewestLocks},
 };
 
 TEST(DenseStateDigestTest, AllNineAlgorithmsMatchPreMigrationDigests) {
-  ASSERT_EQ(AllAlgorithms().size(), std::size(kPins));
+  for (const std::string& algorithm : AllAlgorithms()) {
+    EXPECT_TRUE(std::any_of(std::begin(kPins), std::end(kPins),
+                            [&](const DigestPin& pin) {
+                              return algorithm == pin.algorithm;
+                            }))
+        << algorithm << " has no digest pin";
+  }
   for (const DigestPin& pin : kPins) {
+    SCOPED_TRACE(static_cast<int>(pin.victim_policy));
     EngineConfig config;
     config.workload.db_size = 100;  // Hot: ~10 granules per transaction of 100.
     config.workload.tran_size = 5;
@@ -316,6 +330,7 @@ TEST(DenseStateDigestTest, AllNineAlgorithmsMatchPreMigrationDigests) {
     config.workload.obj_cpu = FromMillis(2);
     config.resources = ResourceConfig::Finite(1, 2);
     config.algorithm = pin.algorithm;
+    config.victim_policy = pin.victim_policy;
     config.seed = 7;
     config.audit = true;
 

@@ -104,11 +104,23 @@ TEST(StatsRegistryTest, CountersGaugesHistogramsSampleInOrder) {
 }
 
 TEST(StatsRegistryTest, LockTableGaugeDropsToZeroAfterLastRelease) {
-  // The lock_table_objects gauge reads dense-table occupancy (an occupied
-  // slot, not a map entry), so it must fall back to exactly 0 once the last
-  // holder releases — for both the lock-manager-backed and the
+  // Every lock-based algorithm registers the lock-table gauges, and the two
+  // that run the deadlock detector also count its searches and cycle
+  // lengths. The lock_table_objects gauge reads dense-table occupancy (an
+  // occupied slot, not a map entry), so it must fall back to exactly 0 once
+  // the last holder releases — for both the lock-manager-backed and the
   // static-locking table.
-  for (const char* algorithm : {"blocking", "static_locking"}) {
+  const std::vector<std::string> gauges = {"lock_table_objects",
+                                           "lock_waiters"};
+  const std::vector<std::string> detector = {
+      "lock_table_objects", "lock_waiters", "deadlock_searches",
+      "deadlock_cycle_len_count", "deadlock_cycle_len_p50"};
+  const std::pair<const char*, std::vector<std::string>> cases[] = {
+      {"blocking", detector},   {"immediate_restart", gauges},
+      {"wound_wait", detector}, {"wait_die", gauges},
+      {"static_locking", gauges},
+  };
+  for (const auto& [algorithm, columns] : cases) {
     SCOPED_TRACE(algorithm);
     FakeCCEngine engine;
     std::unique_ptr<ConcurrencyControl> cc = MakeConcurrencyControl(algorithm);
@@ -116,6 +128,7 @@ TEST(StatsRegistryTest, LockTableGaugeDropsToZeroAfterLastRelease) {
     cc->SetCallbacks(engine.Callbacks());
     StatsRegistry registry;
     cc->RegisterStats(&registry);
+    ASSERT_EQ(registry.ColumnNames(), columns);
     EXPECT_EQ(registry.ValueOf("lock_table_objects"), 0.0);
 
     cc->OnBegin(1, 1, 1);

@@ -312,10 +312,11 @@ class Linter:
                     f"{rel}:{line_of(text, match.start())}"
                 )
         for name, locations in sorted(sites.items()):
-            # Alternative cc algorithm implementations deliberately share
-            # instrument names (one engine instantiates exactly one of them,
-            # and "lock_waiters" should mean the same thing whichever it is),
-            # so duplicates are fine when every site lives under src/cc/.
+            # The two lock-based cc classes, DynamicLockingCC and
+            # StaticLockingCC, deliberately share the lock-table gauge names
+            # (one engine instantiates exactly one algorithm, and
+            # "lock_waiters" should mean the same thing whichever it is), so
+            # duplicates are fine when every site lives under src/cc/.
             if all(loc.startswith("src/cc/") for loc in locations):
                 continue
             if len(locations) > 1:
