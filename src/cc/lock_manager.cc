@@ -440,6 +440,13 @@ bool LockManager::FindCycleThrough(TxnId start, const SmallIdSet& excluded,
   return false;
 }
 
+bool LockManager::CanGrantNow(TxnId txn, ObjectId obj, LockMode mode) const {
+  const Entry* entry = table_.Find(obj);
+  return entry == nullptr ||
+         (entry->queue_head < 0 &&
+          CompatibleWithHolders(*entry, txn, mode, /*upgrade=*/false));
+}
+
 std::vector<TxnId> LockManager::HoldersOf(ObjectId obj) const {
   std::vector<TxnId> holders;
   const Entry* entry = table_.Find(obj);

@@ -124,6 +124,11 @@ class LockManager {
   bool FindCycleThrough(TxnId start, const SmallIdSet& excluded,
                         std::vector<TxnId>* cycle) const;
 
+  /// True if a fresh request for `mode` on `obj` by `txn`, which does not
+  /// hold `obj`, would be granted now: nobody waits on `obj` and no holder
+  /// conflicts. (Static locking's all-or-nothing test.)
+  bool CanGrantNow(TxnId txn, ObjectId obj, LockMode mode) const;
+
   /// Current holders of `obj`, in acquisition order; empty if unlocked.
   /// (Blame attribution for denied requests, which leave no queue trace.)
   std::vector<TxnId> HoldersOf(ObjectId obj) const;
@@ -133,6 +138,9 @@ class LockManager {
 
   /// Number of locks held by `txn`.
   size_t NumHeld(TxnId txn) const;
+
+  /// Total locks held, over all transactions.
+  size_t held_locks() const { return holder_nodes_.size() - free_holders_; }
 
   /// Total transactions currently waiting.
   size_t waiting_txns() const { return waiting_count_; }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <utility>
 
 #include "audit/audit.h"
 #include "util/check.h"
@@ -108,57 +107,46 @@ SimTime OptimisticCC::LastCommittedWrite(ObjectId obj) const {
   return committed == nullptr ? -1 : committed->time;
 }
 
+void AuditFlushClaims(Auditor* auditor, const GranuleTable<FlushClaim>& claims,
+                      std::vector<ObjectId>* validated_writes) {
+  std::vector<ObjectId>& writes = *validated_writes;
+  std::sort(writes.begin(), writes.end());
+  claims.ForEachTouched([&](ObjectId obj, const FlushClaim& claim) {
+    if (claim.count == 0) return;  // Dormant slot: logically absent.
+    const auto [first, last] =
+        std::equal_range(writes.begin(), writes.end(), obj);
+    if (claim.count != last - first) {
+      std::ostringstream detail;
+      detail << "object " << obj << " has " << claim.count
+             << " flush claim(s) but " << last - first
+             << " validated writer(s)";
+      auditor->Report(AuditInvariant::kWaitsForConsistency, kInvalidTxn,
+                      detail.str());
+    }
+  });
+  for (size_t i = 0; i < writes.size(); ++i) {
+    if (i > 0 && writes[i] == writes[i - 1]) continue;
+    const FlushClaim* claim = claims.Find(writes[i]);
+    if (claim == nullptr || claim->count == 0) {
+      std::ostringstream detail;
+      detail << "validated write of object " << writes[i]
+             << " holds no flush claim";
+      auditor->Report(AuditInvariant::kWaitsForConsistency, kInvalidTxn,
+                      detail.str());
+    }
+  }
+}
+
 void OptimisticCC::AuditCheck() const {
   if (auditor_ == nullptr) return;
-  // The flush claims must be exactly the write sets of the validated
-  // transactions — a leaked claim blocks future validators forever, a lost
-  // claim lets a stale read pass validation.
-  std::vector<std::pair<ObjectId, int>>& expected = audit_expected_;
-  expected.clear();
+  audit_writes_.clear();
   active_.ForEach([&](TxnId txn, const TxnState& state) {
     (void)txn;
     if (!state.validated) return;
-    for (ObjectId obj : state.writes) expected.emplace_back(obj, 1);
+    audit_writes_.insert(audit_writes_.end(), state.writes.begin(),
+                         state.writes.end());
   });
-  std::sort(expected.begin(), expected.end());
-  // Merge duplicate objects, summing their claim counts.
-  size_t merged = 0;
-  for (size_t i = 0; i < expected.size(); ++i) {
-    if (merged > 0 && expected[merged - 1].first == expected[i].first) {
-      expected[merged - 1].second += expected[i].second;
-    } else {
-      expected[merged++] = expected[i];
-    }
-  }
-  expected.resize(merged);
-  auto expected_count_of = [&](ObjectId obj) {
-    auto it = std::lower_bound(
-        expected.begin(), expected.end(), std::make_pair(obj, 0),
-        [](const std::pair<ObjectId, int>& a, const std::pair<ObjectId, int>& b) {
-          return a.first < b.first;
-        });
-    return it != expected.end() && it->first == obj ? it->second : 0;
-  };
-  flushing_.ForEachTouched([&](ObjectId obj, const FlushClaim& claim) {
-    if (claim.count == 0) return;  // Dormant slot: logically absent.
-    if (claim.count != expected_count_of(obj)) {
-      std::ostringstream detail;
-      detail << "object " << obj << " has " << claim.count
-             << " flush claim(s) but " << expected_count_of(obj)
-             << " validated writer(s)";
-      auditor_->Report(AuditInvariant::kWaitsForConsistency, kInvalidTxn,
-                       detail.str());
-    }
-  });
-  for (const auto& [obj, count] : expected) {
-    const FlushClaim* claim = flushing_.Find(obj);
-    if ((claim == nullptr || claim->count == 0) && count > 0) {
-      std::ostringstream detail;
-      detail << "validated write of object " << obj << " holds no flush claim";
-      auditor_->Report(AuditInvariant::kWaitsForConsistency, kInvalidTxn,
-                       detail.str());
-    }
-  }
+  AuditFlushClaims(auditor_, flushing_, &audit_writes_);
 }
 
 }  // namespace ccsim

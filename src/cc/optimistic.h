@@ -11,13 +11,29 @@
 #ifndef CCSIM_CC_OPTIMISTIC_H_
 #define CCSIM_CC_OPTIMISTIC_H_
 
-#include <utility>
 #include <vector>
 
 #include "cc/concurrency_control.h"
 #include "util/dense_table.h"
 
 namespace ccsim {
+
+/// Validated writers flushing an object, kept per granule by both optimistic
+/// validators so later validators see the in-flight writes. A dormant slot
+/// with count 0 is equivalent to an absent entry.
+struct FlushClaim {
+  int count = 0;               ///< Validated writers flushing; 0 = absent.
+  TxnId writer = kInvalidTxn;  ///< The claiming writer (blame attribution).
+};
+
+/// Both optimistic validators' deep check of their flush claims, reporting
+/// into `auditor`: the claims must be exactly the validated transactions'
+/// write sets. A leaked claim blocks future validators forever; a lost one
+/// lets a stale read pass validation. `validated_writes` lists every object
+/// of every validated write set; it is sorted in place, so a caller that
+/// keeps it as scratch allocates nothing once warm.
+void AuditFlushClaims(Auditor* auditor, const GranuleTable<FlushClaim>& claims,
+                      std::vector<ObjectId>* validated_writes);
 
 class OptimisticCC : public ConcurrencyControl {
  public:
@@ -68,22 +84,15 @@ class OptimisticCC : public ConcurrencyControl {
     SimTime time = -1;
     TxnId writer = kInvalidTxn;  ///< Who wrote it (blame attribution).
   };
-  struct FlushClaim {
-    int count = 0;  ///< Validated writers flushing (at most 1); 0 = absent.
-    TxnId writer = kInvalidTxn;  ///< The claiming writer.
-  };
-
   TxnSlotMap<TxnState> active_;
   /// Last committed write per object (time + writer).
   GranuleTable<CommittedWrite> committed_writes_;
   /// Objects being flushed by validated-but-uncommitted transactions
   /// (count is at most 1 by construction, since a second validator
-  /// conflicts and restarts). A dormant slot with count 0 is equivalent to
-  /// an absent entry.
+  /// conflicts and restarts).
   GranuleTable<FlushClaim> flushing_;
-  /// AuditCheck scratch: (object, validated writers) the flush claims must
-  /// match; reused so the check allocates nothing once warm.
-  mutable std::vector<std::pair<ObjectId, int>> audit_expected_;
+  /// AuditCheck scratch: the validated write sets.
+  mutable std::vector<ObjectId> audit_writes_;
 };
 
 }  // namespace ccsim

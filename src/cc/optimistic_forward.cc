@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <utility>
 
 #include "audit/audit.h"
 #include "util/check.h"
@@ -157,49 +156,14 @@ void ForwardOptimisticCC::AuditCheck() const {
   auto report = [this](TxnId txn, const std::string& detail) {
     auditor_->Report(AuditInvariant::kWaitsForConsistency, txn, detail);
   };
-  // Flush claims must be exactly the validated transactions' write sets.
-  std::vector<std::pair<ObjectId, int>> expected;
+  audit_writes_.clear();
   active_.ForEach([&](TxnId txn, const TxnState& state) {
     (void)txn;
     if (!state.validated) return;
-    for (ObjectId obj : state.writes) expected.emplace_back(obj, 1);
+    audit_writes_.insert(audit_writes_.end(), state.writes.begin(),
+                         state.writes.end());
   });
-  std::sort(expected.begin(), expected.end());
-  size_t merged = 0;
-  for (size_t i = 0; i < expected.size(); ++i) {
-    if (merged > 0 && expected[merged - 1].first == expected[i].first) {
-      expected[merged - 1].second += expected[i].second;
-    } else {
-      expected[merged++] = expected[i];
-    }
-  }
-  expected.resize(merged);
-  auto expected_count_of = [&](ObjectId obj) {
-    auto it = std::lower_bound(
-        expected.begin(), expected.end(), std::make_pair(obj, 0),
-        [](const std::pair<ObjectId, int>& a, const std::pair<ObjectId, int>& b) {
-          return a.first < b.first;
-        });
-    return it != expected.end() && it->first == obj ? it->second : 0;
-  };
-  flushing_.ForEachTouched([&](ObjectId obj, const FlushClaim& claim) {
-    if (claim.count == 0) return;  // Dormant slot: logically absent.
-    if (claim.count != expected_count_of(obj)) {
-      std::ostringstream detail;
-      detail << "object " << obj << " has " << claim.count
-             << " flush claim(s) but " << expected_count_of(obj)
-             << " validated writer(s)";
-      report(kInvalidTxn, detail.str());
-    }
-  });
-  for (const auto& [obj, count] : expected) {
-    const FlushClaim* claim = flushing_.Find(obj);
-    if ((claim == nullptr || claim->count == 0) && count > 0) {
-      std::ostringstream detail;
-      detail << "validated write of object " << obj << " holds no flush claim";
-      report(kInvalidTxn, detail.str());
-    }
-  }
+  AuditFlushClaims(auditor_, flushing_, &audit_writes_);
   // Waiters wait only on objects actually mid-flush; anything else never
   // gets a wake-up.
   waiters_.ForEachTouched([&](ObjectId obj, const std::vector<TxnId>& list) {

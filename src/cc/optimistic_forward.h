@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "cc/concurrency_control.h"
+#include "cc/optimistic.h"
 #include "util/dense_table.h"
 
 namespace ccsim {
@@ -82,20 +83,16 @@ class ForwardOptimisticCC : public ConcurrencyControl {
   void ReleaseFlushClaims(TxnState& state);
   void RemoveFromWaiters(TxnId txn, TxnState& state);
 
-  struct FlushClaim {
-    int count = 0;               ///< Validated writers flushing; 0 = absent.
-    TxnId writer = kInvalidTxn;  ///< The claiming writer (blame attribution).
-  };
-
   TxnSlotMap<TxnState> active_;
-  /// Objects being flushed by validated-but-uncommitted transactions. A
-  /// dormant slot with count 0 is equivalent to an absent entry.
+  /// Objects being flushed by validated-but-uncommitted transactions.
   GranuleTable<FlushClaim> flushing_;
   /// Readers waiting for a flush to finish, per object (an empty list is
   /// equivalent to an absent entry).
   GranuleTable<std::vector<TxnId>> waiters_;
   /// Wake-up scratch (capacity circulates with the per-object lists).
   std::vector<TxnId> woken_scratch_;
+  /// AuditCheck scratch: the validated write sets.
+  mutable std::vector<ObjectId> audit_writes_;
 };
 
 }  // namespace ccsim

@@ -19,6 +19,11 @@ CCDecision StaticLockingCC::Predeclare(TxnId txn,
                                        const std::vector<ObjectId>& reads,
                                        const std::vector<ObjectId>& writes) {
   TxnState& state = active_.At(txn);
+  // The write set is a subset of the read set: give it the read buffer's
+  // capacity, so a recycled slot stops growing as soon as the reads do.
+  if (state.written.capacity() < reads.capacity()) {
+    state.written.reserve(reads.capacity());
+  }
   state.written = writes;
   state.read_only.clear();
   for (ObjectId obj : reads) {
@@ -26,110 +31,45 @@ CCDecision StaticLockingCC::Predeclare(TxnId txn,
       state.read_only.push_back(obj);
     }
   }
-  if (CanAcquire(state, txn)) {
+  const ObjectId conflict = FirstConflict(state, txn);
+  if (conflict < 0) {
     Acquire(state, txn);
     return CCDecision::kGranted;
   }
   ++stats_.lock_conflicts;
   if (callbacks_.blame) {
-    // First declared object with a conflicting holder, mirroring the
-    // CanAcquire walk; among readers the smallest id keeps the attribution
-    // deterministic.
-    TxnId holder = kInvalidTxn;
-    ObjectId conflict_obj = 0;
-    for (ObjectId obj : state.written) {
-      const ObjectLocks* locks = objects_.Find(obj);
-      if (locks == nullptr) continue;
-      if (locks->writer != kInvalidTxn && locks->writer != txn) {
-        holder = locks->writer;
-        conflict_obj = obj;
-        break;
-      }
-      for (TxnId reader : locks->readers) {
-        if (reader == txn) continue;
-        if (holder == kInvalidTxn || reader < holder) holder = reader;
-      }
-      if (holder != kInvalidTxn) {
-        conflict_obj = obj;
-        break;
-      }
-    }
-    if (holder == kInvalidTxn) {
-      for (ObjectId obj : state.read_only) {
-        const ObjectLocks* locks = objects_.Find(obj);
-        if (locks == nullptr) continue;
-        if (locks->writer != kInvalidTxn && locks->writer != txn) {
-          holder = locks->writer;
-          conflict_obj = obj;
-          break;
-        }
-      }
-    }
-    callbacks_.on_blame(txn, holder, conflict_obj, BlameKind::kBlock);
+    // A write conflicts with every holder, a read only with an exclusive
+    // one, which is then the sole holder; the smallest id keeps the
+    // attribution deterministic.
+    const std::vector<TxnId> holders = locks_.HoldersOf(conflict);
+    callbacks_.on_blame(txn, *std::min_element(holders.begin(), holders.end()),
+                        conflict, BlameKind::kBlock);
   }
   waiters_.push_back(txn);
   return CCDecision::kBlocked;
 }
 
-bool StaticLockingCC::CanAcquire(const TxnState& state, TxnId txn) const {
+ObjectId StaticLockingCC::FirstConflict(const TxnState& state,
+                                        TxnId txn) const {
   for (ObjectId obj : state.written) {
-    const ObjectLocks* locks = objects_.Find(obj);
-    if (locks == nullptr) continue;
-    // An exclusive lock needs the object completely free of others.
-    if (locks->writer != kInvalidTxn && locks->writer != txn) {
-      return false;
-    }
-    for (TxnId reader : locks->readers) {
-      if (reader != txn) return false;
-    }
+    if (!locks_.CanGrantNow(txn, obj, LockMode::kExclusive)) return obj;
   }
   for (ObjectId obj : state.read_only) {
-    const ObjectLocks* locks = objects_.Find(obj);
-    if (locks == nullptr) continue;
-    if (locks->writer != kInvalidTxn && locks->writer != txn) {
-      return false;
-    }
+    if (!locks_.CanGrantNow(txn, obj, LockMode::kShared)) return obj;
   }
-  return true;
+  return -1;
 }
 
 void StaticLockingCC::Acquire(TxnState& state, TxnId txn) {
-  for (ObjectId obj : state.written) {
-    ObjectLocks& locks = objects_.Touch(obj);
-    CCSIM_CHECK_EQ(locks.writer, kInvalidTxn);
-    if (locks.empty()) ++occupied_count_;
-    locks.writer = txn;
-    if (auditor_ != nullptr) {
-      auditor_->OnLockAcquired(txn, obj, /*exclusive=*/true);
-    }
-  }
-  for (ObjectId obj : state.read_only) {
-    ObjectLocks& locks = objects_.Touch(obj);
-    if (locks.empty()) ++occupied_count_;
-    locks.readers.insert(txn);
-    if (auditor_ != nullptr) {
-      auditor_->OnLockAcquired(txn, obj, /*exclusive=*/false);
-    }
-  }
+  auto take = [&](ObjectId obj, LockMode mode) {
+    const LockRequestOutcome outcome =
+        locks_.Request(txn, obj, mode, /*enqueue_on_conflict=*/false);
+    CCSIM_CHECK(outcome == LockRequestOutcome::kGranted)
+        << "declared lock on object " << obj << " not granted";
+  };
+  for (ObjectId obj : state.written) take(obj, LockMode::kExclusive);
+  for (ObjectId obj : state.read_only) take(obj, LockMode::kShared);
   state.holding = true;
-}
-
-void StaticLockingCC::Release(TxnState& state, TxnId txn) {
-  if (!state.holding) return;
-  if (auditor_ != nullptr) auditor_->OnLockReleased(txn);
-  for (ObjectId obj : state.written) {
-    ObjectLocks* locks = objects_.Find(obj);
-    CCSIM_CHECK(locks != nullptr && locks->writer == txn);
-    locks->writer = kInvalidTxn;
-    if (locks->empty()) --occupied_count_;
-  }
-  for (ObjectId obj : state.read_only) {
-    ObjectLocks* locks = objects_.Find(obj);
-    CCSIM_CHECK(locks != nullptr);
-    locks->readers.erase(txn);
-    if (locks->empty()) --occupied_count_;
-  }
-  state.holding = false;
 }
 
 CCDecision StaticLockingCC::ReadRequest(TxnId txn, ObjectId obj) {
@@ -145,33 +85,37 @@ CCDecision StaticLockingCC::WriteRequest(TxnId txn, ObjectId obj) {
 }
 
 void StaticLockingCC::ScanWaiters() {
-  for (auto it = waiters_.begin(); it != waiters_.end();) {
-    TxnState& state = active_.At(*it);
-    if (CanAcquire(state, *it)) {
-      Acquire(state, *it);
-      TxnId granted = *it;
-      it = waiters_.erase(it);
-      callbacks_.on_granted(granted);
+  size_t kept = 0;
+  for (TxnId waiter : waiters_) {
+    TxnState& state = active_.At(waiter);
+    if (FirstConflict(state, waiter) < 0) {
+      Acquire(state, waiter);
+      callbacks_.on_granted(waiter);
     } else {
-      ++it;
+      waiters_[kept++] = waiter;
     }
   }
+  waiters_.resize(kept);
 }
 
 void StaticLockingCC::Commit(TxnId txn) {
-  TxnState* state = active_.Find(txn);
+  const TxnState* state = active_.Find(txn);
   CCSIM_CHECK(state != nullptr);
   CCSIM_CHECK(state->holding) << "commit without locks";
-  Release(*state, txn);
-  active_.Erase(txn);
-  ScanWaiters();
+  Finish(txn);
 }
 
 void StaticLockingCC::Abort(TxnId txn) {
-  TxnState* state = active_.Find(txn);
-  CCSIM_CHECK(state != nullptr);
-  waiters_.remove(txn);
-  Release(*state, txn);
+  CCSIM_CHECK(active_.Contains(txn));
+  std::erase(waiters_, txn);
+  Finish(txn);
+}
+
+void StaticLockingCC::Finish(TxnId txn) {
+  // Nobody queues in the lock manager, so its release grants nobody; the
+  // waiters here are rescanned instead.
+  const std::vector<TxnId>& granted = locks_.ReleaseAll(txn);
+  CCSIM_CHECK(granted.empty());
   active_.Erase(txn);
   ScanWaiters();
 }
@@ -182,68 +126,47 @@ bool StaticLockingCC::AuditTracksWaiter(TxnId txn) const {
 
 void StaticLockingCC::AuditCheck() const {
   if (auditor_ == nullptr) return;
+  locks_.AuditCheck(auditor_, /*doomed=*/{});
   auto report = [this](TxnId txn, const std::string& detail) {
     auditor_->Report(AuditInvariant::kWaitsForConsistency, txn, detail);
   };
-  // active_ -> objects_ direction: a holding transaction's declared set must
-  // be registered exactly; a waiter must hold nothing.
+  // A holding transaction holds exactly its declared set, in the declared
+  // modes; any other holds nothing.
+  size_t tracked_locks = 0;
   active_.ForEach([&](TxnId txn, const TxnState& state) {
-    for (ObjectId obj : state.written) {
-      const ObjectLocks* locks = objects_.Find(obj);
-      bool writes = locks != nullptr && locks->writer == txn;
-      if (state.holding != writes) {
-        std::ostringstream detail;
-        detail << (state.holding ? "holding txn not registered as writer of "
-                                 : "non-holding txn registered as writer of ")
-               << "object " << obj;
+    const size_t held = locks_.NumHeld(txn);
+    tracked_locks += held;
+    size_t declared_held = 0;
+    auto expect = [&](ObjectId obj, bool exclusive) {
+      std::ostringstream detail;
+      if (!locks_.HoldsAtLeast(txn, obj, LockMode::kShared)) {
+        detail << "holding txn lacks its lock on object " << obj;
+        report(txn, detail.str());
+        return;
+      }
+      ++declared_held;
+      if (locks_.HoldsAtLeast(txn, obj, LockMode::kExclusive) != exclusive) {
+        detail << "holding txn holds object " << obj << " in the wrong mode";
         report(txn, detail.str());
       }
+    };
+    if (state.holding) {
+      for (ObjectId obj : state.written) expect(obj, /*exclusive=*/true);
+      for (ObjectId obj : state.read_only) expect(obj, /*exclusive=*/false);
     }
-    for (ObjectId obj : state.read_only) {
-      const ObjectLocks* locks = objects_.Find(obj);
-      bool reads = locks != nullptr && locks->readers.count(txn) > 0;
-      if (state.holding != reads) {
-        std::ostringstream detail;
-        detail << (state.holding ? "holding txn not registered as reader of "
-                                 : "non-holding txn registered as reader of ")
-               << "object " << obj;
-        report(txn, detail.str());
-      }
-    }
-  });
-  // objects_ -> active_ direction, plus the compatibility matrix (a writer
-  // excludes every other holder). Empty dense slots are logically absent.
-  size_t occupied = 0;
-  objects_.ForEachTouched([&](ObjectId obj, const ObjectLocks& locks) {
-    if (locks.empty()) return;
-    ++occupied;
-    if (locks.writer != kInvalidTxn) {
-      if (!active_.Contains(locks.writer)) {
-        std::ostringstream detail;
-        detail << "object " << obj << " written by an unknown transaction";
-        report(locks.writer, detail.str());
-      }
-      for (TxnId reader : locks.readers) {
-        if (reader != locks.writer) {
-          std::ostringstream detail;
-          detail << "object " << obj << " has reader " << reader
-                 << " alongside exclusive writer " << locks.writer;
-          report(reader, detail.str());
-        }
-      }
-    }
-    for (TxnId reader : locks.readers) {
-      if (!active_.Contains(reader)) {
-        std::ostringstream detail;
-        detail << "object " << obj << " read-locked by an unknown transaction";
-        report(reader, detail.str());
-      }
+    if (held > declared_held) {
+      std::ostringstream detail;
+      detail << (state.holding ? "holding" : "non-holding") << " txn holds "
+             << held - declared_held << " undeclared lock(s)";
+      report(txn, detail.str());
     }
   });
-  if (occupied != occupied_count_) {
+  // Every lock belongs to a transaction tracked here; any other is never
+  // released.
+  if (locks_.held_locks() != tracked_locks) {
     std::ostringstream detail;
-    detail << "occupancy counter " << occupied_count_ << " but " << occupied
-           << " object(s) hold locks";
+    detail << "lock manager holds " << locks_.held_locks()
+           << " lock(s) but tracked transactions hold " << tracked_locks;
     report(kInvalidTxn, detail.str());
   }
   // Every waiter must be known and must not be holding.

@@ -11,6 +11,12 @@
 // is only touched at the end, and a transaction waits for its whole set even
 // when the first object it needs is free.
 //
+// The locks are LockManager locks, exclusive on written objects and shared
+// on the rest, so the compatibility rule, the holder records, the occupancy
+// gauge and the table's deep check are the ones dynamic locking uses. No
+// request ever queues in the lock manager: a declaration that cannot be
+// granted whole takes no lock and waits here instead.
+//
 // Waiters are re-examined in arrival order at every release; a waiter whose
 // full set has become available acquires it then. Earlier waiters are not
 // reserved ahead of later ones (no queue claim), so small transactions can
@@ -20,10 +26,10 @@
 #define CCSIM_CC_STATIC_LOCKING_H_
 
 #include <cstdint>
-#include <list>
 #include <vector>
 
 #include "cc/concurrency_control.h"
+#include "cc/lock_manager.h"
 #include "obs/registry.h"
 #include "util/dense_table.h"
 
@@ -36,8 +42,10 @@ class StaticLockingCC : public ConcurrencyControl {
   std::string name() const override { return "static_locking"; }
 
   void ReserveCapacity(int64_t num_objects, int num_txns) override {
-    objects_.Reserve(static_cast<size_t>(num_objects));
-    active_.Reserve(static_cast<size_t>(num_txns));
+    const auto txns = static_cast<size_t>(num_txns);
+    locks_.Reserve(static_cast<size_t>(num_objects), txns);
+    active_.Reserve(txns);
+    waiters_.reserve(txns);
   }
 
   bool needs_predeclaration() const override { return true; }
@@ -54,12 +62,16 @@ class StaticLockingCC : public ConcurrencyControl {
   void Commit(TxnId txn) override;
   void Abort(TxnId txn) override;
 
+  void SetAuditor(Auditor* auditor) override {
+    auditor_ = auditor;
+    locks_.SetAuditor(auditor);
+  }
   bool AuditTracksWaiter(TxnId txn) const override;
   void AuditCheck() const override;
 
   void RegisterStats(StatsRegistry* registry) override {
     registry->AddGauge("lock_table_objects", [this] {
-      return static_cast<double>(occupied_count_);
+      return static_cast<double>(locks_.locked_objects());
     });
     registry->AddGauge("lock_waiters", [this] {
       return static_cast<double>(waiters_.size());
@@ -70,6 +82,9 @@ class StaticLockingCC : public ConcurrencyControl {
   size_t waiting_count() const { return waiters_.size(); }
 
  private:
+  /// Test-only: plants the faults the deep check must report.
+  friend class StaticLockingAuditPeer;
+
   struct TxnState {
     std::vector<ObjectId> read_only;  ///< Read but not written.
     std::vector<ObjectId> written;
@@ -81,32 +96,21 @@ class StaticLockingCC : public ConcurrencyControl {
       holding = false;
     }
   };
-  /// A slot with no writer and no readers is equivalent to an absent entry.
-  struct ObjectLocks {
-    SmallIdSet readers;
-    TxnId writer = kInvalidTxn;
-    bool empty() const { return writer == kInvalidTxn && readers.empty(); }
-    void Recycle() {
-      readers.clear();
-      writer = kInvalidTxn;
-    }
-  };
 
-  /// True if txn's full declared set is currently acquirable.
-  bool CanAcquire(const TxnState& state, TxnId txn) const;
+  /// The first declared object whose lock `txn` cannot take now, written
+  /// objects first; -1 when the whole set is grantable.
+  ObjectId FirstConflict(const TxnState& state, TxnId txn) const;
   void Acquire(TxnState& state, TxnId txn);
-  void Release(TxnState& state, TxnId txn);
+  /// Releases txn's locks, forgets it and rescans the waiters.
+  void Finish(TxnId txn);
 
   /// Grants every waiter (in arrival order) whose set has become available.
   void ScanWaiters();
 
+  LockManager locks_;
   TxnSlotMap<TxnState> active_;
-  GranuleTable<ObjectLocks> objects_;
-  /// Objects currently holding at least one lock (the dense slots are never
-  /// erased, so the "lock table size" gauge counts occupancy instead).
-  size_t occupied_count_ = 0;
-  /// Arrival-ordered waiters.
-  std::list<TxnId> waiters_;
+  /// Arrival-ordered waiters; the rescan compacts them in place.
+  std::vector<TxnId> waiters_;
 };
 
 }  // namespace ccsim

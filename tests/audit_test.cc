@@ -15,7 +15,9 @@
 #include "audit/waits_for.h"
 #include "cc/factory.h"
 #include "cc/lock_manager.h"
+#include "cc/static_locking.h"
 #include "core/closed_system.h"
+#include "fake_cc_engine.h"
 #include "reference_cycle.h"
 #include "sim/simulator.h"
 #include "util/random.h"
@@ -56,6 +58,27 @@ class LockManagerAuditPeer {
 
  private:
   LockManager& locks_;
+};
+
+/// Reaches into a StaticLockingCC's private state to plant the faults its
+/// own deep check must report. Each method changes one thing and repairs
+/// nothing.
+class StaticLockingAuditPeer {
+ public:
+  explicit StaticLockingAuditPeer(StaticLockingCC* cc) : cc_(*cc) {}
+
+  LockManager& locks() { return cc_.locks_; }
+  std::vector<ObjectId>& ReadOnlyOf(TxnId txn) {
+    return cc_.active_.At(txn).read_only;
+  }
+  std::vector<ObjectId>& WrittenOf(TxnId txn) {
+    return cc_.active_.At(txn).written;
+  }
+  void Forget(TxnId txn) { cc_.active_.Erase(txn); }
+  std::vector<TxnId>& waiters() { return cc_.waiters_; }
+
+ private:
+  StaticLockingCC& cc_;
 };
 
 namespace {
@@ -442,11 +465,9 @@ TEST(LockManagerAuditTest, UnresolvedDeadlockIsPermanentBlock) {
 
 using DeepReport = std::tuple<std::string, TxnId, std::string>;
 
-/// Every report of one deep check of `locks`, sorted, as (invariant name,
-/// txn, detail).
-std::vector<DeepReport> DeepCheckReports(const LockManager& locks) {
-  Auditor auditor;
-  locks.AuditCheck(&auditor, /*doomed=*/{});
+/// Every report `auditor` recorded, sorted, as (invariant name, txn,
+/// detail).
+std::vector<DeepReport> SortedReports(const Auditor& auditor) {
   std::vector<DeepReport> reports;
   for (const AuditViolation& violation : auditor.violations()) {
     reports.emplace_back(AuditInvariantName(violation.invariant),
@@ -454,6 +475,13 @@ std::vector<DeepReport> DeepCheckReports(const LockManager& locks) {
   }
   std::sort(reports.begin(), reports.end());
   return reports;
+}
+
+/// Every report of one deep check of `locks`.
+std::vector<DeepReport> DeepCheckReports(const LockManager& locks) {
+  Auditor auditor;
+  locks.AuditCheck(&auditor, /*doomed=*/{});
+  return SortedReports(auditor);
 }
 
 DeepReport Consistency(TxnId txn, const std::string& detail) {
@@ -655,6 +683,94 @@ TEST(LockManagerAuditTest, WaiterWithNoBlockers) {
       AuditInvariantName(AuditInvariant::kPermanentBlock), 2,
       "waiter on object 10 has no blockers yet was never granted"};
   EXPECT_EQ(DeepCheckReports(locks), std::vector<DeepReport>{stuck});
+}
+
+// --- Static locking's deep check: one planted fault per report of its own ---
+
+class StaticLockingAuditTest : public testing::Test {
+ protected:
+  /// Txn 1 holds X on 10 and S on 11, txn 2 holds S on 11, and txn 3 waits
+  /// to read 10.
+  void SetUp() override {
+    cc_.SetCallbacks(engine_.Callbacks());
+    Declare(1, {10, 11}, {10}, CCDecision::kGranted);
+    Declare(2, {11}, {}, CCDecision::kGranted);
+    Declare(3, {10}, {}, CCDecision::kBlocked);
+    ASSERT_TRUE(DeepCheckReports().empty());
+  }
+
+  void Declare(TxnId txn, const std::vector<ObjectId>& reads,
+               const std::vector<ObjectId>& writes, CCDecision expected) {
+    cc_.OnBegin(txn, 0, 0);
+    ASSERT_EQ(cc_.Predeclare(txn, reads, writes), expected);
+  }
+
+  /// Every report of one deep check of the algorithm and its lock table.
+  std::vector<DeepReport> DeepCheckReports() {
+    Auditor auditor;
+    cc_.SetAuditor(&auditor);
+    cc_.AuditCheck();
+    cc_.SetAuditor(nullptr);
+    return SortedReports(auditor);
+  }
+
+  FakeCCEngine engine_{"static locking never wounds"};
+  StaticLockingCC cc_;
+  StaticLockingAuditPeer peer_{&cc_};
+};
+
+TEST_F(StaticLockingAuditTest, WaiterHoldingALock) {
+  ASSERT_EQ(peer_.locks().Request(3, 12, LockMode::kShared, false),
+            LockRequestOutcome::kGranted);
+  EXPECT_EQ(DeepCheckReports(),
+            std::vector<DeepReport>{Consistency(
+                3, "non-holding txn holds 1 undeclared lock(s)")});
+}
+
+TEST_F(StaticLockingAuditTest, HoldingTxnMissingADeclaredLock) {
+  peer_.ReadOnlyOf(2).push_back(12);
+  EXPECT_EQ(DeepCheckReports(),
+            std::vector<DeepReport>{
+                Consistency(2, "holding txn lacks its lock on object 12")});
+}
+
+TEST_F(StaticLockingAuditTest, HoldingTxnWithAnUndeclaredLock) {
+  std::erase(peer_.ReadOnlyOf(1), 11);
+  EXPECT_EQ(DeepCheckReports(),
+            std::vector<DeepReport>{
+                Consistency(1, "holding txn holds 1 undeclared lock(s)")});
+}
+
+TEST_F(StaticLockingAuditTest, DeclaredLockInTheWrongMode) {
+  std::erase(peer_.WrittenOf(1), 10);
+  peer_.ReadOnlyOf(1).push_back(10);
+  EXPECT_EQ(DeepCheckReports(),
+            std::vector<DeepReport>{Consistency(
+                1, "holding txn holds object 10 in the wrong mode")});
+}
+
+TEST_F(StaticLockingAuditTest, LockHeldByAnUntrackedTxn) {
+  peer_.Forget(2);
+  EXPECT_EQ(DeepCheckReports(),
+            std::vector<DeepReport>{Consistency(
+                kInvalidTxn,
+                "lock manager holds 3 lock(s) but tracked transactions "
+                "hold 2")});
+}
+
+TEST_F(StaticLockingAuditTest, WaiterNotActive) {
+  peer_.waiters().push_back(4);
+  EXPECT_EQ(DeepCheckReports(),
+            std::vector<DeepReport>{
+                Consistency(4, "waiter is not an active transaction")});
+}
+
+TEST_F(StaticLockingAuditTest, WaiterAlreadyHoldingItsLocks) {
+  peer_.waiters().push_back(2);
+  const DeepReport holding = {
+      AuditInvariantName(AuditInvariant::kPermanentBlock), 2,
+      "waiter already holds its locks"};
+  EXPECT_EQ(DeepCheckReports(), std::vector<DeepReport>{holding});
 }
 
 // --- Full-engine sweep: every algorithm, auditing on ---

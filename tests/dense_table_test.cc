@@ -284,6 +284,7 @@ struct DigestPin {
   uint64_t replay_digest;
   int64_t commits;
   VictimPolicy victim_policy = VictimPolicy::kYoungest;
+  int lock_granule_size = 1;
 };
 
 /// Replay digests recorded at this exact configuration with the pre-dense
@@ -305,6 +306,9 @@ constexpr DigestPin kPins[] = {
     // cycle members here: the engine's policy must reach the algorithm.
     {"blocking", 0x1f447453f74ec0c5ull, 199, VictimPolicy::kOldest},
     {"blocking", 0x8587d94ff589deeeull, 199, VictimPolicy::kFewestLocks},
+    // Static locking over 4-object granules, which transactions both read
+    // and write; recorded while static locking kept its own lock table.
+    {"static_locking", 0xcb107ffca7d161e4ull, 185, VictimPolicy::kYoungest, 4},
 };
 
 TEST(DenseStateDigestTest, AllNineAlgorithmsMatchPreMigrationDigests) {
@@ -317,6 +321,7 @@ TEST(DenseStateDigestTest, AllNineAlgorithmsMatchPreMigrationDigests) {
   }
   for (const DigestPin& pin : kPins) {
     SCOPED_TRACE(static_cast<int>(pin.victim_policy));
+    SCOPED_TRACE(pin.lock_granule_size);
     EngineConfig config;
     config.workload.db_size = 100;  // Hot: ~10 granules per transaction of 100.
     config.workload.tran_size = 5;
@@ -331,6 +336,7 @@ TEST(DenseStateDigestTest, AllNineAlgorithmsMatchPreMigrationDigests) {
     config.resources = ResourceConfig::Finite(1, 2);
     config.algorithm = pin.algorithm;
     config.victim_policy = pin.victim_policy;
+    config.lock_granule_size = pin.lock_granule_size;
     config.seed = 7;
     config.audit = true;
 

@@ -192,6 +192,43 @@ TEST(EngineAllocTest, AuditedOptimistic) {
       << "operator new calls over " << counts.commits << " commits";
 }
 
+TEST(EngineAllocTest, StaticLockingInfiniteResources) {
+  // Every block parks the transaction among static locking's waiters, and
+  // every release rescans them. For seed 42 the lock manager's pools and
+  // the engine's transaction buffers last grow before 11000 s.
+  WindowCounts counts = MeasureSteadyState(
+      PaperConfig("static_locking", ResourceConfig::Infinite(), 50), 11000,
+      5000);
+  EXPECT_GT(counts.commits, 200000);
+  EXPECT_EQ(counts.news, 0u)
+      << "operator new calls over " << counts.commits << " commits";
+}
+
+TEST(EngineAllocTest, StaticLockingFiniteResourcesFullQueues) {
+  WindowCounts counts = MeasureSteadyState(
+      PaperConfig("static_locking", ResourceConfig::Finite(1, 2), 200), 12000,
+      4000);
+  EXPECT_GT(counts.commits, 20000);
+  EXPECT_EQ(counts.news, 0u)
+      << "operator new calls over " << counts.commits << " commits";
+}
+
+TEST(EngineAllocTest, AuditedOptimisticForwardAllocatesAsUnaudited) {
+  // The forward validator's own buffers still reach new high-water marks
+  // here; its deep check must add no allocation of its own.
+  const EngineConfig plain =
+      PaperConfig("optimistic_forward", ResourceConfig::Infinite(), 50);
+  EngineConfig audited = plain;
+  audited.audit = true;
+  WindowCounts plain_counts = MeasureSteadyState(plain, 1500, 3000);
+  WindowCounts audited_counts = MeasureSteadyState(audited, 1500, 3000);
+  EXPECT_GT(plain_counts.commits, 50000);
+  EXPECT_EQ(audited_counts.commits, plain_counts.commits);
+  EXPECT_EQ(audited_counts.news, plain_counts.news)
+      << "operator new calls over " << audited_counts.commits
+      << " audited commits";
+}
+
 TEST(EngineAllocTest, GroupCommitLogBatches) {
   // Commit log records batched by a group-commit window: the flushed
   // batches travel as recycled slots, not captured vectors.

@@ -1,9 +1,11 @@
 // Test helper: a CCEngine that records what an algorithm signals — grants,
-// wounds and version reads — and serves a settable clock, so tests drive a
-// concurrency control algorithm directly, without a simulator.
+// wounds, version reads and, when asked, blame — and serves a settable
+// clock, so tests drive a concurrency control algorithm directly, without a
+// simulator.
 #ifndef CCSIM_TESTS_FAKE_CC_ENGINE_H_
 #define CCSIM_TESTS_FAKE_CC_ENGINE_H_
 
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -23,9 +25,11 @@ class FakeCCEngine final : public CCEngine {
   FakeCCEngine(const FakeCCEngine&) = delete;
   FakeCCEngine& operator=(const FakeCCEngine&) = delete;
 
-  /// The handle to give an algorithm: every signal reaches this fake except
-  /// blame, which no test here reads.
-  CCCallbacks Callbacks() { return {.engine = this, .version_reads = true}; }
+  /// The handle to give an algorithm: every signal reaches this fake; blame
+  /// only when `blame` is set.
+  CCCallbacks Callbacks(bool blame = false) {
+    return {.engine = this, .version_reads = true, .blame = blame};
+  }
 
   void OnGranted(TxnId txn) override { granted.push_back(txn); }
   void OnWound(TxnId txn) override {
@@ -36,12 +40,18 @@ class FakeCCEngine final : public CCEngine {
   void OnVersionRead(TxnId, ObjectId obj, TxnId writer) override {
     version_reads.emplace_back(obj, writer);
   }
-  void OnBlame(TxnId, TxnId, ObjectId, BlameKind) override {}
+  void OnBlame(TxnId victim, TxnId opponent, ObjectId obj,
+               BlameKind kind) override {
+    blames.emplace_back(victim, opponent, obj, kind);
+  }
 
   std::vector<TxnId> granted;
   std::vector<TxnId> wounded;
   /// (object, writer of the version read), in report order.
   std::vector<std::pair<ObjectId, TxnId>> version_reads;
+  /// (victim, opponent, object, kind), in report order.
+  using Blame = std::tuple<TxnId, TxnId, ObjectId, BlameKind>;
+  std::vector<Blame> blames;
   SimTime now = 0;
 
  private:

@@ -14,7 +14,9 @@ constexpr ObjectId kA = 10, kB = 20, kC = 30;
 
 class StaticLockingTest : public testing::Test {
  protected:
-  void SetUp() override { cc_.SetCallbacks(engine_.Callbacks()); }
+  void SetUp() override {
+    cc_.SetCallbacks(engine_.Callbacks(/*blame=*/true));
+  }
 
   CCDecision Declare(TxnId txn, std::vector<ObjectId> reads,
                      std::vector<ObjectId> writes) {
@@ -128,6 +130,52 @@ TEST_F(StaticLockingTest, NoDeadlockOnCrossingSets) {
   EXPECT_EQ(engine_.granted[0], kT2);
   cc_.Commit(kT2);
   EXPECT_EQ(cc_.waiting_count(), 0u);
+}
+
+// --- Blame: the exact opponent of a blocked predeclaration ---
+
+using Blame = FakeCCEngine::Blame;
+
+TEST_F(StaticLockingTest, BlockedWriteBlamesTheSmallestReader) {
+  EXPECT_EQ(Declare(kT3, {kA}, {}), CCDecision::kGranted);
+  EXPECT_EQ(Declare(kT2, {kA}, {}), CCDecision::kGranted);
+  EXPECT_EQ(Declare(kT1, {kA}, {kA}), CCDecision::kBlocked);
+  // The smallest reader, not the first one.
+  EXPECT_EQ(engine_.blames,
+            (std::vector<Blame>{Blame{kT1, kT2, kA, BlameKind::kBlock}}));
+}
+
+TEST_F(StaticLockingTest, BlockedReadBlamesTheWriter) {
+  EXPECT_EQ(Declare(kT1, {kA}, {kA}), CCDecision::kGranted);
+  EXPECT_EQ(Declare(kT2, {kA}, {}), CCDecision::kBlocked);
+  EXPECT_EQ(engine_.blames,
+            (std::vector<Blame>{Blame{kT2, kT1, kA, BlameKind::kBlock}}));
+}
+
+TEST_F(StaticLockingTest, BlameNamesAWrittenObjectBeforeTheReadOnes) {
+  EXPECT_EQ(Declare(kT1, {kB}, {kB}), CCDecision::kGranted);
+  EXPECT_EQ(Declare(kT2, {kA}, {}), CCDecision::kGranted);
+  // B comes first in T3's reads, but written objects are tested first.
+  EXPECT_EQ(Declare(kT3, {kB, kA}, {kA}), CCDecision::kBlocked);
+  EXPECT_EQ(engine_.blames,
+            (std::vector<Blame>{Blame{kT3, kT2, kA, BlameKind::kBlock}}));
+}
+
+// --- Safety checks ---
+
+using StaticLockingDeathTest = StaticLockingTest;
+
+TEST_F(StaticLockingDeathTest, AccessBeforePredeclaredGrantDies) {
+  EXPECT_EQ(Declare(kT1, {kA}, {kA}), CCDecision::kGranted);
+  EXPECT_EQ(Declare(kT2, {kA}, {kA}), CCDecision::kBlocked);
+  EXPECT_DEATH(cc_.ReadRequest(kT2, kA), "access before predeclared grant");
+  EXPECT_DEATH(cc_.WriteRequest(kT2, kA), "access before predeclared grant");
+}
+
+TEST_F(StaticLockingDeathTest, CommitOfAWaiterDies) {
+  EXPECT_EQ(Declare(kT1, {kA}, {kA}), CCDecision::kGranted);
+  EXPECT_EQ(Declare(kT2, {kA}, {}), CCDecision::kBlocked);
+  EXPECT_DEATH(cc_.Commit(kT2), "commit without locks");
 }
 
 }  // namespace

@@ -64,6 +64,11 @@ Rules (docs/VERIFICATION.md):
                    checker runs between batches, not per decision. (The
                    offline schedule-space verifier in verify/ and the
                    observability layer are outside the rule's directories.)
+                   Nor, in src/cc and src/audit, a node-based container
+                   (std::list, std::forward_list, std::deque, std::map,
+                   std::set, their multi- forms, or their includes): each
+                   allocates per insert, which breaks the allocation-free
+                   steady state those layers keep.
   R9 own-variates  No <random> in src/: no #include <random>, std::mt19937*,
                    std::*_distribution, std::generate_canonical,
                    std::shuffle, std::sample or std::random_device. The
@@ -147,6 +152,11 @@ R8_TOKEN = re.compile(
 )
 # Offline checkers that run between batches, never per cc decision.
 R8_EXEMPT_FILES = {"src/core/history.h", "src/core/history.cc"}
+R8_NODE_DIRS = ("src/cc", "src/audit")
+R8_NODE_TOKEN = re.compile(
+    r"\bstd::(?:forward_)?list\b|\bstd::deque\b|\bstd::(?:multi)?(?:map|set)\b"
+    r"|#include\s*<(?:forward_list|list|deque|map|set)>"
+)
 
 R9_TOKEN = re.compile(
     r"#include\s*<random>"
@@ -455,6 +465,19 @@ class Linter:
                     "TxnSlotMap, SmallIdSet) — faster and deterministic to "
                     'iterate (docs/PERFORMANCE.md "Dense CC state")',
                 )
+        for path in self.cpp_files(*R8_NODE_DIRS):
+            code = strip_comments_and_strings(path.read_text(encoding="utf-8"))
+            for match in R8_NODE_TOKEN.finditer(code):
+                self.report(
+                    self.rel(path),
+                    line_of(code, match.start()),
+                    "R8",
+                    f"node-based {match.group(0)} in src/cc or src/audit: "
+                    "it allocates per insert, breaking the allocation-free "
+                    "steady state; use a std::vector or the dense containers "
+                    'of util/dense_table.h (docs/PERFORMANCE.md "Dense CC '
+                    'state")',
+                )
 
     # --- R9 -----------------------------------------------------------------
 
@@ -523,6 +546,7 @@ SELF_TEST_SNIPPETS = {
     ),
     "R8_exempt": "#include <unordered_set>\nstd::unordered_map<int, int> m_;\n",
     "R8_audit": "std::unordered_map<TxnId, TxnLockState> lock_states_;\n",
+    "R8_node": "std::list<TxnId> waiters_;\n// std::deque in prose is fine\n",
     "R9": (
         "#include <random>\n"
         "std::mt19937_64 engine_;\n"
@@ -602,6 +626,9 @@ def self_test(tmp_root):
         (root / "src/core/history.cc").write_text(
             SELF_TEST_SNIPPETS["R8_exempt"]
         )
+        # A node-based container fires in src/cc but not in src/core.
+        (root / "src/cc/bad_node.h").write_text(SELF_TEST_SNIPPETS["R8_node"])
+        (root / "src/core/ok_node.h").write_text(SELF_TEST_SNIPPETS["R8_node"])
         # R9: the hit and the prose in src/ (any directory); tests/ may use
         # <random> as a reference.
         (root / "src/wl").mkdir(parents=True)
@@ -647,9 +674,13 @@ def self_test(tmp_root):
         expect("[R7]", 3)  # undocumented_counter + both "dup" sites.
         expect("undocumented_counter", 1)
         expect("documented_gauge", 0)  # Catalogued: silent.
-        expect("[R8]", 3)  # Include + usage + the audit/ plant; not comments.
+        # Include + usage + the audit/ plant + the node-based container in
+        # cc/; not comments.
+        expect("[R8]", 4)
         expect("bad_audit.h", 1)  # audit/ is in the rule's scope.
         expect("history.cc", 0)  # Offline checker: allowlisted.
+        expect("bad_node.h:1", 1)
+        expect("ok_node.h", 0)  # Node-based containers stay legal in core/.
         # The include, the engine, the distribution, the shuffle; not the
         # prose, and nothing under tests/.
         expect("[R9]", 4)
